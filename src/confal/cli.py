@@ -2,14 +2,17 @@
 
 Subcommands: ``verify-algebra``, ``verify-module``, ``classify``,
 ``annihilation``.  Exit codes: 0 when every check passed, 1 when any check
-failed, 2 on malformed input.  The environment variable ``CONFAL_SEED``
-(an integer, default 0) fixes the randomness of falsification batteries, so
-certificates are byte-stable run to run.
+failed, 2 on malformed input, on a table whose checked identities leave its
+ERROR_ON_OVERFLOW window, or when ``--out`` cannot be written.  The
+environment variable ``CONFAL_SEED`` (an integer, default 0) fixes the
+randomness of falsification batteries, so certificates are byte-stable run
+to run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from fractions import Fraction
@@ -29,6 +32,7 @@ from .classify import classify_bn, classify_rank_one, verify_report
 from .conformal import (
     ConformalAlgebra,
     TruncationPolicy,
+    WindowOverflowError,
     check_jacobi,
     check_skew,
     make_block,
@@ -68,6 +72,16 @@ def _rat_arg(text: str) -> Fraction:
         return parse_rat(text)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _seed_from_env() -> int:
@@ -117,9 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pm.add_argument(
         "--degree-bound",
-        type=int,
+        type=_positive_int_arg,
         default=3,
-        help="degree bound for the invariant-span search (default 3)",
+        help="degree bound for the invariant-span search, at least 1 "
+        "(default 3)",
     )
     pm.add_argument("--out", help="write the certificate to this path")
 
@@ -544,6 +559,19 @@ def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
     return certificate
 
 
+def _write_whole(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling file, so no partial file stays."""
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -555,16 +583,20 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         certificate = handlers[args.command](args)
-    except (InputError, ParseError) as exc:
+    except (InputError, ParseError, WindowOverflowError) as exc:
         print(f"confal: error: {exc}", file=sys.stderr)
         return 2
     text = certificate.to_json()
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return certificate.exit_code
+    try:
+        _write_whole(out, text)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"confal: error: cannot write {out}: {reason}", file=sys.stderr)
+        return 2
     return certificate.exit_code
 
 

@@ -35,9 +35,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping, NamedTuple
 
-from .poly import AUX1, DEL, LAM, MU, Poly, Rat, Var
+from .poly import DEL, LAM, MU, Poly, Rat, Var
 
 GenId = int
 
@@ -85,15 +85,6 @@ def combo_neg(a: Mapping[GenId, Poly]) -> dict[GenId, Poly]:
 
 def combo_sub(a: Mapping[GenId, Poly], b: Mapping[GenId, Poly]) -> dict[GenId, Poly]:
     return combo_add(a, combo_neg(b))
-
-
-def combo_scale(a: Mapping[GenId, Poly], c: Poly | Rat | int) -> dict[GenId, Poly]:
-    out: dict[GenId, Poly] = {}
-    for k, v in a.items():
-        s = v * c
-        if not s.is_zero():
-            out[k] = s
-    return out
 
 
 def combo_substitute(
@@ -387,39 +378,80 @@ def check_skew(alg: ConformalAlgebra) -> SkewReport:
     return report
 
 
+class _PairForms(NamedTuple):
+    """One target of a table entry ``s(D, x) L_k``, with its substituted forms.
+
+    The Jacobi residual only ever needs an entry under one of these
+    substitutions, so each is made once per pair rather than once per triple.
+    The two forms that enter the residual with a minus sign carry it.
+    """
+
+    k: GenId
+    s: Poly  #: s(D, x), outer factor of [a_x [b_y c]]
+    lift_x: Poly  #: s(D+x, y), inner factor of [a_x [b_y c]]
+    neg_out: Poly  #: -s(-x-y, x), inner factor of [[a_x b]_{x+y} c]
+    at_sum: Poly  #: s(D, x+y), outer factor of [[a_x b]_{x+y} c]
+    neg_lift_y: Poly  #: -s(D+y, x), inner factor of [b_y [a_x c]]
+    at_y: Poly  #: s(D, y), outer factor of [b_y [a_x c]]
+
+
+class _CompiledTable(dict):
+    """Bracket table of ``alg`` as :class:`_PairForms` tuples, keyed by pair.
+
+    A pair is compiled on its first lookup.  A pair the policy leaves out is
+    looked up through :meth:`ConformalAlgebra.structure_of` every time, so it
+    raises exactly where a direct lookup would.
+    """
+
+    def __init__(self, alg: ConformalAlgebra):
+        super().__init__()
+        self.alg = alg
+
+    def __missing__(self, pair: tuple[GenId, GenId]) -> tuple[_PairForms, ...]:
+        forms = tuple(
+            _PairForms(
+                k,
+                s,
+                s.substitute(Var.LAMBDA, MU).substitute(Var.PARTIAL, DEL + LAM),
+                -s.substitute(Var.PARTIAL, -LAM - MU),
+                s.substitute(Var.LAMBDA, LAM + MU),
+                -s.substitute(Var.PARTIAL, DEL + MU),
+                s.substitute(Var.LAMBDA, MU),
+            )
+            for k, s in self.alg.structure_of(*pair).items()
+        )
+        self[pair] = forms
+        return forms
+
+
+def _jacobi_terms(
+    table: _CompiledTable, a: GenId, b: GenId, c: GenId
+) -> LambdaValue:
+    residual: dict[GenId, Poly] = {}
+    zero = Poly.zero()
+    # [a_x [b_y c]]
+    for f in table[b, c]:
+        for g in table[a, f.k]:
+            residual[g.k] = residual.get(g.k, zero) + f.lift_x * g.s
+    # - [[a_x b]_{x+y} c]
+    for f in table[a, b]:
+        for g in table[f.k, c]:
+            residual[g.k] = residual.get(g.k, zero) + f.neg_out * g.at_sum
+    # - [b_y [a_x c]]
+    for f in table[a, c]:
+        for g in table[b, f.k]:
+            residual[g.k] = residual.get(g.k, zero) + f.neg_lift_y * g.at_y
+    return {k: v for k, v in residual.items() if not v.is_zero()}
+
+
 def jacobi_residual(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> LambdaValue:
     """``[a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]]`` on generators.
 
-    The middle term needs the bracket variable of ``[a b]`` evaluated at
-    ``x + y`` while the inner table entry still carries its own variable, so
-    a scratch variable stands in for the outer one until the end.
+    Every factor is a table entry under one substitution (see
+    :class:`_PairForms`); in the middle term the ``D`` of ``[a b]`` becomes
+    ``-x - y`` and the bracket variable of ``[m c]`` becomes ``x + y``.
     """
-    residual: dict[GenId, Poly] = {}
-
-    # [a_x [b_y c]]
-    for m, h in alg.structure_of(b, c).items():
-        h_mu = h.substitute(Var.LAMBDA, MU)
-        lifted = h_mu.substitute(Var.PARTIAL, DEL + LAM)
-        for k, entry in alg.structure_of(a, m).items():
-            residual[k] = residual.get(k, Poly.zero()) + lifted * entry
-
-    # [[a_x b]_{x+y} c]
-    lam_plus_mu = LAM + MU
-    for m, g in alg.structure_of(a, b).items():
-        g_out = g.substitute(Var.PARTIAL, -AUX1)
-        for k, entry in alg.structure_of(m, c).items():
-            entry_out = entry.substitute(Var.LAMBDA, AUX1)
-            term = (g_out * entry_out).substitute(Var.AUX1, lam_plus_mu)
-            residual[k] = residual.get(k, Poly.zero()) - term
-
-    # [b_y [a_x c]]
-    for m, u in alg.structure_of(a, c).items():
-        u_shift = u.substitute(Var.PARTIAL, DEL + MU)
-        for k, entry in alg.structure_of(b, m).items():
-            entry_mu = entry.substitute(Var.LAMBDA, MU)
-            residual[k] = residual.get(k, Poly.zero()) - u_shift * entry_mu
-
-    return {k: v for k, v in residual.items() if not v.is_zero()}
+    return _jacobi_terms(_CompiledTable(alg), a, b, c)
 
 
 def _triple_available(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> bool:
@@ -429,8 +461,13 @@ def _triple_available(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> bo
 
 
 def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
-    """Verify the Jacobi identity on every available ordered generator triple."""
+    """Verify the Jacobi identity on every available ordered generator triple.
+
+    The bracket table is compiled once for the whole walk, so each entry is
+    substituted once per pair instead of once per triple that uses it.
+    """
     report = JacobiReport(algebra=alg.name, triples_checked=0)
+    table = _CompiledTable(alg)
     gens = list(alg.generators())
     for a in gens:
         for b in gens:
@@ -438,7 +475,7 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
                 if not _triple_available(alg, a, b, c):
                     continue
                 report.triples_checked += 1
-                residual = jacobi_residual(alg, a, b, c)
+                residual = _jacobi_terms(table, a, b, c)
                 if residual:
                     report.failures.append(TripleResidual(a, b, c, residual))
     return report

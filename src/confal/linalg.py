@@ -92,13 +92,6 @@ def solve(
     return solution
 
 
-def in_span(basis: Sequence[Vector], vec: Sequence[Fraction | int]) -> bool:
-    """Whether ``vec`` lies in the row span of ``basis``."""
-    before = rank(basis)
-    after = rank(list(basis) + [list(map(Fraction, vec))])
-    return before == after
-
-
 @dataclass(frozen=True)
 class RatMatrix:
     """Small immutable matrix of exact rationals."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Rat = Fraction
@@ -64,6 +65,13 @@ def _as_rat(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
+
+
+#: Canonical copy of every exponent vector built by a product or a
+#: substitution.  Polynomials share the few monomials in use instead of each
+#: holding its own tuples.
+_EXPONENTS: dict[tuple[int, ...], tuple[int, ...]] = {}
+_intern = _EXPONENTS.setdefault
 
 
 def _order_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -206,14 +214,10 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         out: dict[tuple[int, ...], Fraction] = {}
+        other_terms = other._terms.items()
         for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                s = out.get(exp, Fraction(0)) + ca * cb
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
+            for eb, cb in other_terms:
+                _accumulate(out, ea, eb, ca * cb)
         return _wrap(out)
 
     __rmul__ = __mul__
@@ -238,16 +242,18 @@ class Poly:
         rep = _coerce(replacement)
         if rep is NotImplemented:
             raise TypeError("replacement must be a Poly or an exact scalar")
-        out = _ZERO
-        powers: dict[int, Poly] = {0: _ONE}
+        out: dict[tuple[int, ...], Fraction] = {}
+        powers: dict[int, Poly] = {}
         for exp, c in self._terms.items():
             e = exp[var]
-            if e not in powers:
-                powers[e] = rep**e
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = rep**e
             rest = list(exp)
             rest[var] = 0
-            out = out + Poly({tuple(rest): c}) * powers[e]
-        return out
+            for ep, cp in power._terms.items():
+                _accumulate(out, rest, ep, c * cp)
+        return _wrap(out)
 
     def coeff_in(self, var: Var, k: int) -> Poly:
         """``k!`` times the coefficient of ``var**k``.
@@ -311,6 +317,26 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _accumulate(
+    out: dict[tuple[int, ...], Fraction],
+    ea: Sequence[int],
+    eb: Sequence[int],
+    c: Fraction,
+) -> None:
+    """Add ``c`` (nonzero) times the monomial ``ea + eb`` into ``out``."""
+    exp = tuple(map(add, ea, eb))
+    exp = _intern(exp, exp)
+    old = out.get(exp)
+    if old is None:
+        out[exp] = c
+        return
+    s = old + c
+    if s:
+        out[exp] = s
+    else:
+        del out[exp]
 
 
 def _wrap(terms: dict[tuple[int, ...], Fraction]) -> Poly:

@@ -179,12 +179,14 @@ def _parse_pair_key(key: str, what: str) -> tuple[int, int]:
 def algebra_from_dict(data: dict[str, Any]) -> ConformalAlgebra:
     if data.get("format") != "confal-algebra":
         raise ParseError("not an algebra file: missing format marker")
+    if "window" not in data:
+        raise ParseError("malformed algebra file: missing field 'window'")
     try:
         window = int(data["window"])
         policy = TruncationPolicy(data.get("policy", "truncate"))
         generators = list(data.get("generators", []))
         raw_structure = dict(data.get("structure", {}))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(f"malformed algebra file: {exc}") from None
     if window < 0:
         raise ParseError("window must be nonnegative")

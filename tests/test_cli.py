@@ -405,6 +405,41 @@ def test_bad_seed_environment_variable(capsys, monkeypatch):
     assert "CONFAL_SEED must be an integer, got 'abc'" in err
 
 
+def test_leaky_error_policy_file_exits_two_naming_the_pair(capsys, tmp_path):
+    path = tmp_path / "leaky.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": "confal-algebra",
+                "window": 2,
+                "policy": "error",
+                "structure": {"0,1": {"2": "D + x"}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "confal: error: bracket of pair (2, 1) escapes window 2 of custom "
+        "under ERROR_ON_OVERFLOW\n"
+    )
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_degree_bound_below_one_exits_two(capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "verify-module", "--alg", "block", "--p", "1", "--window", "2",
+                "--mod", "M:0:1", "--degree-bound", bound,
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--degree-bound: must be at least 1" in capsys.readouterr().err
+
+
 def test_unparseable_rational_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--p", "one"])
@@ -427,6 +462,24 @@ def test_out_flag_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     assert text.endswith("\n")
     doc = json.loads(text)
     assert doc["command"] == "verify-algebra"
+
+
+def test_unwritable_out_exits_two_and_leaves_no_file(capsys, tmp_path):
+    missing = tmp_path / "nonexistent" / "x.json"
+    code, out, err = run_cli(
+        capsys, ["verify-algebra", "--alg", "vir", "--out", str(missing)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: cannot write {missing}: No such file or directory\n"
+    # a directory in place of the file fails after the text is written out.
+    code, _, err = run_cli(
+        capsys, ["verify-algebra", "--alg", "vir", "--out", str(tmp_path)]
+    )
+    assert code == 2
+    assert err.startswith(f"confal: error: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certificate_is_sorted_indented_json_with_trailing_newline(capsys):

@@ -34,7 +34,7 @@ from confal.conformal import (
     quotient_by_tail,
     skew_residual,
 )
-from confal.poly import DEL, LAM, Poly, Var, pit_points
+from confal.poly import AUX1, DEL, LAM, MU, Poly, Var, pit_points
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
 ERROR = TruncationPolicy.ERROR_ON_OVERFLOW
@@ -179,6 +179,147 @@ def test_jacobi_residual_zero_on_specific_triples():
     alg = make_schrodinger_virasoro()
     assert jacobi_residual(alg, 0, 1, 1) == {}
     assert jacobi_residual(alg, 1, 1, 0) == {}
+
+
+# -- the compiled Jacobi kernel against the per-triple formula ------------------
+
+
+def reference_jacobi_residual(alg, a, b, c):
+    """The Jacobi residual substituted afresh for every triple.
+
+    This is the formula the checker used before it compiled the table: the
+    middle term goes through the scratch variable ``u`` and substitutes
+    ``u := x + y`` in the product.
+    """
+    residual = {}
+    for m, h in alg.structure_of(b, c).items():
+        lifted = h.substitute(Var.LAMBDA, MU).substitute(Var.PARTIAL, DEL + LAM)
+        for k, entry in alg.structure_of(a, m).items():
+            residual[k] = residual.get(k, Poly.zero()) + lifted * entry
+    for m, g in alg.structure_of(a, b).items():
+        g_out = g.substitute(Var.PARTIAL, -AUX1)
+        for k, entry in alg.structure_of(m, c).items():
+            entry_out = entry.substitute(Var.LAMBDA, AUX1)
+            term = (g_out * entry_out).substitute(Var.AUX1, LAM + MU)
+            residual[k] = residual.get(k, Poly.zero()) - term
+    for m, u in alg.structure_of(a, c).items():
+        u_shift = u.substitute(Var.PARTIAL, DEL + MU)
+        for k, entry in alg.structure_of(b, m).items():
+            entry_mu = entry.substitute(Var.LAMBDA, MU)
+            residual[k] = residual.get(k, Poly.zero()) - u_shift * entry_mu
+    return {k: v for k, v in residual.items() if not v.is_zero()}
+
+
+def reference_check_jacobi(alg):
+    """Triple count and ordered failures of the per-triple walk."""
+    gens = list(alg.generators())
+    checked, failures = 0, []
+    for a in gens:
+        for b in gens:
+            for c in gens:
+                if alg.policy is ERROR and a + b + c > alg.window:
+                    continue
+                checked += 1
+                residual = reference_jacobi_residual(alg, a, b, c)
+                if residual:
+                    failures.append((a, b, c, residual))
+    return checked, failures
+
+
+def kernel_check_jacobi(alg):
+    report = check_jacobi(alg)
+    failures = [(f.i, f.j, f.k, f.residual) for f in report.failures]
+    return report.triples_checked, failures
+
+
+def jacobi_outcome(walk, alg):
+    try:
+        return walk(alg)
+    except WindowOverflowError as exc:
+        return "overflow", str(exc)
+
+
+def assert_kernel_matches_reference(alg):
+    expected = jacobi_outcome(reference_check_jacobi, alg)
+    assert jacobi_outcome(kernel_check_jacobi, alg) == expected
+    if expected[0] != "overflow":
+        for a, b, c, residual in expected[1]:
+            assert jacobi_residual(alg, a, b, c) == residual
+    return expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        make_heisenberg_virasoro_misprint,
+        make_schrodinger_virasoro,
+        lambda: make_block(Fraction(-1, 2), 5, ERROR),
+        lambda: make_bn(4),
+    ],
+    ids=["hv-misprint", "sv", "block-minus-half-error", "b4"],
+)
+def test_compiled_jacobi_matches_reference(build):
+    alg = build()
+    checked, failures = assert_kernel_matches_reference(alg)
+    assert checked > 0
+    assert bool(failures) == (alg.name == "HV-misprint")
+
+
+def test_leaky_error_table_overflows_at_the_reference_pair():
+    alg = ConformalAlgebra(
+        name="leaky",
+        kind="custom",
+        window=2,
+        policy=ERROR,
+        param_p=None,
+        structure={(0, 1): {2: DEL + LAM}},
+        gen_names=("L_0", "L_1", "L_2"),
+    )
+    outcome = assert_kernel_matches_reference(alg)
+    assert outcome == (
+        "overflow",
+        "bracket of pair (2, 1) escapes window 2 of leaky under ERROR_ON_OVERFLOW",
+    )
+
+
+def test_compiled_jacobi_matches_reference_on_random_tables():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    coeff = st.integers(-3, 3)
+    poly = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff, max_size=3
+    ).map(lambda terms: Poly({(d, x, 0, 0, 0): c for (d, x), c in terms.items()}))
+
+    @st.composite
+    def tables(draw):
+        window = draw(st.integers(0, 2))
+        gens = st.integers(0, window)
+        structure = draw(
+            st.dictionaries(
+                st.tuples(gens, gens),
+                st.dictionaries(gens, poly, min_size=1, max_size=2),
+                max_size=6,
+            )
+        )
+        return ConformalAlgebra(
+            name="random",
+            kind="custom",
+            window=window,
+            policy=draw(st.sampled_from([TRUNC, ERROR])),
+            param_p=None,
+            structure=structure,
+            gen_names=tuple(f"L_{i}" for i in range(window + 1)),
+        )
+
+    @hypothesis.settings(
+        max_examples=80, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(tables())
+    def check(alg):
+        assert_kernel_matches_reference(alg)
+
+    check()
 
 
 # -- morphisms and quotients -----------------------------------------------------

@@ -205,6 +205,30 @@ def test_divmod_reconstructs_dividend():
         assert r.degree_in(Var.PARTIAL) < g.degree_in(Var.PARTIAL)
 
 
+def test_mul_and_substitute_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("D x y u w")
+
+    def to_sympy(poly):
+        return sympy.Add(
+            *(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s**e for s, e in zip(symbols, exp)))
+                for exp, c in poly.terms()
+            )
+        )
+
+    rng = random.Random(707)
+    for _ in range(40):
+        a = rand_poly(rng, nvars=4)
+        b = rand_poly(rng, nvars=4)
+        var = rng.choice(list(Var)[:4])
+        rep = rand_poly(rng, max_degree=2, nvars=4)
+        assert sympy.expand(to_sympy(a * b) - to_sympy(a) * to_sympy(b)) == 0
+        expected = to_sympy(a).subs(symbols[var], to_sympy(rep))
+        assert sympy.expand(to_sympy(a.substitute(var, rep)) - expected) == 0
+
+
 def test_hash_consistent_with_eq():
     rng = random.Random(505)
     for _ in range(30):

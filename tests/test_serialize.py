@@ -9,6 +9,7 @@ ParseError with position or context in the message, never a silent default.
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,24 @@ def test_loaded_table_is_data_not_trusted():
     bad = algebra_from_dict(d)
     assert not check_skew(bad).ok
     assert not check_jacobi(bad).ok
+
+
+def test_readme_algebra_file_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split('Algebra files (`"format": "confal-algebra"`):', 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    alg = algebra_from_dict(json.loads(block))
+    assert alg.gen_names == ("L", "M")
+    assert check_skew(alg).ok and check_jacobi(alg).ok
+
+
+def test_algebra_without_window_names_the_field():
+    d = algebra_to_dict(make_block(1, 2, TRUNC))
+    del d["window"]
+    with pytest.raises(ParseError, match="missing field 'window'"):
+        algebra_from_dict(d)
 
 
 def test_algebra_rejections():
