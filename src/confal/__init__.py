@@ -15,7 +15,6 @@ from .poly import (  # noqa: F401
     MU,
     MissingVariableError,
     Poly,
-    Rat,
     ScheduleExhaustedError,
     Var,
     divmod_in_var,

@@ -32,12 +32,13 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .conformal import ConformalAlgebra, TruncationPolicy, UnsupportedAlgebraError
 from .linalg import RatMatrix
-from .poly import Poly, Rat, Var
+from .poly import Poly, Var
 
 Label = str
 
@@ -72,11 +73,16 @@ class FiniteLieAlgebra:
     name: str
     basis: tuple[Label, ...]
     table: dict[tuple[Label, Label], LinComb]
-    param_p: Rat | None
+    param_p: Fraction | None
     meta: dict = field(default_factory=dict)
 
+    @cached_property
+    def positions(self) -> dict[Label, int]:
+        """Basis label -> its index in ``basis``."""
+        return {label: i for i, label in enumerate(self.basis)}
+
     def index(self, label: Label) -> int:
-        return self.basis.index(label)
+        return self.positions[label]
 
     def bracket_basis(self, x: Label, y: Label) -> LinComb:
         return dict(self.table.get((x, y), {}))
@@ -323,8 +329,8 @@ def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
 
 
 def make_block_pq_window(
-    p: Rat | int,
-    q: Rat | int,
+    p: Fraction | int,
+    q: Fraction | int,
     i_range: tuple[int, int],
     m_range: tuple[int, int],
 ) -> FiniteLieAlgebra:
@@ -372,7 +378,7 @@ def make_block_pq_window(
 # -- finite subquotients ----------------------------------------------------------
 
 
-def annihilation_subquotient(p: Rat | int, idx_cap: int, mode_cap: int) -> FiniteLieAlgebra:
+def annihilation_subquotient(p: Fraction | int, idx_cap: int, mode_cap: int) -> FiniteLieAlgebra:
     """The finite-dimensional subquotient on ``J(i,m)``, ``0 <= i <= idx_cap``,
     ``0 <= m <= mode_cap``.
 
@@ -452,50 +458,94 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
     data, so it is excluded and counted instead of reported as a failure;
     every interior triple is still checked exactly.  Algebras with an
     intrinsic zero rule carry no such set and are checked in full.
+
+    The triple walk runs on :func:`_integer_table`.  Its residuals are the
+    exact ones times a fixed nonzero integer, so they vanish on the same
+    triples; a triple that fails is evaluated again with the exact table,
+    and the report carries that exact residual.
     """
     report = LieReport(algebra=alg.name)
-    basis = alg.basis
-    truncated: set[tuple[Label, Label]] = alg.meta.get("truncated_pairs", set())
-    for a in range(len(basis)):
-        for b in range(a, len(basis)):
+    basis, table = alg.basis, alg.table
+    n = len(basis)
+    for a in range(n):
+        for b in range(a, n):
             x, y = basis[a], basis[b]
             report.pairs_checked += 1
-            residual = comb_add(alg.bracket_basis(x, y), alg.bracket_basis(y, x))
+            residual = comb_add(table.get((x, y), {}), table.get((y, x), {}))
             if residual:
                 report.antisymmetry_failures.append((x, y, residual))
 
-    def touches_truncation(outer: Label, inner: tuple[Label, Label]) -> bool:
-        if inner in truncated:
-            return True
-        return any(
-            (outer, target) in truncated
-            for target in alg.bracket_basis(*inner)
-        )
+    index, tab = _integer_table(alg)
+    truncated: set[tuple[Label, Label]] = alg.meta.get("truncated_pairs", set())
+    cut: list[list[bool]] | None = None
+    if truncated:
+        cut = [[False] * len(index) for _ in index]
+        for x, y in truncated:
+            if x in index and y in index:
+                cut[index[x]][index[y]] = True
 
-    for a in range(len(basis)):
-        for b in range(a, len(basis)):
-            for c in range(b, len(basis)):
-                x, y, z = basis[a], basis[b], basis[c]
-                if truncated and (
-                    touches_truncation(x, (y, z))
-                    or touches_truncation(y, (z, x))
-                    or touches_truncation(z, (x, y))
+    checked = excluded = 0
+    for a in range(n):
+        tab_a = tab[a]
+        for b in range(a, n):
+            tab_b = tab[b]
+            ab = tab_a[b]
+            for c in range(b, n):
+                tab_c = tab[c]
+                bc, ca = tab_b[c], tab_c[a]
+                # The triple consults [b,c], [c,a], [a,b] and the brackets
+                # of a, b, c with their targets.
+                if cut is not None and (
+                    cut[b][c] or cut[c][a] or cut[a][b]
+                    or any(cut[a][t] for t in bc)
+                    or any(cut[b][t] for t in ca)
+                    or any(cut[c][t] for t in ab)
                 ):
-                    report.triples_excluded += 1
+                    excluded += 1
                     continue
-                report.triples_checked += 1
-                total = lie_bracket(alg, {x: Fraction(1)}, alg.bracket_basis(y, z))
-                total = comb_add(
-                    total,
-                    lie_bracket(alg, {y: Fraction(1)}, alg.bracket_basis(z, x)),
-                )
-                total = comb_add(
-                    total,
-                    lie_bracket(alg, {z: Fraction(1)}, alg.bracket_basis(x, y)),
-                )
-                if total:
-                    report.jacobi_failures.append((x, y, z, total))
+                checked += 1
+                if not (bc or ca or ab):
+                    continue
+                total: dict[int, int] = {}
+                for outer, inner in ((tab_a, bc), (tab_b, ca), (tab_c, ab)):
+                    for t, v in inner.items():
+                        for u, w in outer[t].items():
+                            total[u] = total.get(u, 0) + v * w
+                if any(total.values()):
+                    x, y, z = basis[a], basis[b], basis[c]
+                    report.jacobi_failures.append((x, y, z, _jacobi_residual(alg, x, y, z)))
+    report.triples_checked = checked
+    report.triples_excluded = excluded
     return report
+
+
+def _integer_table(alg: FiniteLieAlgebra) -> tuple[dict[Label, int], list[list[dict[int, int]]]]:
+    """The table on integer label indices with integer coefficients.
+
+    Returns the label index -- the basis first, then any other label the
+    table names -- and ``tab[i][j] = {k: c}`` for ``[e_i, e_j] = sum c e_k``.
+    Every coefficient is multiplied by the lcm of all their denominators;
+    scaling every bracket by one nonzero constant preserves antisymmetry and
+    Jacobi.  Explicit zero coefficients are kept, so ``tab[i][j]`` names the
+    same targets as the table entry.
+    """
+    index = dict(alg.positions)
+    for (x, y), value in alg.table.items():
+        for label in (x, y, *value):
+            index.setdefault(label, len(index))
+    scale = math.lcm(*(c.denominator for value in alg.table.values() for c in value.values()))
+    empty: dict[int, int] = {}
+    tab = [[empty] * len(index) for _ in index]
+    for (x, y), value in alg.table.items():
+        tab[index[x]][index[y]] = {index[t]: int(c * scale) for t, c in value.items()}
+    return index, tab
+
+
+def _jacobi_residual(alg: FiniteLieAlgebra, x: Label, y: Label, z: Label) -> LinComb:
+    """``[x,[y,z]] + [y,[z,x]] + [z,[x,y]]`` in exact arithmetic."""
+    total = lie_bracket(alg, {x: Fraction(1)}, alg.bracket_basis(y, z))
+    total = comb_add(total, lie_bracket(alg, {y: Fraction(1)}, alg.bracket_basis(z, x)))
+    return comb_add(total, lie_bracket(alg, {z: Fraction(1)}, alg.bracket_basis(x, y)))
 
 
 # -- resonance analysis ---------------------------------------------------------------
@@ -631,13 +681,6 @@ class IdealReport:
     series_dims: list[int]
 
 
-def _vec(alg: FiniteLieAlgebra, comb: Mapping[Label, Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * len(alg.basis)
-    for lab, c in comb.items():
-        out[alg.index(lab)] = c
-    return out
-
-
 def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealReport:
     """Check ideal-ness of a coordinate span and compute its central series.
 
@@ -662,32 +705,30 @@ def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealR
         if not is_ideal:
             break
 
-    # Lower central series of the span, S^{t+1} = [S, S^t].
-    current = [_vec(alg, {lab: Fraction(1)}) for lab in span]
-    current, _ = linalg.rref(current)
-    dims = [len(current)]
+    # Lower central series of the span, S^{t+1} = [S, S^t], as sparse rows
+    # over the basis indices.
+    current = linalg.Echelon({alg.index(lab): Fraction(1)} for lab in span)
+    dims = [current.rank]
     abelian: bool | None = None
     nilpotent = False
     nil_class: int | None = None
     for step in range(1, len(alg.basis) + 2):
-        produced: list[list[Fraction]] = []
+        nxt = linalg.Echelon()
         for s in span:
-            for vec in current:
-                comb = {lab: c for lab, c in zip(alg.basis, vec) if c}
+            for row in current.pivot_rows.values():
+                comb = {alg.basis[col]: c for col, c in row.items()}
                 out = lie_bracket(alg, {s: Fraction(1)}, comb)
-                if out:
-                    produced.append(_vec(alg, out))
-        nxt, _ = linalg.rref(produced)
+                nxt.add({alg.index(lab): c for lab, c in out.items()})
         if abelian is None:
-            abelian = not nxt
-        if not nxt:
+            abelian = not nxt.rank
+        if not nxt.rank:
             nilpotent = True
             nil_class = step
             break
-        dims.append(len(nxt))
-        same_span = len(nxt) == len(current) and linalg.rank(
-            current + nxt
-        ) == len(current)
+        dims.append(nxt.rank)
+        same_span = nxt.rank == current.rank and not any(
+            current.reduce(row) for row in nxt.pivot_rows.values()
+        )
         if same_span:
             # Series stalled at a nonzero term.
             break
@@ -754,32 +795,26 @@ class CharacterReport:
 def characters(alg: FiniteLieAlgebra) -> CharacterReport:
     """All linear functionals vanishing on the derived subalgebra.
 
-    Computed as the exact nullspace of the matrix whose rows span
-    ``[g, h]`` over all basis pairs; every returned functional is then
-    re-applied to every bracket as a final verification.
+    Computed as the exact nullspace of the matrix whose rows are the
+    nonzero brackets ``[g, h]`` of the table, from one elimination that also
+    gives the rank of the derived subalgebra; every returned functional is
+    then re-applied to every bracket as a final verification.
     """
-    rows = []
-    for x in alg.basis:
-        for y in alg.basis:
-            value = alg.bracket_basis(x, y)
-            if value:
-                rows.append(_vec(alg, value))
-    derived_rank = linalg.rank(rows)
-    kernel = linalg.nullspace(rows, len(alg.basis))
+    echelon = linalg.Echelon(
+        {alg.index(lab): c for lab, c in value.items()} for value in alg.table.values()
+    )
     chars = [
-        {lab: c for lab, c in zip(alg.basis, vec) if c} for vec in kernel
+        {alg.basis[col]: c for col, c in vec.items()}
+        for vec in echelon.nullspace(len(alg.basis))
     ]
-    verified = True
-    for phi in chars:
-        for x in alg.basis:
-            for y in alg.basis:
-                value = alg.bracket_basis(x, y)
-                total = sum(
-                    (phi.get(lab, Fraction(0)) * co for lab, co in value.items()),
-                    Fraction(0),
-                )
-                if total:
-                    verified = False
+    # Pairs absent from the table bracket to zero, which every functional
+    # annihilates.
+    verified = not any(
+        sum(phi.get(lab, 0) * co for lab, co in value.items())
+        for phi in chars
+        for value in alg.table.values()
+    )
+    derived_rank = echelon.rank
     return CharacterReport(
         dimension=len(alg.basis),
         derived_rank=derived_rank,

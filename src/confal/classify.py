@@ -51,7 +51,7 @@ from .modules import (
     rank_one_beta_module,
     rank_one_module,
 )
-from .poly import DEL, LAM, MU, Poly, Rat, Var
+from .poly import DEL, LAM, MU, Poly, Var
 
 RULE_TOP_INDEX_ASSUMED = "TOP_INDEX_ASSUMED"
 RULE_DEL_INDEPENDENCE = "DEL_INDEPENDENCE"
@@ -248,7 +248,7 @@ def shift_kernel(degree_bound: int) -> list[list[Fraction]]:
 
 
 def classify_rank_one(
-    p: Rat | int,
+    p: Fraction | int,
     top_index_bound: int = 6,
     degree_bound: int = 6,
     seed: int = 0,

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .poly import DEL, LAM, MU, Poly, Rat, Var
+from .poly import DEL, LAM, MU, Poly, Var
 
 GenId = int
 
@@ -88,7 +88,7 @@ def combo_sub(a: Mapping[GenId, Poly], b: Mapping[GenId, Poly]) -> dict[GenId, P
 
 
 def combo_substitute(
-    a: Mapping[GenId, Poly], var: Var, replacement: Poly | Rat | int
+    a: Mapping[GenId, Poly], var: Var, replacement: Poly | Fraction | int
 ) -> dict[GenId, Poly]:
     out: dict[GenId, Poly] = {}
     for k, v in a.items():
@@ -119,7 +119,7 @@ class ConformalAlgebra:
     kind: str
     window: int
     policy: TruncationPolicy
-    param_p: Rat | None
+    param_p: Fraction | None
     structure: dict[tuple[GenId, GenId], LambdaValue]
     gen_names: tuple[str, ...]
 
@@ -158,12 +158,12 @@ class ConformalAlgebra:
 # -- constructors -------------------------------------------------------------
 
 
-def _block_entry(p: Rat, i: int, j: int) -> Poly:
+def _block_entry(p: Fraction, i: int, j: int) -> Poly:
     return (i + p) * DEL + (i + j + 2 * p) * LAM
 
 
 def make_block(
-    p: Rat | int,
+    p: Fraction | int,
     window: int,
     policy: TruncationPolicy = TruncationPolicy.ERROR_ON_OVERFLOW,
 ) -> ConformalAlgebra:
@@ -538,7 +538,7 @@ def compose(outer: ConfMorphism, inner: ConfMorphism) -> ConfMorphism:
     return ConfMorphism(inner.source, outer.target, images, scale)
 
 
-def block_embedding(p: Rat | int, n: int, window: int) -> ConfMorphism:
+def block_embedding(p: Fraction | int, n: int, window: int) -> ConfMorphism:
     """The index-stretching embedding of the bracket family.
 
     Sends generator ``i`` at parameter ``p`` to ``(1/n)`` times generator

@@ -1,22 +1,117 @@
 """Exact linear algebra over the rationals.
 
-Everything here is small and dense: derived-subalgebra spans, nullspaces of
-coefficient systems, lower central series.  Plain Gaussian elimination with
-``Fraction`` entries is exact and fast enough, so no pivoting heuristics are
-needed beyond choosing the first nonzero entry.
+One elimination serves every caller.  :class:`Echelon` keeps sparse rows
+(column index -> ``Fraction``) in reduced row echelon form and takes rows
+one at a time: each new row is reduced against the pivots found so far in
+one pass, and only a row that survives becomes a pivot.  The systems fed to
+it are sparse and redundant -- a bracket row of a mode algebra has one
+entry, and most rows reduce to zero -- so a row costs work in proportion to
+its nonzero entries, not to the width of the matrix.
+
+:func:`rref`, :func:`rank`, :func:`nullspace` and :func:`solve` take and
+return dense rows for the callers that build small dense systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Vector = list[Fraction]
+SparseRow = dict[int, Fraction]
 
 
-def _copy_rows(rows: Iterable[Sequence[Fraction | int]]) -> list[Vector]:
-    return [[Fraction(v) for v in row] for row in rows]
+def _subtract_multiple(target: SparseRow, factor: Fraction, row: Mapping[int, Fraction]) -> None:
+    """``target -= factor * row`` in place, dropping entries that cancel."""
+    for col, value in row.items():
+        entry = target.get(col, 0) - factor * value
+        if entry:
+            target[col] = entry
+        else:
+            del target[col]
+
+
+class Echelon:
+    """Reduced row echelon form of a growing set of sparse rational rows.
+
+    Every stored row has entry 1 at its pivot column, which is its leftmost
+    nonzero column, and entry 0 at every other pivot column.  The reduced
+    row echelon form of a row space is unique, so the result does not depend
+    on the order in which rows are added.
+    """
+
+    def __init__(self, rows: Iterable[Mapping[int, Fraction]] = ()) -> None:
+        self.pivot_rows: dict[int, SparseRow] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_rows)
+
+    def reduce(self, row: Mapping[int, Fraction]) -> SparseRow:
+        """What is left of ``row`` after clearing its pivot columns.
+
+        The result is empty exactly when ``row`` lies in the span.  One pass
+        suffices: subtracting a pivot row changes no other pivot column.
+        """
+        rest = {col: value for col, value in row.items() if value}
+        for col in [c for c in rest if c in self.pivot_rows]:
+            _subtract_multiple(rest, rest[col], self.pivot_rows[col])
+        return rest
+
+    def add(self, row: Mapping[int, Fraction]) -> bool:
+        """Add ``row`` to the span; True when it enlarged the span."""
+        rest = self.reduce(row)
+        if not rest:
+            return False
+        col = min(rest)
+        inv = Fraction(1) / rest[col]
+        new = {c: v * inv for c, v in rest.items()}
+        # Pivot rows to the left of ``col`` may have an entry there; the new
+        # row only has columns >= col, so their leading entries stay put.
+        for other in self.pivot_rows.values():
+            factor = other.get(col)
+            if factor:
+                _subtract_multiple(other, factor, new)
+        self.pivot_rows[col] = new
+        return True
+
+    def rows(self) -> tuple[list[SparseRow], list[int]]:
+        """The pivot rows in pivot-column order, and their pivot columns."""
+        pivots = sorted(self.pivot_rows)
+        return [self.pivot_rows[col] for col in pivots], pivots
+
+    def nullspace(self, ncols: int) -> list[SparseRow]:
+        """Basis of ``{v : r . v = 0 for every row r}``, one vector per free column.
+
+        Vectors come in free-column order; each one's entries are in column
+        order.
+        """
+        rows, pivots = self.rows()
+        basis: list[SparseRow] = []
+        for free in range(ncols):
+            if free in self.pivot_rows:
+                continue
+            vec = {free: Fraction(1)}
+            for row, col in zip(rows, pivots):
+                value = row.get(free)
+                if value:
+                    vec[col] = -value
+            basis.append(dict(sorted(vec.items())))
+        return basis
+
+
+def _sparse(row: Sequence[Fraction | int]) -> SparseRow:
+    return {col: Fraction(value) for col, value in enumerate(row) if value}
+
+
+def _dense(row: Mapping[int, Fraction], ncols: int) -> Vector:
+    out = [Fraction(0)] * ncols
+    for col, value in row.items():
+        out[col] = value
+    return out
 
 
 def rref(rows: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[int]]:
@@ -25,28 +120,13 @@ def rref(rows: Iterable[Sequence[Fraction | int]]) -> tuple[list[Vector], list[i
     Returns the nonzero rows and the list of pivot column indices, one per
     returned row.
     """
-    mat = _copy_rows(rows)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = Fraction(1) / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return mat[:row], pivots
+    echelon = Echelon()
+    ncols = 0
+    for row in rows:
+        ncols = len(row)
+        echelon.add(_sparse(row))
+    reduced, pivots = echelon.rows()
+    return [_dense(row, ncols) for row in reduced], pivots
 
 
 def rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
@@ -55,17 +135,9 @@ def rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
 
 def nullspace(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[Vector]:
     """Basis of the right kernel ``{v : M v = 0}`` of an ``m x ncols`` matrix."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pivot_col in zip(reduced, pivots):
-            vec[pivot_col] = -row[free]
-        basis.append(vec)
-    return basis
+    reduced, _ = rref(rows)
+    echelon = Echelon(map(_sparse, reduced))
+    return [_dense(vec, ncols) for vec in echelon.nullspace(ncols)]
 
 
 def solve(
@@ -75,15 +147,13 @@ def solve(
 
     Free variables are set to zero.
     """
-    mat = _copy_rows(rows)
-    b = [Fraction(v) for v in rhs]
-    if len(mat) != len(b):
+    mat = [list(row) for row in rows]
+    if len(mat) != len(rhs):
         raise ValueError("rows and right-hand side have different lengths")
     if not mat:
         return []
     ncols = len(mat[0])
-    augmented = [row + [val] for row, val in zip(mat, b)]
-    reduced, pivots = rref(augmented)
+    reduced, pivots = rref([row + [val] for row, val in zip(mat, rhs)])
     solution = [Fraction(0)] * ncols
     for row, pivot_col in zip(reduced, pivots):
         if pivot_col == ncols:

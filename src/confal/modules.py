@@ -34,7 +34,7 @@ from typing import Mapping
 
 from . import linalg
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
-from .poly import AUX1, DEL, LAM, MU, Poly, Rat, Var, divmod_in_var
+from .poly import AUX1, DEL, LAM, MU, Poly, Var, divmod_in_var
 
 KIND_FREE = "free"
 KIND_SCALAR_DEL = "scalar_del"
@@ -53,17 +53,17 @@ class FamilyTag:
     """Which constructed family a module belongs to, with its parameters."""
 
     family: str
-    p: Rat | None = None
-    delta: Rat | None = None
-    alpha: Rat | None = None
-    beta: Rat | None = None
+    p: Fraction | None = None
+    delta: Fraction | None = None
+    alpha: Fraction | None = None
+    beta: Fraction | None = None
 
 
 @dataclass
 class ConformalModule:
     kind: str
     rank: int
-    alpha: Rat | None
+    alpha: Fraction | None
     action: dict[tuple[int, int], dict[int, Poly]]
     family: FamilyTag | None = None
 
@@ -86,7 +86,7 @@ def _family_parameter(alg: ConformalAlgebra) -> Fraction:
     return alg.param_p
 
 
-def rank_one_module(alg: ConformalAlgebra, delta: Rat | int, alpha: Rat | int) -> ConformalModule:
+def rank_one_module(alg: ConformalAlgebra, delta: Fraction | int, alpha: Fraction | int) -> ConformalModule:
     """Free rank one: index-zero generator acts by ``p (D + delta x + alpha)``."""
     p = _family_parameter(alg)
     delta = Fraction(delta)
@@ -103,9 +103,9 @@ def rank_one_module(alg: ConformalAlgebra, delta: Rat | int, alpha: Rat | int) -
 
 def rank_one_beta_module(
     alg: ConformalAlgebra,
-    delta: Rat | int,
-    alpha: Rat | int,
-    beta: Rat | int,
+    delta: Fraction | int,
+    alpha: Fraction | int,
+    beta: Fraction | int,
     unchecked: bool = False,
 ) -> ConformalModule:
     """Free rank one with the index-one generator acting by the constant ``beta``.
@@ -136,7 +136,7 @@ def rank_one_beta_module(
     )
 
 
-def trivial_module(alpha: Rat | int) -> ConformalModule:
+def trivial_module(alpha: Fraction | int) -> ConformalModule:
     """One-dimensional module with zero action and ``D`` acting by ``alpha``."""
     return ConformalModule(
         kind=KIND_SCALAR_DEL,

@@ -29,8 +29,6 @@ from fractions import Fraction
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-Rat = Fraction
-
 Scalar = Union[int, Fraction]
 
 

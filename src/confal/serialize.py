@@ -65,13 +65,21 @@ def poly_str(poly: Poly) -> str:
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
+#: Largest exponent, and largest total degree of any product, that
+#: :func:`parse_poly` accepts.  The checkers' cost grows about as the cube of
+#: the entry degree: a two-generator table of degree-32 entries verifies in
+#: a few seconds, one of degree 128 runs for minutes.
+MAX_POLY_DEGREE = 32
+
 
 def parse_poly(text: str) -> Poly:
     """Parse the polynomial grammar exactly.
 
     ``^`` is the power operator.  Only the registry variables, rational
     literals, parentheses, and ``+ - * / ^`` are accepted; ``/`` requires a
-    constant divisor.  Errors carry the source position.
+    constant divisor.  No exponent, and no product formed on the way, may
+    exceed total degree :data:`MAX_POLY_DEGREE`; the bound is checked before
+    the product is expanded.  Errors carry the source position.
     """
     prepared = text.replace("^", "**")
     try:
@@ -92,6 +100,7 @@ def _eval_node(node: ast.AST, source: str) -> Poly:
         if isinstance(node.op, ast.Sub):
             return left - right
         if isinstance(node.op, ast.Mult):
+            _check_degree("degree", left.total_degree() + right.total_degree(), node, source)
             return left * right
         if isinstance(node.op, ast.Div):
             try:
@@ -118,6 +127,8 @@ def _eval_node(node: ast.AST, source: str) -> Poly:
                 f"column {node.col_offset}: exponent must be a nonnegative "
                 f"integer in {source!r}"
             )
+        _check_degree("exponent", exponent, node, source)
+        _check_degree("degree", left.total_degree() * exponent, node, source)
         return left ** int(exponent)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         operand = _eval_node(node.operand, source)
@@ -141,6 +152,14 @@ def _eval_node(node: ast.AST, source: str) -> Poly:
         f"column {getattr(node, 'col_offset', 0)}: unsupported syntax "
         f"in {source!r}"
     )
+
+
+def _check_degree(what: str, value: Fraction | int, node: ast.AST, source: str) -> None:
+    if value > MAX_POLY_DEGREE:
+        raise ParseError(
+            f"column {node.col_offset}: {what} {value} exceeds the limit "
+            f"{MAX_POLY_DEGREE} in {source!r}"
+        )
 
 
 # -- algebra files ------------------------------------------------------------

@@ -18,12 +18,14 @@ from confal.annihilation import (
     IDEAL_TOP_MODE_SLICE,
     T_LABEL,
     FiniteLieAlgebra,
+    LieReport,
     ResonanceCase,
     annihilation_subquotient,
     build_annihilation,
     characters,
     check_central,
     check_lie,
+    comb_add,
     ideal_and_nilpotency,
     k_products,
     label_J,
@@ -157,6 +159,115 @@ def test_sign_flip_is_caught_and_reported():
         for x, y, _ in rep.antisymmetry_failures
     )
     assert rep.jacobi_failures  # the triple-level check also names witnesses
+
+
+def reference_check_lie(alg):
+    """``check_lie`` as first written: exact arithmetic on labels, triple by triple."""
+    report = LieReport(algebra=alg.name)
+    basis = alg.basis
+    truncated = alg.meta.get("truncated_pairs", set())
+    for a in range(len(basis)):
+        for b in range(a, len(basis)):
+            x, y = basis[a], basis[b]
+            report.pairs_checked += 1
+            residual = comb_add(alg.bracket_basis(x, y), alg.bracket_basis(y, x))
+            if residual:
+                report.antisymmetry_failures.append((x, y, residual))
+
+    def touches_truncation(outer, inner):
+        if inner in truncated:
+            return True
+        return any((outer, target) in truncated for target in alg.bracket_basis(*inner))
+
+    for a in range(len(basis)):
+        for b in range(a, len(basis)):
+            for c in range(b, len(basis)):
+                x, y, z = basis[a], basis[b], basis[c]
+                if truncated and (
+                    touches_truncation(x, (y, z))
+                    or touches_truncation(y, (z, x))
+                    or touches_truncation(z, (x, y))
+                ):
+                    report.triples_excluded += 1
+                    continue
+                report.triples_checked += 1
+                total = lie_bracket(alg, {x: Fraction(1)}, alg.bracket_basis(y, z))
+                total = comb_add(total, lie_bracket(alg, {y: Fraction(1)}, alg.bracket_basis(z, x)))
+                total = comb_add(total, lie_bracket(alg, {z: Fraction(1)}, alg.bracket_basis(x, y)))
+                if total:
+                    report.jacobi_failures.append((x, y, z, total))
+    return report
+
+
+def assert_check_lie_matches_reference(alg):
+    rep, ref = check_lie(alg), reference_check_lie(alg)
+    assert rep == ref
+    # Same failures in the same order, with residuals in the same term order.
+    assert [list(r[-1].items()) for r in rep.jacobi_failures] == [
+        list(r[-1].items()) for r in ref.jacobi_failures
+    ]
+    return rep
+
+
+def tampered(G, key, scale):
+    table = dict(G.table)
+    table[key] = {t: c * scale for t, c in table[key].items()}
+    return FiniteLieAlgebra(
+        name="tampered", basis=G.basis, table=table, param_p=G.param_p, meta=G.meta
+    )
+
+
+def test_check_lie_matches_reference_on_tampered_tables():
+    G = annihilation_subquotient(1, 2, 3)
+    key = (label_J(0, 0), label_J(0, 1))
+    rep = assert_check_lie_matches_reference(tampered(G, key, -1))
+    assert rep.antisymmetry_failures and rep.jacobi_failures
+    # A non-integer coefficient: the walk scales by a common denominator,
+    # the reported residuals must not be scaled.
+    rep = assert_check_lie_matches_reference(tampered(G, key, Fraction(1, 3)))
+    assert any(
+        c.denominator != 1 for *_, residual in rep.jacobi_failures for c in residual.values()
+    )
+
+
+def test_check_lie_matches_reference_on_truncated_and_fractional_algebras():
+    ext = window(Fraction(1, 2), idx=3, mode=3, extended=True)
+    assert ext.meta["truncated_pairs"]
+    rep = assert_check_lie_matches_reference(ext)
+    assert rep.triples_excluded > 0
+    rep = assert_check_lie_matches_reference(annihilation_subquotient(Fraction(-2, 5), 3, 4))
+    assert rep.ok and rep.triples_excluded == 0
+
+
+def test_check_lie_matches_reference_on_random_tables():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = ("a", "b", "c", "d")
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+    @st.composite
+    def algebras(draw):
+        basis = labels[: draw(st.integers(1, len(labels)))]
+        pair = st.tuples(st.sampled_from(basis), st.sampled_from(basis))
+        # "z" lies outside the basis: a target the walk must still follow.
+        target = st.sampled_from(basis + ("z",))
+        table = draw(st.dictionaries(
+            st.one_of(pair, st.tuples(st.sampled_from(basis), st.just("z"))),
+            st.dictionaries(target, coeff, min_size=1, max_size=2),
+            max_size=10,
+        ))
+        truncated = draw(st.sets(pair, max_size=3))
+        return FiniteLieAlgebra(
+            name="random", basis=basis, table=table, param_p=None,
+            meta={"truncated_pairs": truncated} if truncated else {},
+        )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(algebras())
+    def check(alg):
+        assert_check_lie_matches_reference(alg)
+
+    check()
 
 
 # -- extended algebra and centrality ---------------------------------------------------

@@ -427,6 +427,26 @@ def test_leaky_error_policy_file_exits_two_naming_the_pair(capsys, tmp_path):
     )
 
 
+def test_file_entry_above_degree_limit_exits_two(capsys, tmp_path):
+    path = tmp_path / "steep.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": "confal-algebra",
+                "window": 0,
+                "structure": {"0,0": {"0": "D^99999"}},
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "confal: error: column 0: exponent 99999 exceeds the limit 32 in 'D^99999'\n"
+    )
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 def test_degree_bound_below_one_exits_two(capsys, bound):
     with pytest.raises(SystemExit) as exc:

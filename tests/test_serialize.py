@@ -30,6 +30,7 @@ from confal.modules import (
 )
 from confal.poly import DEL, LAM, MU, Poly
 from confal.serialize import (
+    MAX_POLY_DEGREE,
     ParseError,
     algebra_from_dict,
     algebra_to_dict,
@@ -79,6 +80,7 @@ def test_poly_grammar_accepts_standard_forms():
     assert parse_poly("(D + x)^2") == (DEL + LAM) ** 2
     assert parse_poly("-D") == -DEL
     assert parse_poly("+3") == Poly.const(3)
+    assert parse_poly("(D + x)^16*(D + y)^16").total_degree() == MAX_POLY_DEGREE
     assert parse_poly("2*(x - y)/4") == (LAM - MU) * Fraction(1, 2)
 
 
@@ -93,6 +95,10 @@ def test_poly_grammar_rejections():
         "D +",          # syntax error
         "__import__('os')",  # no calls, no attribute access
         "1.5",          # floats are not exact
+        "D^99999",      # exponent above MAX_POLY_DEGREE
+        "2^33",         # even on a constant
+        "(D + x)^17*(D + y)^16",  # product above MAX_POLY_DEGREE
+        "((D + x)^8)^5",          # power of a power above it
     ]
     for text in bad:
         with pytest.raises(ParseError):
