@@ -55,7 +55,6 @@ from .annihilation import (  # noqa: F401
     ideal_and_nilpotency,
     k_products,
     lie_bracket,
-    make_block_pq_window,
     resonance_analysis,
     trace_certificate,
 )

@@ -12,18 +12,20 @@ For the one-parameter bracket family the shifted labels ``L(i, m)`` with
 
     [L(i,m), L(j,n)] = ((j+p)(m+1) - (i+p)(n+1)) L(i+j, m+n),
 
-and :func:`build_annihilation` constructs the window both ways, raising if
-the general mode expansion and this closed form ever disagree.  The extended
-variant adjoins a translation generator ``T`` with
-``[T, L(i,m)] = -(m+1) L(i,m-1)``; ``T - (1/p) L(0,-1)`` is then central,
-which :func:`check_central` verifies bracket by bracket.
+written once, in ``_closed_form_table``: it walks indices ``0..idx_cap`` and
+modes ``mode_lo..mode_cap`` in integer coordinates ``(i, m)`` and returns the
+table and the ordered pairs whose nonzero product escapes the window.
 
-:func:`annihilation_subquotient` builds the finite-dimensional subquotients
-on index window ``0..idx_cap`` and mode window ``0..mode_cap`` where every
-product escaping the window is zero by definition (no truncation bookkeeping
-is needed: the zero rule is part of the algebra).  The resonance analysis
-classifies the eigenvalue-zero locus of the diagonal element ``J(0,0)`` and
-names the distinguished ideal each configuration produces.
+:func:`build_annihilation` builds the window twice, from this closed form and
+by the general mode expansion, on coordinates, and raises if they disagree;
+labels are attached once, after the comparison.  The extended variant
+adjoins a translation generator ``T`` with ``[T, L(i,m)] = -(m+1) L(i,m-1)``;
+``T - (1/p) L(0,-1)`` is then central, which :func:`check_central` verifies
+bracket by bracket.  :func:`annihilation_subquotient` takes the same closed
+form on modes ``0..mode_cap`` and discards the escaping pairs: there the
+zero rule is part of the algebra, not a lossy truncation.  The resonance
+analysis classifies the eigenvalue-zero locus of the diagonal element
+``J(0,0)`` and names the distinguished ideal each configuration produces.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
-from .conformal import ConformalAlgebra, TruncationPolicy, UnsupportedAlgebraError
+from .conformal import ConformalAlgebra, UnsupportedAlgebraError
 from .linalg import RatMatrix
 from .poly import Poly, Var
 
@@ -68,13 +70,19 @@ class FiniteLieAlgebra:
     ``table`` stores each ordered pair with a nonzero bracket; missing pairs
     bracket to zero.  Antisymmetry must hold tablewise and is rechecked by
     :func:`check_lie` rather than assumed.
+
+    ``coords`` maps each mode label to its ``(index, mode)``.
+    ``truncated_pairs`` holds the ordered pairs whose product lost a term to
+    window truncation; an algebra whose zero rule is part of its definition
+    has none.
     """
 
     name: str
     basis: tuple[Label, ...]
     table: dict[tuple[Label, Label], LinComb]
     param_p: Fraction | None
-    meta: dict = field(default_factory=dict)
+    coords: dict[Label, tuple[int, int]] = field(default_factory=dict)
+    truncated_pairs: frozenset[tuple[Label, Label]] = frozenset()
 
     @cached_property
     def positions(self) -> dict[Label, int]:
@@ -118,11 +126,6 @@ def comb_add(a: Mapping[Label, Fraction], b: Mapping[Label, Fraction]) -> LinCom
     return out
 
 
-def comb_scale(a: Mapping[Label, Fraction], c: Fraction | int) -> LinComb:
-    c = Fraction(c)
-    return {k: v * c for k, v in a.items() if v * c}
-
-
 # -- k-th products of a conformal algebra --------------------------------------
 
 
@@ -143,12 +146,51 @@ def k_products(alg: ConformalAlgebra, i: int, j: int) -> list[tuple[int, dict[in
     return sorted(by_k.items())
 
 
+# -- the closed form ------------------------------------------------------------
+
+Coord = tuple[int, int]
+
+#: Mode table on integer coordinates: ``((i, m), (j, n)) -> {(i', m'): c}``.
+CoordTable = dict[tuple[Coord, Coord], dict[Coord, Fraction]]
+
+
+def _closed_form_table(
+    p: Fraction, idx_cap: int, mode_lo: int, mode_cap: int
+) -> tuple[CoordTable, set[tuple[Coord, Coord]]]:
+    """The closed form on indices ``0..idx_cap`` and modes ``mode_lo..mode_cap``.
+
+    ``[L(i,m), L(j,n)] = ((j+p)(m+1) - (i+p)(n+1)) L(i+j, m+n)``.  Returns the
+    products whose target stays inside the window, and the ordered pairs
+    whose nonzero product escapes it.
+    """
+    a, b = p.numerator, p.denominator
+    cells = [(i, m) for i in range(idx_cap + 1) for m in range(mode_lo, mode_cap + 1)]
+    table: CoordTable = {}
+    escaping: set[tuple[Coord, Coord]] = set()
+    for x in cells:
+        i, m = x
+        for y in cells:
+            j, n = y
+            # b times the coefficient, in integers.
+            num = (j * b + a) * (m + 1) - (i * b + a) * (n + 1)
+            if not num:
+                continue
+            if i + j > idx_cap or m + n > mode_cap:
+                escaping.add((x, y))
+            else:
+                table[(x, y)] = {(i + j, m + n): Fraction(num, b)}
+    return table, escaping
+
+
+def _labelled(table: CoordTable, name: dict[Coord, Label]) -> dict[tuple[Label, Label], LinComb]:
+    """``table`` on labels; every entry shares the one string of each label."""
+    return {
+        (name[x], name[y]): {name[t]: c for t, c in value.items()}
+        for (x, y), value in table.items()
+    }
+
+
 # -- the annihilation window ----------------------------------------------------
-
-
-def _closed_form_target(p: Fraction, i: int, m: int, j: int, n: int) -> tuple[Fraction, int, int]:
-    coeff = (j + p) * (m + 1) - (i + p) * (n + 1)
-    return coeff, i + j, m + n
 
 
 def build_annihilation(
@@ -164,9 +206,9 @@ def build_annihilation(
     computed from the k-th products via the general mode-bracket formula and
     independently from the closed form; any disagreement raises
     :class:`ClosedFormMismatchError`.  Products whose untruncated target
-    falls outside the window are dropped and the offending ordered pairs are
-    recorded under ``meta["truncated_pairs"]`` so downstream checks can
-    exclude them honestly.
+    falls outside the window are dropped.  The ordered pairs either route
+    dropped something from are recorded in ``truncated_pairs``, so
+    downstream checks can exclude them honestly.
     """
     if alg.kind not in ("block", "bn"):
         raise UnsupportedAlgebraError(
@@ -181,107 +223,80 @@ def build_annihilation(
     p = alg.param_p
     assert p is not None
 
-    modes = range(-1, mode_window + 1)
+    closed, truncated = _closed_form_table(p, idx_window, -1, mode_window)
+
+    # Route one, the independent cross-check: the general mode-bracket formula
+    # over every term (k, generator, D power, signed coefficient) of each
+    # pair's k-th products.  A pair of which any term lands above the mode
+    # window joins ``truncated``, even where its terms sum to zero.
     indices = range(idx_window + 1)
+    terms = {
+        (i, j): [
+            (k, gen, exp[Var.PARTIAL], coeff * (-1) ** exp[Var.PARTIAL])
+            for k, elem in k_products(alg, i, j)
+            for gen, poly in elem.items()
+            for exp, coeff in poly.terms()
+        ]
+        for i in indices
+        for j in indices
+        if i + j <= idx_window
+    }
+    cells = [(i, m) for i in indices for m in range(-1, mode_window + 1)]
+    expanded: CoordTable = {}
+    for x in cells:
+        i, s = x[0], x[1] + 1
+        for y in cells:
+            t = y[1] + 1
+            value: dict[Coord, Fraction] = {}
+            for k, gen, d_power, coeff in terms.get((i, y[0]), ()):
+                if k > s:
+                    continue
+                mode_out = s + t - k
+                # (D^d a)_(q) = (-1)^d q(q-1)...(q-d+1) a_(q-d)
+                fall = math.perm(mode_out, d_power)
+                if not fall:
+                    continue
+                shifted = mode_out - d_power - 1
+                if shifted > mode_window:
+                    truncated.add((x, y))
+                    continue
+                key = (gen, shifted)
+                value[key] = value.get(key, 0) + math.comb(s, k) * fall * coeff
+            value = {key: c for key, c in value.items() if c}
+            if value:
+                expanded[(x, y)] = value
 
-    # Route one: the general mode-bracket formula over the k-th products.
-    table: dict[tuple[Label, Label], LinComb] = {}
-    truncated: set[tuple[Label, Label]] = set()
-    prods: dict[tuple[int, int], list[tuple[int, dict[int, Poly]]]] = {}
-    for i in indices:
-        for j in indices:
-            prods[(i, j)] = k_products(alg, i, j) if i + j <= idx_window else []
-
-    for i in indices:
-        for m in modes:
-            s = m + 1
-            for j in indices:
-                for n in modes:
-                    t = n + 1
-                    value: LinComb = {}
-                    for k, elem in prods[(i, j)]:
-                        if k > s:
-                            continue
-                        choose = math.comb(s, k)
-                        mode_out = s + t - k
-                        for gen, coeff_poly in elem.items():
-                            for exp, coeff in coeff_poly.terms():
-                                d_power = exp[Var.PARTIAL]
-                                # (D^t a)_(q) = (-1)^t q(q-1)...(q-t+1) a_(q-t)
-                                fall = math.perm(mode_out, d_power)
-                                if not fall:
-                                    continue
-                                shifted = mode_out - d_power - 1
-                                contrib = (
-                                    choose * coeff * (-1) ** d_power * fall
-                                )
-                                if shifted > mode_window:
-                                    if contrib:
-                                        truncated.add((label_L(i, m), label_L(j, n)))
-                                    continue
-                                key = label_L(gen, shifted)
-                                sacc = value.get(key, Fraction(0)) + contrib
-                                if sacc:
-                                    value[key] = sacc
-                                else:
-                                    value.pop(key, None)
-                    if value:
-                        table[(label_L(i, m), label_L(j, n))] = value
-
-    # Route two: the closed form, with identical window truncation.
-    closed: dict[tuple[Label, Label], LinComb] = {}
-    for i in indices:
-        for m in modes:
-            for j in indices:
-                for n in modes:
-                    coeff, ti, tm = _closed_form_target(p, i, m, j, n)
-                    if not coeff:
-                        continue
-                    if ti > idx_window or tm > mode_window:
-                        truncated.add((label_L(i, m), label_L(j, n)))
-                        continue
-                    closed[(label_L(i, m), label_L(j, n))] = {
-                        label_L(ti, tm): coeff
-                    }
-
-    if table != closed:
+    if expanded != closed:
         diff_keys = sorted(
-            k for k in set(table) | set(closed) if table.get(k) != closed.get(k)
+            tuple(label_L(*c) for c in k)
+            for k in set(expanded) | set(closed)
+            if expanded.get(k) != closed.get(k)
         )
         raise ClosedFormMismatchError(
             f"mode expansion and closed form disagree on pairs {diff_keys[:5]}"
         )
+    del expanded  # route one has served; free it before labelling
 
-    basis = [label_L(i, m) for i in indices for m in modes]
+    coords = {label_L(*c): c for c in cells}
+    name = {c: lab for lab, c in coords.items()}
+    table = _labelled(closed, name)
+    basis = list(coords)
     if extended:
-        for i in indices:
-            for m in modes:
-                out_mode = m - 1
-                coeff = Fraction(-(m + 1))
-                if not coeff:
-                    continue
-                if out_mode < -1:
-                    continue
-                lab = label_L(i, m)
-                table[(T_LABEL, lab)] = {label_L(i, out_mode): coeff}
-                table[(lab, T_LABEL)] = {label_L(i, out_mode): -coeff}
+        # [T, L(i,m)] = -(m+1) L(i,m-1); the mode -1 elements commute with T.
+        for lab, (i, m) in coords.items():
+            if m >= 0:
+                table[(T_LABEL, lab)] = {name[(i, m - 1)]: Fraction(-(m + 1))}
+                table[(lab, T_LABEL)] = {name[(i, m - 1)]: Fraction(m + 1)}
         basis.append(T_LABEL)
 
-    coords = {label_L(i, m): (i, m) for i in indices for m in modes}
     return FiniteLieAlgebra(
         name=f"A({alg.name};{idx_window},{mode_window})"
         + ("+T" if extended else ""),
         basis=tuple(basis),
         table=table,
         param_p=p,
-        meta={
-            "kind": "annihilation",
-            "idx_window": idx_window,
-            "mode_window": mode_window,
-            "extended": extended,
-            "coords": coords,
-            "truncated_pairs": truncated,
-        },
+        coords=coords,
+        truncated_pairs=frozenset((name[x], name[y]) for x, y in truncated),
     )
 
 
@@ -305,17 +320,16 @@ def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
     on the implemented windows both targets stay inside, so the exclusion
     list comes back empty.
     """
-    if not ext.meta.get("extended"):
+    if T_LABEL not in ext.positions:
         raise UnsupportedAlgebraError("centrality check needs the extended algebra")
     p = ext.param_p
     assert p is not None
     base = label_L(0, -1)
     z: LinComb = {T_LABEL: Fraction(1), base: Fraction(-1) / p}
-    truncated: set[tuple[Label, Label]] = ext.meta.get("truncated_pairs", set())
     report = CentralityReport(element=f"T - (1/{p})*{base}", checked=0)
     for x in ext.basis:
         touched = [(T_LABEL, x), (x, T_LABEL), (base, x), (x, base)]
-        if any(pair in truncated for pair in touched):
+        if any(pair in ext.truncated_pairs for pair in touched):
             report.excluded.append(x)
             continue
         report.checked += 1
@@ -325,56 +339,6 @@ def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
     return report
 
 
-# -- two-parameter window family -------------------------------------------------
-
-
-def make_block_pq_window(
-    p: Fraction | int,
-    q: Fraction | int,
-    i_range: tuple[int, int],
-    m_range: tuple[int, int],
-) -> FiniteLieAlgebra:
-    """Finite window of the two-parameter mode family.
-
-    ``[L(i,m), L(j,n)] = ((j+p)(m+q) - (i+p)(n+q)) L(i+j, m+n)`` restricted
-    to the given inclusive index and mode ranges; out-of-range targets are
-    dropped.  At ``q = 1`` this reproduces the annihilation window table on
-    matching labels.
-    """
-    p = Fraction(p)
-    q = Fraction(q)
-    ilo, ihi = i_range
-    mlo, mhi = m_range
-    if ilo > ihi or mlo > mhi:
-        raise ValueError("empty window")
-    table: dict[tuple[Label, Label], LinComb] = {}
-    for i in range(ilo, ihi + 1):
-        for m in range(mlo, mhi + 1):
-            for j in range(ilo, ihi + 1):
-                for n in range(mlo, mhi + 1):
-                    coeff = (j + p) * (m + q) - (i + p) * (n + q)
-                    if not coeff:
-                        continue
-                    ti, tm = i + j, m + n
-                    if not (ilo <= ti <= ihi and mlo <= tm <= mhi):
-                        continue
-                    table[(label_L(i, m), label_L(j, n))] = {
-                        label_L(ti, tm): coeff
-                    }
-    basis = tuple(
-        label_L(i, m)
-        for i in range(ilo, ihi + 1)
-        for m in range(mlo, mhi + 1)
-    )
-    return FiniteLieAlgebra(
-        name=f"W(p={p},q={q})",
-        basis=basis,
-        table=table,
-        param_p=p,
-        meta={"kind": "block_pq", "q": q, "i_range": i_range, "m_range": m_range},
-    )
-
-
 # -- finite subquotients ----------------------------------------------------------
 
 
@@ -382,49 +346,23 @@ def annihilation_subquotient(p: Fraction | int, idx_cap: int, mode_cap: int) -> 
     """The finite-dimensional subquotient on ``J(i,m)``, ``0 <= i <= idx_cap``,
     ``0 <= m <= mode_cap``.
 
-    ``[J(i,m), J(j,n)] = ((j+p)(m+1) - (i+p)(n+1)) J(i+j, m+n)`` when the
-    target stays inside the caps, and zero otherwise; the zero rule is part
-    of the algebra, not a lossy truncation.
+    The closed-form bracket when the target stays inside the caps, and zero
+    otherwise; the zero rule is part of the algebra, not a lossy truncation,
+    so the escaping pairs are not recorded.
     """
     p = Fraction(p)
     if p == 0:
         raise ValueError("the family parameter p must be nonzero")
     if idx_cap < 0 or mode_cap < 0:
         raise ValueError("caps must be nonnegative")
-    table: dict[tuple[Label, Label], LinComb] = {}
-    for i in range(idx_cap + 1):
-        for m in range(mode_cap + 1):
-            for j in range(idx_cap + 1):
-                for n in range(mode_cap + 1):
-                    coeff, ti, tm = _closed_form_target(p, i, m, j, n)
-                    if not coeff:
-                        continue
-                    if ti > idx_cap or tm > mode_cap:
-                        continue
-                    table[(label_J(i, m), label_J(j, n))] = {
-                        label_J(ti, tm): coeff
-                    }
-    basis = tuple(
-        label_J(i, m)
-        for i in range(idx_cap + 1)
-        for m in range(mode_cap + 1)
-    )
-    coords = {
-        label_J(i, m): (i, m)
-        for i in range(idx_cap + 1)
-        for m in range(mode_cap + 1)
-    }
+    table, _ = _closed_form_table(p, idx_cap, 0, mode_cap)
+    coords = {label_J(i, m): (i, m) for i in range(idx_cap + 1) for m in range(mode_cap + 1)}
     return FiniteLieAlgebra(
         name=f"G(p={p};{idx_cap},{mode_cap})",
-        basis=basis,
-        table=table,
+        basis=tuple(coords),
+        table=_labelled(table, {c: lab for lab, c in coords.items()}),
         param_p=p,
-        meta={
-            "kind": "subquotient",
-            "idx_cap": idx_cap,
-            "mode_cap": mode_cap,
-            "coords": coords,
-        },
+        coords=coords,
     )
 
 
@@ -453,7 +391,7 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
     triples by multilinearity.
 
     Algebras built by lossy window truncation carry the set of ordered pairs
-    whose products were dropped (``meta["truncated_pairs"]``).  A Jacobi
+    whose products were dropped (``truncated_pairs``).  A Jacobi
     triple whose evaluation consults such a pair computes with mutilated
     data, so it is excluded and counted instead of reported as a failure;
     every interior triple is still checked exactly.  Algebras with an
@@ -476,7 +414,7 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
                 report.antisymmetry_failures.append((x, y, residual))
 
     index, tab = _integer_table(alg)
-    truncated: set[tuple[Label, Label]] = alg.meta.get("truncated_pairs", set())
+    truncated = alg.truncated_pairs
     cut: list[list[bool]] | None = None
     if truncated:
         cut = [[False] * len(index) for _ in index]
@@ -600,12 +538,13 @@ def resonance_analysis(G: FiniteLieAlgebra) -> ResonanceReport:
       there is only one, together with the coefficient on the distinguished
       pair.
     """
-    if G.meta.get("kind") != "subquotient":
+    if label_J(0, 0) not in G.coords:
         raise UnsupportedAlgebraError("resonance analysis expects a subquotient")
     p = G.param_p
     assert p is not None
-    idx_cap = G.meta["idx_cap"]
-    mode_cap = G.meta["mode_cap"]
+    # The coordinates fill the rectangle from (0, 0), so their largest is the
+    # corner (idx_cap, mode_cap).
+    idx_cap, mode_cap = max(G.coords.values())
     resonances = [
         (i, m)
         for i in range(idx_cap + 1)
@@ -651,7 +590,6 @@ def resonance_analysis(G: FiniteLieAlgebra) -> ResonanceReport:
     corner = label_J(i0, m0)
     inside = [lab for lab in hook if lab != corner]
     internal: list[tuple[Label, Label, LinComb]] = []
-    inside_set = set(inside)
     for a_idx, x in enumerate(inside):
         for y in inside[a_idx:]:
             value = G.bracket_basis(x, y)

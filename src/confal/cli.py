@@ -443,6 +443,17 @@ def _lie_payload(lie: LieReport) -> dict:
 
 
 def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
+    # Each mode refuses the other mode's flags rather than ignoring them.
+    if args.G:
+        mode = "--G"
+        given = {"--idx": args.idx is not None, "--mode": args.mode is not None,
+                 "--extended": args.extended}
+    else:
+        mode = "mode expansion"
+        given = {"--k": args.k is not None, "--N": args.N is not None}
+    stray = [flag for flag, present in given.items() if present]
+    if stray:
+        raise InputError(f"{mode} does not take {', '.join(stray)}")
     if args.G:
         if args.k is None or args.N is None:
             raise InputError("--G needs --k and --N")
@@ -534,7 +545,7 @@ def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
             "basis_size": len(ext.basis),
             "sha256": cert.lie_table_hash(ext),
             "closed_form_cross_check": "agreed",
-            "truncated_pairs": len(ext.meta["truncated_pairs"]),
+            "truncated_pairs": len(ext.truncated_pairs),
         },
     )
     lie = check_lie(ext)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 from fractions import Fraction
 from typing import Any
 
@@ -330,12 +331,30 @@ def module_from_dict(data: dict[str, Any]) -> ConformalModule:
     return mod
 
 
+#: Largest input file :func:`load_json` accepts, in bytes.  A block table of
+#: window 24 written by :func:`save_json` takes about 15 KB.
+MAX_FILE_BYTES = 1 << 20
+
+
 def load_json(path: str) -> dict[str, Any]:
+    """Parse a UTF-8 JSON file of at most :data:`MAX_FILE_BYTES` bytes.
+
+    The size is checked before the file is read, and no more than one byte
+    past the limit is ever read, so a pipe or device whose size is unknown
+    is bounded too.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = b"" if size > MAX_FILE_BYTES else fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    if max(size, len(data)) > MAX_FILE_BYTES:
+        raise ParseError(f"{path}: file exceeds the limit of {MAX_FILE_BYTES} bytes")
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "

@@ -100,7 +100,7 @@ def test_criterion_3_mode_expansion_matches_closed_form():
         for w in (2, 4, 6):
             base = make_block(p, w, TruncationPolicy.TRUNCATE_TO_ZERO)
             ann = build_annihilation(base, w, w)
-            coords = ann.meta["coords"]
+            coords = ann.coords
             for x, (i, m) in coords.items():
                 for y, (j, n) in coords.items():
                     coeff = (j + p) * (m + 1) - (i + p) * (n + 1)
@@ -257,7 +257,7 @@ def test_criterion_8_subquotient_structural_suite():
         assert lie.ok and lie.triples_excluded == 0, (p, k, N)
 
         scaler = label_J(0, 0)
-        for x, (i, m) in G.meta["coords"].items():
+        for x, (i, m) in G.coords.items():
             eig = i - p * m
             expected = {x: eig} if eig else {}
             assert G.bracket_basis(scaler, x) == expected, (p, x)

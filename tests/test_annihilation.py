@@ -31,7 +31,6 @@ from confal.annihilation import (
     label_J,
     label_L,
     lie_bracket,
-    make_block_pq_window,
     resonance_analysis,
     trace_certificate,
 )
@@ -112,13 +111,43 @@ def test_window_validation():
 
 def test_truncated_pairs_are_recorded():
     ann = window(1, idx=2, mode=2)
-    truncated = ann.meta["truncated_pairs"]
+    truncated = ann.truncated_pairs
     # the top corner pair escapes in both index and mode.
     assert (label_L(2, 2), label_L(2, 2)) in truncated or not ann.bracket_basis(
         label_L(2, 2), label_L(2, 2)
     )
     # the pair whose product would land at mode 3 was dropped and recorded.
     assert (label_L(0, 1), label_L(0, 2)) in truncated
+
+
+def test_truncated_pairs_are_the_union_of_both_routes():
+    ann = window(1, idx=3, mode=3)
+    # The closed-form coefficient of [L(0,2), L(0,2)] is zero, but terms of
+    # its mode expansion land at mode 4 and are dropped: route one records it.
+    assert ann.bracket_basis(label_L(0, 2), label_L(0, 2)) == {}
+    assert (label_L(0, 2), label_L(0, 2)) in ann.truncated_pairs
+    # The closed form alone records 184 pairs.
+    assert len(ann.truncated_pairs) == 190
+
+
+def test_subquotient_is_the_window_on_nonnegative_modes():
+    # G(p; k, N) relabelled J -> L is the (k, N) window restricted to m >= 0:
+    # the window drops what escapes, the subquotient sets it to zero.
+    k, N = 3, 4
+    for p in (Fraction(1), Fraction(1, 2), Fraction(-2, 5), Fraction(3)):
+        G = annihilation_subquotient(p, k, N)
+        ann = window(p, idx=k, mode=N)
+        as_l = {lab: label_L(*c) for lab, c in G.coords.items()}
+        nonneg = [lab for lab, (_, m) in ann.coords.items() if m >= 0]
+        assert [as_l[lab] for lab in G.basis] == nonneg
+        restricted = {
+            pair: value for pair, value in ann.table.items() if set(pair) <= set(nonneg)
+        }
+        relabelled = {
+            (as_l[x], as_l[y]): {as_l[t]: c for t, c in value.items()}
+            for (x, y), value in G.table.items()
+        }
+        assert relabelled == restricted
 
 
 # -- Lie axioms on windows -----------------------------------------------------------
@@ -150,7 +179,8 @@ def test_sign_flip_is_caught_and_reported():
     key = (label_J(0, 0), label_J(0, 1))
     table[key] = {t: -c for t, c in table[key].items()}
     bad = FiniteLieAlgebra(
-        name="tampered", basis=G.basis, table=table, param_p=G.param_p, meta=G.meta
+        name="tampered", basis=G.basis, table=table, param_p=G.param_p,
+        coords=G.coords, truncated_pairs=G.truncated_pairs,
     )
     rep = check_lie(bad)
     assert not rep.ok
@@ -165,7 +195,7 @@ def reference_check_lie(alg):
     """``check_lie`` as first written: exact arithmetic on labels, triple by triple."""
     report = LieReport(algebra=alg.name)
     basis = alg.basis
-    truncated = alg.meta.get("truncated_pairs", set())
+    truncated = alg.truncated_pairs
     for a in range(len(basis)):
         for b in range(a, len(basis)):
             x, y = basis[a], basis[b]
@@ -213,7 +243,8 @@ def tampered(G, key, scale):
     table = dict(G.table)
     table[key] = {t: c * scale for t, c in table[key].items()}
     return FiniteLieAlgebra(
-        name="tampered", basis=G.basis, table=table, param_p=G.param_p, meta=G.meta
+        name="tampered", basis=G.basis, table=table, param_p=G.param_p,
+        coords=G.coords, truncated_pairs=G.truncated_pairs,
     )
 
 
@@ -232,7 +263,7 @@ def test_check_lie_matches_reference_on_tampered_tables():
 
 def test_check_lie_matches_reference_on_truncated_and_fractional_algebras():
     ext = window(Fraction(1, 2), idx=3, mode=3, extended=True)
-    assert ext.meta["truncated_pairs"]
+    assert ext.truncated_pairs
     rep = assert_check_lie_matches_reference(ext)
     assert rep.triples_excluded > 0
     rep = assert_check_lie_matches_reference(annihilation_subquotient(Fraction(-2, 5), 3, 4))
@@ -259,7 +290,7 @@ def test_check_lie_matches_reference_on_random_tables():
         truncated = draw(st.sets(pair, max_size=3))
         return FiniteLieAlgebra(
             name="random", basis=basis, table=table, param_p=None,
-            meta={"truncated_pairs": truncated} if truncated else {},
+            truncated_pairs=frozenset(truncated),
         )
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -300,29 +331,6 @@ def test_centrality_requires_extended():
 def test_extended_window_lie_axioms():
     rep = check_lie(window(1, extended=True))
     assert rep.ok
-
-
-# -- two-parameter window family ---------------------------------------------------------
-
-
-def test_pq_window_at_q_one_matches_mode_expansion():
-    p = Fraction(2)
-    ann = window(p, idx=3, mode=3)
-    pq = make_block_pq_window(p, 1, (0, 3), (-1, 3))
-    assert set(pq.basis) == set(ann.basis)
-    for x in pq.basis:
-        for y in pq.basis:
-            assert pq.bracket_basis(x, y) == ann.bracket_basis(x, y), (x, y)
-
-
-def test_pq_window_general_q_oracle():
-    # [L(0,0), L(0,1)] = ((0+p)(0+q) - (0+p)(1+q)) = -p at any q.
-    pq = make_block_pq_window(Fraction(3), Fraction(5), (0, 1), (0, 2))
-    assert pq.bracket_basis(label_L(0, 0), label_L(0, 1)) == {
-        label_L(0, 1): Fraction(-3)
-    }
-    with pytest.raises(ValueError):
-        make_block_pq_window(1, 1, (2, 1), (0, 1))
 
 
 # -- subquotient resonance taxonomy --------------------------------------------------------
@@ -368,7 +376,7 @@ def test_scaling_eigenvalues_tablewise():
     for p in (Fraction(1), Fraction(1, 2), Fraction(-1)):
         G = annihilation_subquotient(p, 2, 3)
         j00 = label_J(0, 0)
-        for lab, (i, m) in G.meta["coords"].items():
+        for lab, (i, m) in G.coords.items():
             value = G.bracket_basis(j00, lab)
             eig = Fraction(i) - p * m
             if lab == j00 or eig == 0:

@@ -17,7 +17,7 @@ import pytest
 from confal.cli import main
 from confal.conformal import make_bn
 from confal.modules import rank_one_module
-from confal.serialize import algebra_to_dict, module_to_dict, save_json
+from confal.serialize import MAX_FILE_BYTES, algebra_to_dict, module_to_dict, save_json
 
 
 def run_cli(capsys, argv):
@@ -392,6 +392,24 @@ def test_subquotient_without_caps_is_an_input_error(capsys):
     assert "--G needs --k and --N" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--G", "--k", "1", "--N", "1", "--extended"], "--G does not take --extended"),
+        (["--G", "--k", "1", "--N", "1", "--idx", "2", "--mode", "2"],
+         "--G does not take --idx, --mode"),
+        (["--idx", "2", "--mode", "2", "--k", "1"], "mode expansion does not take --k"),
+        (["--idx", "2", "--mode", "2", "--extended", "--N", "1"],
+         "mode expansion does not take --N"),
+    ],
+)
+def test_annihilation_refuses_the_other_modes_flags(capsys, flags, message):
+    code, out, err = run_cli(capsys, ["annihilation", "--p", "1", *flags])
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: {message}\n"
+
+
 def test_classify_rejects_nonpositive_quotient_size(capsys):
     code, _, err = run_cli(capsys, ["classify", "--bn", "0"])
     assert code == 2
@@ -445,6 +463,39 @@ def test_file_entry_above_degree_limit_exits_two(capsys, tmp_path):
     assert err == (
         "confal: error: column 0: exponent 99999 exceeds the limit 32 in 'D^99999'\n"
     )
+
+
+def test_file_above_size_limit_exits_two(capsys, tmp_path):
+    path = tmp_path / "padded.json"
+    # A valid algebra file, padded with whitespace past the limit.
+    text = json.dumps(algebra_to_dict(make_bn(1)))
+    path.write_text(text + " " * (MAX_FILE_BYTES - len(text) + 1), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: {path}: file exceeds the limit of {MAX_FILE_BYTES} bytes\n"
+    # The same file at the limit loads.
+    path.write_text(text + " " * (MAX_FILE_BYTES - len(text)), encoding="utf-8")
+    code, _ = run_json(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert code == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_device_is_read_only_up_to_the_limit(capsys):
+    # A device reports size 0; the bounded read still stops it.
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", "file:/dev/zero"])
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: /dev/zero: file exceeds the limit of {MAX_FILE_BYTES} bytes\n"
+
+
+def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: {path}: not UTF-8 at byte 13\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
