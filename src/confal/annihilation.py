@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
-from .linalg import RatMatrix
+from .linalg import RatMatrix, add_terms
 from .poly import Poly, Var
 
 Label = str
@@ -98,32 +98,12 @@ class FiniteLieAlgebra:
 
 def lie_bracket(alg: FiniteLieAlgebra, u: Mapping[Label, Fraction],
                 v: Mapping[Label, Fraction]) -> LinComb:
-    out: LinComb = {}
-    for xu, cu in u.items():
-        if not cu:
-            continue
-        for xv, cv in v.items():
-            scale = cu * cv
-            if not scale:
-                continue
-            for target, coeff in alg.table.get((xu, xv), {}).items():
-                s = out.get(target, Fraction(0)) + scale * coeff
-                if s:
-                    out[target] = s
-                else:
-                    out.pop(target, None)
-    return out
-
-
-def comb_add(a: Mapping[Label, Fraction], b: Mapping[Label, Fraction]) -> LinComb:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    return add_terms({}, (
+        (target, cu * cv * coeff)
+        for xu, cu in u.items()
+        for xv, cv in v.items()
+        for target, coeff in alg.table.get((xu, xv), {}).items()
+    ))
 
 
 # -- k-th products of a conformal algebra --------------------------------------
@@ -409,7 +389,7 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
         for b in range(a, n):
             x, y = basis[a], basis[b]
             report.pairs_checked += 1
-            residual = comb_add(table.get((x, y), {}), table.get((y, x), {}))
+            residual = add_terms(dict(table.get((x, y), {})), table.get((y, x), {}).items())
             if residual:
                 report.antisymmetry_failures.append((x, y, residual))
 
@@ -482,8 +462,8 @@ def _integer_table(alg: FiniteLieAlgebra) -> tuple[dict[Label, int], list[list[d
 def _jacobi_residual(alg: FiniteLieAlgebra, x: Label, y: Label, z: Label) -> LinComb:
     """``[x,[y,z]] + [y,[z,x]] + [z,[x,y]]`` in exact arithmetic."""
     total = lie_bracket(alg, {x: Fraction(1)}, alg.bracket_basis(y, z))
-    total = comb_add(total, lie_bracket(alg, {y: Fraction(1)}, alg.bracket_basis(z, x)))
-    return comb_add(total, lie_bracket(alg, {z: Fraction(1)}, alg.bracket_basis(x, y)))
+    add_terms(total, lie_bracket(alg, {y: Fraction(1)}, alg.bracket_basis(z, x)).items())
+    return add_terms(total, lie_bracket(alg, {z: Fraction(1)}, alg.bracket_basis(x, y)).items())
 
 
 # -- resonance analysis ---------------------------------------------------------------

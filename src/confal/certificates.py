@@ -13,13 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from . import __version__
 from .annihilation import FiniteLieAlgebra
 from .conformal import ConformalAlgebra
-from .poly import Poly
 from .serialize import poly_str, rat_str
 
 PASS = "PASS"
@@ -64,19 +62,6 @@ class Certificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def combo_payload(combo: Mapping[int, Poly], names: tuple[str, ...]) -> dict[str, str]:
-    """Render a generator-indexed polynomial combination for a payload."""
-    return {
-        names[k]: poly_str(v)
-        for k, v in sorted(combo.items())
-        if not v.is_zero()
-    }
-
-
-def lincomb_payload(comb: Mapping[str, Fraction]) -> dict[str, str]:
-    return {label: rat_str(c) for label, c in sorted(comb.items()) if c}
 
 
 def conformal_table_hash(alg: ConformalAlgebra) -> str:

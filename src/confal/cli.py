@@ -60,6 +60,7 @@ from .serialize import (
     parse_rat,
     poly_str,
     rat_str,
+    render_combo,
 )
 
 
@@ -258,7 +259,7 @@ def _algebra_results(alg: ConformalAlgebra, certificate: cert.Certificate) -> No
             "failures": [
                 {
                     "pair": [f.i, f.j],
-                    "residual": cert.combo_payload(f.residual, alg.gen_names),
+                    "residual": render_combo(f.residual, alg.gen_name),
                 }
                 for f in skew.failures
             ],
@@ -274,7 +275,7 @@ def _algebra_results(alg: ConformalAlgebra, certificate: cert.Certificate) -> No
             "failures": [
                 {
                     "triple": [f.i, f.j, f.k],
-                    "residual": cert.combo_payload(f.residual, alg.gen_names),
+                    "residual": render_combo(f.residual, alg.gen_name),
                 }
                 for f in jac.failures
             ],
@@ -319,9 +320,7 @@ def cmd_verify_module(args: argparse.Namespace) -> cert.Certificate:
                 {
                     "pair": [f.i, f.j],
                     "basis": f.basis,
-                    "residual": {
-                        str(c): poly_str(v) for c, v in sorted(f.residual.items())
-                    },
+                    "residual": render_combo(f.residual),
                 }
                 for f in report.failures
             ],
@@ -432,11 +431,11 @@ def _lie_payload(lie: LieReport) -> dict:
         "triples_checked": lie.triples_checked,
         "triples_excluded": lie.triples_excluded,
         "antisymmetry_failures": [
-            {"pair": [x, y], "residual": cert.lincomb_payload(r)}
+            {"pair": [x, y], "residual": render_combo(r)}
             for x, y, r in lie.antisymmetry_failures
         ],
         "jacobi_failures": [
-            {"triple": [x, y, z], "residual": cert.lincomb_payload(r)}
+            {"triple": [x, y, z], "residual": render_combo(r)}
             for x, y, z, r in lie.jacobi_failures
         ],
     }
@@ -492,7 +491,7 @@ def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
                 if res.corner_coefficient is not None
                 else None,
                 "corner_internal_brackets": [
-                    {"pair": [x, y], "value": cert.lincomb_payload(v)}
+                    {"pair": [x, y], "value": render_combo(v)}
                     for x, y, v in res.corner_internal_brackets
                 ],
             },
@@ -518,7 +517,7 @@ def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
                 "dimension": chars.dimension,
                 "derived_rank": chars.derived_rank,
                 "character_dim": chars.character_dim,
-                "characters": [cert.lincomb_payload(phi) for phi in chars.characters],
+                "characters": [render_combo(phi) for phi in chars.characters],
             },
         )
         return certificate
@@ -562,7 +561,7 @@ def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
                 "checked": central.checked,
                 "excluded": central.excluded,
                 "failures": [
-                    {"against": label, "residual": cert.lincomb_payload(r)}
+                    {"against": label, "residual": render_combo(r)}
                     for label, r in central.failures
                 ],
             },

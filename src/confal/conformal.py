@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
+from .linalg import add_terms
 from .poly import DEL, LAM, MU, Poly, Var
 
 GenId = int
@@ -63,43 +64,6 @@ class NotAnIdealError(ValueError):
 
 class UnsupportedAlgebraError(ValueError):
     """The operation needs structural data this algebra kind does not carry."""
-
-
-# -- linear combination helpers ---------------------------------------------
-
-
-def combo_add(a: Mapping[GenId, Poly], b: Mapping[GenId, Poly]) -> dict[GenId, Poly]:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Poly.zero()) + v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def combo_neg(a: Mapping[GenId, Poly]) -> dict[GenId, Poly]:
-    return {k: -v for k, v in a.items()}
-
-
-def combo_sub(a: Mapping[GenId, Poly], b: Mapping[GenId, Poly]) -> dict[GenId, Poly]:
-    return combo_add(a, combo_neg(b))
-
-
-def combo_substitute(
-    a: Mapping[GenId, Poly], var: Var, replacement: Poly | Fraction | int
-) -> dict[GenId, Poly]:
-    out: dict[GenId, Poly] = {}
-    for k, v in a.items():
-        s = v.substitute(var, replacement)
-        if not s.is_zero():
-            out[k] = s
-    return out
-
-
-def combo_is_zero(a: Mapping[GenId, Poly]) -> bool:
-    return all(v.is_zero() for v in a.values())
 
 
 # -- the algebra type ---------------------------------------------------------
@@ -295,17 +259,9 @@ def bracket(alg: ConformalAlgebra, x: ConfElement, y: ConfElement) -> LambdaValu
         if f_neg.is_zero():
             continue
         for j, g in y.items():
-            g_shift = g.substitute(Var.PARTIAL, shift)
-            scale = f_neg * g_shift
-            if scale.is_zero():
-                continue
-            for k, entry in alg.structure_of(i, j).items():
-                term = scale * entry
-                s = out.get(k, Poly.zero()) + term
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+            scale = f_neg * g.substitute(Var.PARTIAL, shift)
+            if not scale.is_zero():
+                add_terms(out, ((k, scale * s) for k, s in alg.structure_of(i, j).items()))
     return out
 
 
@@ -354,8 +310,9 @@ def skew_residual(alg: ConformalAlgebra, i: GenId, j: GenId) -> LambdaValue:
 
     Zero exactly when the pair satisfies skew-symmetry.
     """
-    flipped = combo_substitute(alg.structure_of(j, i), Var.LAMBDA, -LAM - DEL)
-    return combo_add(alg.structure_of(i, j), flipped)
+    residual = add_terms({}, alg.structure_of(i, j).items())
+    flipped = alg.structure_of(j, i).items()
+    return add_terms(residual, ((k, s.substitute(Var.LAMBDA, -LAM - DEL)) for k, s in flipped))
 
 
 def check_skew(alg: ConformalAlgebra) -> SkewReport:
@@ -373,7 +330,7 @@ def check_skew(alg: ConformalAlgebra) -> SkewReport:
                 continue
             report.pairs_checked += 1
             residual = skew_residual(alg, i, j)
-            if not combo_is_zero(residual):
+            if residual:
                 report.failures.append(PairResidual(i, j, residual))
     return report
 
@@ -514,18 +471,9 @@ class MorphismReport:
 
 def apply_morphism(phi: ConfMorphism, combo: Mapping[GenId, Poly]) -> dict[GenId, Poly]:
     """Push a combination through the morphism; bracket variables ride along."""
-    out: dict[GenId, Poly] = {}
-    for i, coeff in combo.items():
-        image = phi.images.get(i)
-        if not image:
-            continue
-        for k, h in image.items():
-            s = out.get(k, Poly.zero()) + coeff * h
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
+    return add_terms({}, (
+        (k, coeff * h) for i, coeff in combo.items() for k, h in phi.images.get(i, {}).items()
+    ))
 
 
 def compose(outer: ConfMorphism, inner: ConfMorphism) -> ConfMorphism:
@@ -566,12 +514,12 @@ def check_morphism(phi: ConfMorphism) -> MorphismReport:
             if not phi.source.pair_defined(i, j):
                 continue
             report.pairs_checked += 1
-            mapped = apply_morphism(phi, phi.source.structure_of(i, j))
+            residual = apply_morphism(phi, phi.source.structure_of(i, j))
             direct = bracket(
                 phi.target, phi.images.get(i, {}), phi.images.get(j, {})
             )
-            residual = combo_sub(mapped, direct)
-            if not combo_is_zero(residual):
+            add_terms(residual, ((k, -v) for k, v in direct.items()))
+            if residual:
                 report.failures.append(PairResidual(i, j, residual))
     if phi.index_scale is not None:
         # Images with pairwise disjoint nonempty supports span freely, which

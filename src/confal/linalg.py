@@ -16,20 +16,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 Vector = list[Fraction]
 SparseRow = dict[int, Fraction]
 
+K = TypeVar("K")
+V = TypeVar("V")
 
-def _subtract_multiple(target: SparseRow, factor: Fraction, row: Mapping[int, Fraction]) -> None:
-    """``target -= factor * row`` in place, dropping entries that cancel."""
-    for col, value in row.items():
-        entry = target.get(col, 0) - factor * value
-        if entry:
-            target[col] = entry
+
+def add_terms(out: dict[K, V], terms: Iterable[tuple[K, V]]) -> dict[K, V]:
+    """Add each ``(key, value)`` of ``terms`` into ``out``; return ``out``.
+
+    A key whose sum cancels is removed, not stored as a zero.  This is the
+    one sparse-combination primitive: rows of :class:`Echelon`, Lie
+    combinations and bracket, module and morphism residuals all add through
+    it.  Values are ``Fraction`` or ``Poly``, both falsy exactly at zero.
+    """
+    for key, value in terms:
+        total = out[key] + value if key in out else value
+        if total:
+            out[key] = total
         else:
-            del target[col]
+            out.pop(key, None)
+    return out
 
 
 class Echelon:
@@ -58,7 +68,8 @@ class Echelon:
         """
         rest = {col: value for col, value in row.items() if value}
         for col in [c for c in rest if c in self.pivot_rows]:
-            _subtract_multiple(rest, rest[col], self.pivot_rows[col])
+            factor = rest[col]
+            add_terms(rest, ((c, -factor * v) for c, v in self.pivot_rows[col].items()))
         return rest
 
     def add(self, row: Mapping[int, Fraction]) -> bool:
@@ -74,7 +85,7 @@ class Echelon:
         for other in self.pivot_rows.values():
             factor = other.get(col)
             if factor:
-                _subtract_multiple(other, factor, new)
+                add_terms(other, ((c, -factor * v) for c, v in new.items()))
         self.pivot_rows[col] = new
         return True
 
@@ -135,8 +146,7 @@ def rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
 
 def nullspace(rows: Iterable[Sequence[Fraction | int]], ncols: int) -> list[Vector]:
     """Basis of the right kernel ``{v : M v = 0}`` of an ``m x ncols`` matrix."""
-    reduced, _ = rref(rows)
-    echelon = Echelon(map(_sparse, reduced))
+    echelon = Echelon(map(_sparse, rows))
     return [_dense(vec, ncols) for vec in echelon.nullspace(ncols)]
 
 

@@ -34,6 +34,7 @@ from typing import Mapping
 
 from . import linalg
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
+from .linalg import add_terms
 from .poly import AUX1, DEL, LAM, MU, Poly, Var, divmod_in_var
 
 KIND_FREE = "free"
@@ -183,16 +184,9 @@ def act(
         for b, g in v.items():
             if mod.kind == KIND_SCALAR_DEL:
                 g = g.substitute(Var.PARTIAL, mod.alpha)
-            g_shift = g.substitute(Var.PARTIAL, shift)
-            scale = f_neg * g_shift
-            if scale.is_zero():
-                continue
-            for c, A in mod.action_of(i, b).items():
-                s = out.get(c, Poly.zero()) + scale * A
-                if s.is_zero():
-                    out.pop(c, None)
-                else:
-                    out[c] = s
+            scale = f_neg * g.substitute(Var.PARTIAL, shift)
+            if not scale.is_zero():
+                add_terms(out, ((c, scale * A) for c, A in mod.action_of(i, b).items()))
     return out
 
 
@@ -225,34 +219,28 @@ def module_residual(
     shift = _partial_shift(mod)
     shift_mu = shift.substitute(Var.LAMBDA, MU)
 
+    residual: dict[int, Poly] = {}
+
     # [L_i L_j] acting with bracket variable x+y: hold the outer variable as
     # a scratch u until both factors are assembled.
-    lhs: dict[int, Poly] = {}
     for m, s in alg.structure_of(i, j).items():
         s_out = s.substitute(Var.PARTIAL, -AUX1)
-        for c, A in mod.action_of(m, b).items():
-            A_u = A.substitute(Var.LAMBDA, AUX1)
-            term = (s_out * A_u).substitute(Var.AUX1, LAM + MU)
-            lhs[c] = lhs.get(c, Poly.zero()) + term
+        add_terms(residual, (
+            (c, (s_out * A.substitute(Var.LAMBDA, AUX1)).substitute(Var.AUX1, LAM + MU))
+            for c, A in mod.action_of(m, b).items()
+        ))
 
-    # L_i_x (L_j_y v_b)
-    rhs: dict[int, Poly] = {}
+    # minus L_i_x (L_j_y v_b)
     for c, h in mod.action_of(j, b).items():
         h_in = h.substitute(Var.LAMBDA, MU).substitute(Var.PARTIAL, shift)
-        for e, A in mod.action_of(i, c).items():
-            rhs[e] = rhs.get(e, Poly.zero()) + h_in * A
+        add_terms(residual, ((e, -(h_in * A)) for e, A in mod.action_of(i, c).items()))
 
-    # minus L_j_y (L_i_x v_b)
+    # plus L_j_y (L_i_x v_b)
     for c, h in mod.action_of(i, b).items():
         h_in = h.substitute(Var.PARTIAL, shift_mu)
-        for e, A in mod.action_of(j, c).items():
-            rhs[e] = rhs.get(e, Poly.zero()) - h_in * A.substitute(Var.LAMBDA, MU)
-
-    residual: dict[int, Poly] = {}
-    for key in set(lhs) | set(rhs):
-        val = lhs.get(key, Poly.zero()) - rhs.get(key, Poly.zero())
-        if not val.is_zero():
-            residual[key] = val
+        add_terms(residual, (
+            (e, h_in * A.substitute(Var.LAMBDA, MU)) for e, A in mod.action_of(j, c).items()
+        ))
     return residual
 
 

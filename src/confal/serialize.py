@@ -21,8 +21,10 @@ Module files::
      "action": {"0,0": {"0": "-D - x"}}}
     {"format": "confal-module", "kind": "scalar_del", "alpha": "1/2"}
 
-Missing structure or action entries mean zero.  Loaded tables are data, not
-trusted facts: run the axiom checkers on them before relying on anything.
+Missing structure or action entries mean zero.  Entries use only ``D`` and
+``x``; any other name is refused when the entry is parsed, before anything
+is expanded.  Loaded tables are data, not trusted facts: run the axiom
+checkers on them before relying on anything.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import ast
 import json
 import os
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Collection, Mapping
 
 from .conformal import ConformalAlgebra, LambdaValue, TruncationPolicy
 from .modules import (
@@ -64,6 +66,17 @@ def poly_str(poly: Poly) -> str:
     return str(poly)
 
 
+def render_combo(
+    combo: Mapping[Any, Poly | Fraction], name: Callable[[Any], str] = str
+) -> dict[str, str]:
+    """A sparse combination as strings, keys in sorted order, zeros left out.
+
+    ``name`` renders a key: a generator name for an index, ``str`` for an
+    index or a basis label written as itself.
+    """
+    return {name(k): str(v) for k, v in sorted(combo.items()) if v}
+
+
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 #: Largest exponent, and largest total degree of any product, that
@@ -73,14 +86,16 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 MAX_POLY_DEGREE = 32
 
 
-def parse_poly(text: str) -> Poly:
+def parse_poly(text: str, variables: Collection[Var] = tuple(Var)) -> Poly:
     """Parse the polynomial grammar exactly.
 
-    ``^`` is the power operator.  Only the registry variables, rational
-    literals, parentheses, and ``+ - * / ^`` are accepted; ``/`` requires a
-    constant divisor.  No exponent, and no product formed on the way, may
-    exceed total degree :data:`MAX_POLY_DEGREE`; the bound is checked before
-    the product is expanded.  Errors carry the source position.
+    ``^`` is the power operator.  Only ``variables`` (by default the whole
+    registry), rational literals, parentheses, and ``+ - * / ^`` are
+    accepted; ``/`` requires a constant divisor.  Every name is checked
+    before anything is expanded.  No exponent, and no product formed on the
+    way, may exceed total degree :data:`MAX_POLY_DEGREE`; the bound is
+    checked before the product is expanded.  Errors carry the source
+    position.
     """
     prepared = text.replace("^", "**")
     try:
@@ -89,6 +104,14 @@ def parse_poly(text: str) -> Poly:
         raise ParseError(
             f"syntax error in polynomial at column {exc.offset}: {text!r}"
         ) from None
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    for node in sorted(names, key=lambda node: node.col_offset):
+        if SPELLING_TO_VAR.get(node.id) not in variables:
+            allowed = ", ".join(v.spelling for v in sorted(variables))
+            raise ParseError(
+                f"column {node.col_offset}: variable {node.id!r} is not one of "
+                f"{allowed} in {text!r}"
+            )
     return _eval_node(tree.body, text)
 
 
@@ -135,13 +158,7 @@ def _eval_node(node: ast.AST, source: str) -> Poly:
         operand = _eval_node(node.operand, source)
         return operand if isinstance(node.op, ast.UAdd) else -operand
     if isinstance(node, ast.Name):
-        var = SPELLING_TO_VAR.get(node.id)
-        if var is None:
-            raise ParseError(
-                f"column {node.col_offset}: unknown variable {node.id!r} "
-                f"in {source!r}"
-            )
-        return Poly.variable(var)
+        return Poly.variable(SPELLING_TO_VAR[node.id])
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
             return Poly.const(node.value)
@@ -163,15 +180,42 @@ def _check_degree(what: str, value: Fraction | int, node: ast.AST, source: str) 
         )
 
 
+#: The variables a table entry in a file may use: ``D`` and ``x``.
+ENTRY_VARIABLES = (Var.PARTIAL, Var.LAMBDA)
+
+
+def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly]:
+    """One structure or action entry of a file: target index -> polynomial.
+
+    Targets must lie in ``range(size)``; ``bound`` names that range in the
+    message.  Entries are polynomials in :data:`ENTRY_VARIABLES`, and zero
+    polynomials are left out.
+    """
+    if not isinstance(entry, dict):
+        raise ParseError(f"{what} entry {entry!r} is not an object")
+    parsed: dict[int, Poly] = {}
+    for target, text in entry.items():
+        try:
+            k = int(target)
+        except ValueError:
+            raise ParseError(f"bad {what} target {target!r}") from None
+        if not 0 <= k < size:
+            raise ParseError(f"{what} target {target!r} outside {bound}")
+        if not isinstance(text, str):
+            raise ParseError(f"{what} target {target!r} is not a polynomial string")
+        poly = parse_poly(text, ENTRY_VARIABLES)
+        if poly:
+            parsed[k] = poly
+    return parsed
+
+
 # -- algebra files ------------------------------------------------------------
 
 
 def algebra_to_dict(alg: ConformalAlgebra) -> dict[str, Any]:
     structure: dict[str, dict[str, str]] = {}
     for (i, j), entry in sorted(alg.structure.items()):
-        rendered = {
-            str(k): poly_str(v) for k, v in sorted(entry.items()) if not v.is_zero()
-        }
+        rendered = render_combo(entry)
         if rendered:
             structure[f"{i},{j}"] = rendered
     return {
@@ -223,22 +267,7 @@ def algebra_from_dict(data: dict[str, Any]) -> ConformalAlgebra:
         i, j = _parse_pair_key(key, "structure")
         if not (0 <= i <= window and 0 <= j <= window):
             raise ParseError(f"structure pair {key!r} outside window {window}")
-        parsed: LambdaValue = {}
-        for target, text in entry.items():
-            k = int(target)
-            if not 0 <= k <= window:
-                raise ParseError(
-                    f"structure target {target!r} outside window {window}"
-                )
-            poly = parse_poly(text)
-            bad = poly.variables() - {Var.PARTIAL, Var.LAMBDA}
-            if bad:
-                raise ParseError(
-                    f"structure entry {key!r} -> {target!r} uses "
-                    f"{sorted(v.spelling for v in bad)}"
-                )
-            if not poly.is_zero():
-                parsed[k] = poly
+        parsed = _parse_entry(entry, "structure", window + 1, f"window {window}")
         if parsed:
             structure[(i, j)] = parsed
     return ConformalAlgebra(
@@ -265,9 +294,7 @@ def module_to_dict(mod: ConformalModule) -> dict[str, Any]:
         }
     action: dict[str, dict[str, str]] = {}
     for (i, b), entry in sorted(mod.action.items()):
-        rendered = {
-            str(c): poly_str(v) for c, v in sorted(entry.items()) if not v.is_zero()
-        }
+        rendered = render_combo(entry)
         if rendered:
             action[f"{i},{b}"] = rendered
     return {
@@ -305,22 +332,7 @@ def module_from_dict(data: dict[str, Any]) -> ConformalModule:
         i, b = _parse_pair_key(key, "action")
         if not 0 <= b < rank:
             raise ParseError(f"action key {key!r} hits basis index outside rank {rank}")
-        parsed: dict[int, Poly] = {}
-        for target, text in entry.items():
-            c = int(target)
-            if not 0 <= c < rank:
-                raise ParseError(
-                    f"action target {target!r} outside rank {rank}"
-                )
-            poly = parse_poly(text)
-            bad = poly.variables() - {Var.PARTIAL, Var.LAMBDA}
-            if bad:
-                raise ParseError(
-                    f"action entry {key!r} -> {target!r} uses "
-                    f"{sorted(v.spelling for v in bad)}"
-                )
-            if not poly.is_zero():
-                parsed[c] = poly
+        parsed = _parse_entry(entry, "action", rank, f"rank {rank}")
         if parsed:
             action[(i, b)] = parsed
     mod = ConformalModule(

@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -463,6 +464,33 @@ def test_file_entry_above_degree_limit_exits_two(capsys, tmp_path):
     assert err == (
         "confal: error: column 0: exponent 99999 exceeds the limit 32 in 'D^99999'\n"
     )
+
+
+WIDE_ENTRY = "(D+x+y+u+w+1)^16 - (D+x+y+u+w+1)^16 + D + 2*x"
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "structure": {"0,0": {"0": WIDE_ENTRY}}}),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "free", "rank": 1,
+          "action": {"0,0": {"0": WIDE_ENTRY}}}),
+    ],
+)
+def test_file_entry_in_other_variables_exits_two_before_expanding(capsys, tmp_path, argv, data):
+    # Expanding the entry in five variables would take minutes; only D and x
+    # are admitted, so the parser stops at the first other name.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv + [f"file:{path}"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.endswith(f"column 5: variable 'y' is not one of D, x in {WIDE_ENTRY!r}\n")
 
 
 def test_file_above_size_limit_exits_two(capsys, tmp_path):

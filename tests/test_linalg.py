@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from confal.linalg import Echelon, nullspace, rank, rref, solve
+from confal.linalg import Echelon, add_terms, nullspace, rank, rref, solve
+from confal.poly import DEL, LAM, Poly
 
 F = Fraction
 
@@ -114,6 +115,49 @@ def test_echelon_add_and_reduce_report_span_membership():
 
 def test_explicit_zero_entries_are_ignored():
     assert Echelon([{0: F(0), 1: F(3)}, {0: 0}]).rows() == ([{1: F(1)}], [1])
+
+
+# -- the sparse-combination primitive ----------------------------------------------
+
+
+def test_add_terms_removes_a_key_that_cancels():
+    out = {0: F(1), 1: F(2)}
+    add_terms(out, [(0, F(-1)), (2, F(0)), (1, F(1, 2))])
+    assert out == {1: F(5, 2)}
+    assert 0 not in out and 2 not in out
+
+
+def test_add_terms_updates_in_place_and_returns_the_dict():
+    out = {"a": F(1)}
+    assert add_terms(out, [("b", F(1, 2)), ("a", F(1))]) is out
+    assert out == {"a": F(2), "b": F(1, 2)}
+    assert add_terms(out, iter(())) is out
+
+
+def test_add_terms_on_polynomial_values():
+    out = {0: DEL + LAM}
+    add_terms(out, [(0, -LAM), (1, LAM), (1, -LAM), (2, Poly.zero())])
+    assert out == {0: DEL}
+
+
+def test_add_terms_matches_sum_then_filter_on_random_terms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    nonzero = value.filter(bool)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.dictionaries(st.integers(0, 4), nonzero, max_size=4),
+        st.lists(st.tuples(st.integers(0, 4), value), max_size=12),
+    )
+    def check(start, terms):
+        sums = dict(start)
+        for key, v in terms:
+            sums[key] = sums.get(key, 0) + v
+        assert add_terms(dict(start), terms) == {k: v for k, v in sums.items() if v}
+
+    check()
 
 
 # -- differential tests -------------------------------------------------------------

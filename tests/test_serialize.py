@@ -8,6 +8,7 @@ ParseError with position or context in the message, never a silent default.
 
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from confal.modules import (
     rank_one_module,
     trivial_module,
 )
-from confal.poly import DEL, LAM, MU, Poly
+from confal.poly import DEL, LAM, MU, Poly, Var
 from confal.serialize import (
     MAX_POLY_DEGREE,
     ParseError,
@@ -103,6 +104,35 @@ def test_poly_grammar_rejections():
     for text in bad:
         with pytest.raises(ParseError):
             parse_poly(text)
+
+
+def test_poly_grammar_admits_only_the_given_variables():
+    assert parse_poly("D*x", (Var.PARTIAL, Var.LAMBDA)) == DEL * LAM
+    with pytest.raises(ParseError, match="column 4: variable 'x' is not one of D in 'D \\+ x'"):
+        parse_poly("D + x", (Var.PARTIAL,))
+    # The leftmost offending name is the one reported.
+    with pytest.raises(ParseError, match="column 4: variable 'y' is not one of D, x in"):
+        parse_poly("D + y*u", (Var.PARTIAL, Var.LAMBDA))
+
+
+#: An entry that cancels to ``D + 2*x`` but expands in five variables first.
+WIDE_ENTRY = "(D+x+y+u+w+1)^16 - (D+x+y+u+w+1)^16 + D + 2*x"
+
+
+@pytest.mark.parametrize(
+    "load, data",
+    [
+        (algebra_from_dict, {"format": "confal-algebra", "window": 0,
+                             "structure": {"0,0": {"0": WIDE_ENTRY}}}),
+        (module_from_dict, {"format": "confal-module", "kind": "free", "rank": 1,
+                            "action": {"0,0": {"0": WIDE_ENTRY}}}),
+    ],
+)
+def test_file_entries_refuse_other_variables_before_expanding(load, data):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="column 5: variable 'y' is not one of D, x"):
+        load(data)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_poly_grammar_random_round_trip():
@@ -196,6 +226,10 @@ def test_algebra_rejections():
         algebra_from_dict(corrupt(structure={"0,0": {"9": "D"}}))
     with pytest.raises(ParseError):
         algebra_from_dict(corrupt(structure={"0,0": {"0": "D + y"}}))
+    # Malformed entries are refused, not left to fail inside the parser.
+    for entry in ("D", ["0", "D"], {"a": "D"}, {"0": 3}):
+        with pytest.raises(ParseError):
+            algebra_from_dict(corrupt(structure={"0,0": entry}))
     with pytest.raises(ParseError):
         algebra_from_dict(corrupt(policy="maybe"))
 
@@ -255,6 +289,12 @@ def test_module_rejections():
                 "action": {"0,0": {"0": "D + u"}},
             }
         )
+    for entry in ("D", {"a": "D"}, {"0": None}):
+        with pytest.raises(ParseError):
+            module_from_dict(
+                {"format": "confal-module", "kind": "free", "rank": 1,
+                 "action": {"0,0": entry}}
+            )
 
 
 # -- file IO ------------------------------------------------------------------------
