@@ -22,27 +22,19 @@ from .poly import (  # noqa: F401
     pit_verify,
 )
 from .conformal import (  # noqa: F401
-    ConfElement,
-    ConfMorphism,
     ConformalAlgebra,
     LambdaValue,
-    NotAnIdealError,
     TruncationPolicy,
     UnsupportedAlgebraError,
     WindowOverflowError,
-    block_embedding,
-    bracket,
     check_jacobi,
-    check_morphism,
     check_skew,
-    compose,
     make_block,
     make_bn,
     make_heisenberg_virasoro,
     make_heisenberg_virasoro_misprint,
     make_schrodinger_virasoro,
     make_virasoro,
-    quotient_by_tail,
 )
 from .annihilation import (  # noqa: F401
     ClosedFormMismatchError,
@@ -58,7 +50,6 @@ from .annihilation import (  # noqa: F401
     resonance_analysis,
     trace_certificate,
 )
-from .linalg import RatMatrix  # noqa: F401
 from .modules import (  # noqa: F401
     ConformalModule,
     FamilyTag,

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
-from .linalg import RatMatrix, add_terms
+from .linalg import add_terms
 from .poly import Poly, Var
 
 Label = str
@@ -674,24 +674,32 @@ class TraceVerdict:
     hypothesis_trace: Fraction
 
 
-def trace_certificate(A: RatMatrix, B: RatMatrix, b: Fraction | int,
-                      c: Fraction | int) -> TraceVerdict:
+def trace_certificate(A: Sequence[Sequence[Fraction | int]],
+                      B: Sequence[Sequence[Fraction | int]],
+                      b: Fraction | int, c: Fraction | int) -> TraceVerdict:
     """Compare ``trace(AB - BA)`` with ``trace(b c I)``.
 
-    If a pair of square matrices represented two elements whose bracket is
-    ``b`` times a third element represented by ``c I``, the traces would have
-    to agree; since a commutator is traceless, consistency forces ``c = 0``
-    whenever ``b != 0``.  ``b = 0`` is rejected because the certificate then
-    says nothing.
+    ``A`` and ``B`` are square matrices of one size, given as rows.  If they
+    represented two elements whose bracket is ``b`` times a third element
+    represented by ``c I``, the traces would have to agree; since a
+    commutator is traceless, consistency forces ``c = 0`` whenever
+    ``b != 0``.  ``b = 0`` is rejected because the certificate then says
+    nothing.
     """
     b = Fraction(b)
     c = Fraction(c)
     if b == 0:
         raise ValueError("the bracket coefficient b must be nonzero")
-    if A.nrows != A.ncols or B.nrows != B.ncols or A.nrows != B.nrows:
+    n = len(A)
+    if len(B) != n or any(len(row) != n for row in (*A, *B)):
         raise ValueError("A and B must be square of the same size")
-    commutator_trace = (A * B - B * A).trace()
-    hypothesis_trace = b * c * A.nrows
+    a = [[Fraction(v) for v in row] for row in A]
+    m = [[Fraction(v) for v in row] for row in B]
+    commutator_trace = sum(
+        (a[i][j] * m[j][i] - m[i][j] * a[j][i] for i in range(n) for j in range(n)),
+        Fraction(0),
+    )
+    hypothesis_trace = b * c * n
     consistent = commutator_trace == hypothesis_trace
     return TraceVerdict(
         consistent=consistent,

@@ -5,11 +5,10 @@ finite generator window ``L_0, ..., L_W`` and a bracket given tablewise:
 
     [L_i  L_j] = sum_k  s_{ij}^k(D, x) L_k
 
-where ``x`` is the bracket variable and ``D`` acts on the target.  Elements
-(:data:`ConfElement`) are dicts mapping generator index to a coefficient
-polynomial in ``D`` alone; bracket values (:data:`LambdaValue`) allow the
-bracket variable as well, and the second bracket variable ``y`` appears only
-inside identity checks.
+where ``x`` is the bracket variable and ``D`` acts on the target.  Bracket
+values (:data:`LambdaValue`) are dicts mapping generator index to a
+coefficient polynomial in ``D`` and ``x``; the second bracket variable ``y``
+appears only inside identity checks.
 
 Two truncation policies give the two ways a finite window can be meant:
 ``TRUNCATE_TO_ZERO`` realises a genuine quotient in which every product past
@@ -25,9 +24,9 @@ The bracket family implemented by :func:`make_block` is
 
 whose index-zero generator rescaled by ``1/p`` is a Virasoro element.  The
 truncated quotients :func:`make_bn` (parameter ``p = -n``, window ``n``)
-reproduce, after an invertible base change, the Heisenberg-Virasoro table at
-``n = 1`` and the Schrodinger-Virasoro table at ``n = 2``; the base changes
-are exercised by the morphism checker in the tests.
+reproduce, after a diagonal rescaling ``e_i = c_i Lbar_i`` of the generators,
+the Heisenberg-Virasoro table at ``n = 1`` and the Schrodinger-Virasoro table
+at ``n = 2``; ``test_bn_rescales_to_hv_and_sv`` in the tests checks both.
 """
 
 from __future__ import annotations
@@ -35,15 +34,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .linalg import add_terms
 from .poly import DEL, LAM, MU, Poly, Var
 
 GenId = int
-
-#: Finite C[D]-combination of generators; values are polynomials in D only.
-ConfElement = dict[GenId, Poly]
 
 #: Bracket value; values are polynomials in D and the bracket variable(s).
 LambdaValue = dict[GenId, Poly]
@@ -56,10 +52,6 @@ class TruncationPolicy(enum.Enum):
 
 class WindowOverflowError(RuntimeError):
     """A product escaped the generator window under ERROR_ON_OVERFLOW."""
-
-
-class NotAnIdealError(ValueError):
-    """The span proposed for a quotient is not closed under the bracket."""
 
 
 class UnsupportedAlgebraError(ValueError):
@@ -243,28 +235,6 @@ def make_schrodinger_virasoro() -> ConformalAlgebra:
     )
 
 
-# -- the bracket on elements ---------------------------------------------------
-
-
-def bracket(alg: ConformalAlgebra, x: ConfElement, y: ConfElement) -> LambdaValue:
-    """Bracket of two elements, extended by sesquilinearity.
-
-    For coefficient polynomials ``f`` and ``g``,
-    ``[f(D) L_i  g(D) L_j] = f(-x) g(D + x) [L_i  L_j]``.
-    """
-    out: dict[GenId, Poly] = {}
-    shift = DEL + LAM
-    for i, f in x.items():
-        f_neg = f.substitute(Var.PARTIAL, -LAM)
-        if f_neg.is_zero():
-            continue
-        for j, g in y.items():
-            scale = f_neg * g.substitute(Var.PARTIAL, shift)
-            if not scale.is_zero():
-                add_terms(out, ((k, scale * s) for k, s in alg.structure_of(i, j).items()))
-    return out
-
-
 # -- axiom checkers ------------------------------------------------------------
 
 
@@ -436,145 +406,3 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
                 if residual:
                     report.failures.append(TripleResidual(a, b, c, residual))
     return report
-
-
-# -- morphisms -----------------------------------------------------------------
-
-
-@dataclass
-class ConfMorphism:
-    """A C[D]-linear map sending generators to elements of the target.
-
-    ``index_scale`` marks the index-stretching embeddings of the bracket
-    family (generator ``i`` mapped into index ``n i``), which is what the
-    injectivity check keys on.
-    """
-
-    source: ConformalAlgebra
-    target: ConformalAlgebra
-    images: dict[GenId, ConfElement]
-    index_scale: int | None = None
-
-
-@dataclass
-class MorphismReport:
-    source: str
-    target: str
-    pairs_checked: int
-    failures: list[PairResidual] = field(default_factory=list)
-    injective_on_generators: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def apply_morphism(phi: ConfMorphism, combo: Mapping[GenId, Poly]) -> dict[GenId, Poly]:
-    """Push a combination through the morphism; bracket variables ride along."""
-    return add_terms({}, (
-        (k, coeff * h) for i, coeff in combo.items() for k, h in phi.images.get(i, {}).items()
-    ))
-
-
-def compose(outer: ConfMorphism, inner: ConfMorphism) -> ConfMorphism:
-    if inner.target is not outer.source and inner.target.name != outer.source.name:
-        raise ValueError("morphisms do not compose: target/source mismatch")
-    images = {i: apply_morphism(outer, img) for i, img in inner.images.items()}
-    scale = None
-    if inner.index_scale is not None and outer.index_scale is not None:
-        scale = inner.index_scale * outer.index_scale
-    return ConfMorphism(inner.source, outer.target, images, scale)
-
-
-def block_embedding(p: Fraction | int, n: int, window: int) -> ConfMorphism:
-    """The index-stretching embedding of the bracket family.
-
-    Sends generator ``i`` at parameter ``p`` to ``(1/n)`` times generator
-    ``n i`` at parameter ``n p``.  The target window is ``n * window`` so
-    every checked bracket stays inside.
-    """
-    if n < 1:
-        raise ValueError("the stretch factor n must be a positive integer")
-    p = Fraction(p)
-    source = make_block(p, window, TruncationPolicy.ERROR_ON_OVERFLOW)
-    target = make_block(n * p, n * window, TruncationPolicy.ERROR_ON_OVERFLOW)
-    images = {
-        i: {n * i: Poly.const(Fraction(1, n))} for i in range(window + 1)
-    }
-    return ConfMorphism(source, target, images, index_scale=n)
-
-
-def check_morphism(phi: ConfMorphism) -> MorphismReport:
-    """Verify that the map intertwines the two bracket tables pairwise."""
-    report = MorphismReport(
-        source=phi.source.name, target=phi.target.name, pairs_checked=0
-    )
-    for i in phi.source.generators():
-        for j in phi.source.generators():
-            if not phi.source.pair_defined(i, j):
-                continue
-            report.pairs_checked += 1
-            residual = apply_morphism(phi, phi.source.structure_of(i, j))
-            direct = bracket(
-                phi.target, phi.images.get(i, {}), phi.images.get(j, {})
-            )
-            add_terms(residual, ((k, -v) for k, v in direct.items()))
-            if residual:
-                report.failures.append(PairResidual(i, j, residual))
-    if phi.index_scale is not None:
-        # Images with pairwise disjoint nonempty supports span freely, which
-        # is how the index-stretching embeddings present themselves.
-        seen: set[GenId] = set()
-        injective = True
-        for i in phi.source.generators():
-            image = phi.images.get(i, {})
-            support = {k for k, v in image.items() if not v.is_zero()}
-            if not support or support & seen:
-                injective = False
-                break
-            seen |= support
-        report.injective_on_generators = injective
-    return report
-
-
-# -- quotients -----------------------------------------------------------------
-
-
-def quotient_by_tail(alg: ConformalAlgebra, n: int) -> ConformalAlgebra:
-    """Quotient by the span of all generators of index above ``n``.
-
-    The tail span must absorb brackets: whenever one side of an available
-    pair lives in the tail, the bracket must land in the tail.  For the
-    implemented families this holds because bracket targets sit at the index
-    sum; a table violating it raises :class:`NotAnIdealError`.
-    """
-    if not 0 <= n <= alg.window:
-        raise ValueError(f"quotient index {n} outside window {alg.window}")
-    for (i, j), entry in alg.structure.items():
-        if i <= n and j <= n:
-            continue
-        for k, coeff in entry.items():
-            if k <= n and not coeff.is_zero():
-                raise NotAnIdealError(
-                    f"bracket of pair ({i}, {j}) leaks {alg.gen_name(k)} "
-                    "out of the tail span"
-                )
-    structure: dict[tuple[GenId, GenId], LambdaValue] = {}
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if not alg.pair_defined(i, j):
-                continue
-            entry = {
-                k: v for k, v in alg.structure_of(i, j).items() if k <= n
-            }
-            if entry:
-                structure[(i, j)] = entry
-    return ConformalAlgebra(
-        name=f"{alg.name}[{n}]",
-        kind=alg.kind,
-        window=n,
-        policy=TruncationPolicy.TRUNCATE_TO_ZERO,
-        param_p=alg.param_p,
-        structure=structure,
-        gen_names=alg.gen_names[: n + 1],
-    )

@@ -14,7 +14,6 @@ return dense rows for the callers that build small dense systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, TypeVar
 
@@ -30,8 +29,8 @@ def add_terms(out: dict[K, V], terms: Iterable[tuple[K, V]]) -> dict[K, V]:
 
     A key whose sum cancels is removed, not stored as a zero.  This is the
     one sparse-combination primitive: rows of :class:`Echelon`, Lie
-    combinations and bracket, module and morphism residuals all add through
-    it.  Values are ``Fraction`` or ``Poly``, both falsy exactly at zero.
+    combinations and bracket and module residuals all add through it.
+    Values are ``Fraction`` or ``Poly``, both falsy exactly at zero.
     """
     for key, value in terms:
         total = out[key] + value if key in out else value
@@ -170,73 +169,3 @@ def solve(
             return None
         solution[pivot_col] = row[-1]
     return solution
-
-
-@dataclass(frozen=True)
-class RatMatrix:
-    """Small immutable matrix of exact rationals."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[Fraction | int]]) -> RatMatrix:
-        data = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if data and any(len(row) != len(data[0]) for row in data):
-            raise ValueError("ragged rows")
-        return cls(data)
-
-    @classmethod
-    def identity(cls, n: int) -> RatMatrix:
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __mul__(self, other: RatMatrix) -> RatMatrix:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"shape mismatch: {self.nrows}x{self.ncols} times "
-                f"{other.nrows}x{other.ncols}"
-            )
-        cols = list(zip(*other.entries)) if other.entries else []
-        return RatMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
-        )
-
-    def __sub__(self, other: RatMatrix) -> RatMatrix:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in subtraction")
-        return RatMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
-
-    def scale(self, c: Fraction | int) -> RatMatrix:
-        f = Fraction(c)
-        return RatMatrix(tuple(tuple(f * v for v in row) for row in self.entries))
-
-    def trace(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(
-            (self.entries[i][i] for i in range(self.nrows)), Fraction(0)
-        )

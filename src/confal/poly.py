@@ -229,8 +229,9 @@ class Poly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- calculus of substitution ---------------------------------------

@@ -184,6 +184,13 @@ def _check_degree(what: str, value: Fraction | int, node: ast.AST, source: str) 
 ENTRY_VARIABLES = (Var.PARTIAL, Var.LAMBDA)
 
 
+def _object(value: Any, what: str) -> dict[str, Any]:
+    """``value`` itself, if it is a JSON object; ParseError otherwise."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} is not an object")
+    return value
+
+
 def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly]:
     """One structure or action entry of a file: target index -> polynomial.
 
@@ -191,10 +198,8 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
     message.  Entries are polynomials in :data:`ENTRY_VARIABLES`, and zero
     polynomials are left out.
     """
-    if not isinstance(entry, dict):
-        raise ParseError(f"{what} entry {entry!r} is not an object")
     parsed: dict[int, Poly] = {}
-    for target, text in entry.items():
+    for target, text in _object(entry, f"{what} entry {entry!r}").items():
         try:
             k = int(target)
         except ValueError:
@@ -240,8 +245,8 @@ def _parse_pair_key(key: str, what: str) -> tuple[int, int]:
         raise ParseError(f"bad {what} key {key!r}: expected integers") from None
 
 
-def algebra_from_dict(data: dict[str, Any]) -> ConformalAlgebra:
-    if data.get("format") != "confal-algebra":
+def algebra_from_dict(data: Any) -> ConformalAlgebra:
+    if _object(data, "algebra file").get("format") != "confal-algebra":
         raise ParseError("not an algebra file: missing format marker")
     if "window" not in data:
         raise ParseError("malformed algebra file: missing field 'window'")
@@ -249,9 +254,9 @@ def algebra_from_dict(data: dict[str, Any]) -> ConformalAlgebra:
         window = int(data["window"])
         policy = TruncationPolicy(data.get("policy", "truncate"))
         generators = list(data.get("generators", []))
-        raw_structure = dict(data.get("structure", {}))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"malformed algebra file: {exc}") from None
+    raw_structure = _object(data.get("structure", {}), "algebra structure")
     if window < 0:
         raise ParseError("window must be nonnegative")
     if not generators:
@@ -261,6 +266,8 @@ def algebra_from_dict(data: dict[str, Any]) -> ConformalAlgebra:
             f"{len(generators)} generator names for window {window}"
         )
     p_raw = data.get("p")
+    if p_raw is not None and not isinstance(p_raw, str):
+        raise ParseError(f"algebra parameter p={p_raw!r} is not a rational string")
     p = parse_rat(p_raw) if p_raw is not None else None
     structure: dict[tuple[int, int], LambdaValue] = {}
     for key, entry in raw_structure.items():
@@ -305,8 +312,8 @@ def module_to_dict(mod: ConformalModule) -> dict[str, Any]:
     }
 
 
-def module_from_dict(data: dict[str, Any]) -> ConformalModule:
-    if data.get("format") != "confal-module":
+def module_from_dict(data: Any) -> ConformalModule:
+    if _object(data, "module file").get("format") != "confal-module":
         raise ParseError("not a module file: missing format marker")
     kind = data.get("kind")
     if kind == KIND_SCALAR_DEL:
@@ -328,7 +335,7 @@ def module_from_dict(data: dict[str, Any]) -> ConformalModule:
     if rank < 1:
         raise ParseError("module rank must be positive")
     action: dict[tuple[int, int], dict[int, Poly]] = {}
-    for key, entry in dict(data.get("action", {})).items():
+    for key, entry in _object(data.get("action", {}), "module action").items():
         i, b = _parse_pair_key(key, "action")
         if not 0 <= b < rank:
             raise ParseError(f"action key {key!r} hits basis index outside rank {rank}")

@@ -38,7 +38,6 @@ from confal.conformal import (
     make_heisenberg_virasoro_misprint,
     make_schrodinger_virasoro,
 )
-from confal.linalg import RatMatrix
 from confal.modules import (
     check_module,
     is_irreducible_rank_one,
@@ -286,18 +285,14 @@ def test_criterion_8_subquotient_structural_suite():
     rng = random.Random(424242)
     for size in (2, 3):
         for _ in range(5):
-            A = RatMatrix.from_rows(
-                [
-                    [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
-                    for _ in range(size)
-                ]
-            )
-            B = RatMatrix.from_rows(
-                [
-                    [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
-                    for _ in range(size)
-                ]
-            )
+            A = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
+                for _ in range(size)
+            ]
+            B = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
+                for _ in range(size)
+            ]
             for c in (Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(5)):
                 verdict = trace_certificate(A, B, corner_b, c)
                 assert verdict.forced_zero

@@ -34,7 +34,7 @@ from confal.annihilation import (
     trace_certificate,
 )
 from confal.conformal import TruncationPolicy, UnsupportedAlgebraError, make_block, make_bn
-from confal.linalg import RatMatrix, add_terms
+from confal.linalg import add_terms
 from confal.poly import DEL, Poly, pit_points
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
@@ -467,12 +467,10 @@ def test_trace_certificate_forces_zero():
     rng = random.Random(808)
 
     def rand_mat(n):
-        return RatMatrix.from_rows(
-            [
-                [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-                for _ in range(n)
-            ]
-        )
+        return [
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)
+        ]
 
     for n in (2, 3):
         for _ in range(10):
@@ -485,11 +483,13 @@ def test_trace_certificate_forces_zero():
 
 
 def test_trace_certificate_validation():
-    A = RatMatrix.identity(2)
+    A = [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         trace_certificate(A, A, 0, 1)
     with pytest.raises(ValueError):
-        trace_certificate(A, RatMatrix.identity(3), 1, 1)
+        trace_certificate(A, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 1)
+    with pytest.raises(ValueError):
+        trace_certificate(A, [[1, 0], [0]], 1, 1)
 
 
 # -- characters ---------------------------------------------------------------------

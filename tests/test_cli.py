@@ -493,6 +493,29 @@ def test_file_entry_in_other_variables_exits_two_before_expanding(capsys, tmp_pa
     assert err.endswith(f"column 5: variable 'y' is not one of D, x in {WIDE_ENTRY!r}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["verify-algebra", "--alg"], [1], "algebra file is not an object"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "p": 1},
+         "algebra parameter p=1 is not a rational string"),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "free", "rank": 1, "action": [1]},
+         "module action is not an object"),
+    ],
+    ids=["algebra-file-list", "algebra-p-number", "module-action-list"],
+)
+def test_file_of_the_wrong_json_shape_exits_two(capsys, tmp_path, argv, data, message):
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv + [f"file:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.endswith(f"{message}\n")
+
+
 def test_file_above_size_limit_exits_two(capsys, tmp_path):
     path = tmp_path / "padded.json"
     # A valid algebra file, padded with whitespace past the limit.

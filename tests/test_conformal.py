@@ -13,15 +13,10 @@ import pytest
 
 from confal.conformal import (
     ConformalAlgebra,
-    NotAnIdealError,
     TruncationPolicy,
     WindowOverflowError,
-    block_embedding,
-    bracket,
     check_jacobi,
-    check_morphism,
     check_skew,
-    compose,
     jacobi_residual,
     make_block,
     make_bn,
@@ -29,7 +24,6 @@ from confal.conformal import (
     make_heisenberg_virasoro_misprint,
     make_schrodinger_virasoro,
     make_virasoro,
-    quotient_by_tail,
     skew_residual,
 )
 from confal.linalg import add_terms
@@ -81,15 +75,22 @@ def test_bn_is_block_at_minus_n():
         make_bn(0)
 
 
-def test_element_bracket_sesquilinear_oracle():
-    # [f(D) L_0  g(D) L_0] = f(-x) g(D+x) (D + 2x) L_0 at p = 1, window 0
-    # with f = D, g = 1: expect -x (D + 2x) = -xD - 2x^2 on L_0.
-    alg = make_block(1, 0, TRUNC)
-    value = bracket(alg, {0: DEL}, {0: Poly.one()})
-    assert value == {0: -LAM * DEL - 2 * LAM**2}
-    # and with f = 1, g = D: (D + x)(D + 2x).
-    value = bracket(alg, {0: Poly.one()}, {0: DEL})
-    assert value == {0: (DEL + LAM) * (DEL + 2 * LAM)}
+def _rescaled(alg, c):
+    """The table of ``alg`` in the basis ``e_i = c_i L_i``."""
+    return {
+        (i, j): {k: (c[i] * c[j] / c[k]) * s for k, s in entry.items()}
+        for (i, j), entry in alg.structure.items()
+    }
+
+
+def test_bn_rescales_to_hv_and_sv():
+    # b(1) and b(2) are HV and SV up to a diagonal rescaling of generators.
+    assert _rescaled(make_bn(1), [Fraction(-1), Fraction(1)]) == (
+        make_heisenberg_virasoro().structure
+    )
+    assert _rescaled(make_bn(2), [Fraction(-1, 2), Fraction(1), Fraction(-1)]) == (
+        make_schrodinger_virasoro().structure
+    )
 
 
 # -- axiom runs ----------------------------------------------------------------
@@ -319,60 +320,6 @@ def test_compiled_jacobi_matches_reference_on_random_tables():
         assert_kernel_matches_reference(alg)
 
     check()
-
-
-# -- morphisms and quotients -----------------------------------------------------
-
-
-def test_block_embedding_intertwines():
-    for p in (Fraction(1), Fraction(-2), Fraction(1, 2)):
-        for n in (2, 3):
-            phi = block_embedding(p, n, 2)
-            report = check_morphism(phi)
-            assert report.ok
-            assert report.injective_on_generators
-            assert report.pairs_checked == 6
-
-
-def test_block_embedding_composes():
-    inner = block_embedding(1, 2, 2)
-    outer = block_embedding(2, 3, 4)
-    chained = compose(outer, inner)
-    assert chained.index_scale == 6
-    report = check_morphism(chained)
-    assert report.ok
-    direct = block_embedding(1, 6, 2)
-    for i in range(3):
-        assert chained.images[i] == direct.images[i]
-
-
-def test_broken_morphism_is_reported():
-    phi = block_embedding(1, 2, 2)
-    phi.images[1] = {2: Poly.const(1)}  # wrong normalization
-    report = check_morphism(phi)
-    assert not report.ok
-    assert any(f.i == 1 or f.j == 1 for f in report.failures)
-
-
-def test_quotient_by_tail_matches_direct_construction():
-    big = make_block(-2, 5, TRUNC)
-    q = quotient_by_tail(big, 2)
-    bn = make_bn(2)
-    assert q.window == 2
-    for i in range(3):
-        for j in range(3):
-            assert q.structure_of(i, j) == bn.structure_of(i, j)
-    assert check_skew(q).ok and check_jacobi(q).ok
-
-
-def test_quotient_rejects_leaky_span():
-    alg = make_block(1, 3, TRUNC)
-    # make the bracket of a tail pair leak back under the cut.
-    alg.structure[(3, 1)] = {0: LAM}
-    with pytest.raises(NotAnIdealError):
-        quotient_by_tail(alg, 2)
-    with pytest.raises(ValueError):
-        quotient_by_tail(make_block(1, 3, TRUNC), 7)
 
 
 def test_handwritten_table_checks_like_builtin():

@@ -123,6 +123,26 @@ def test_pow_rejects_bad_exponents():
         DEL ** Fraction(1, 2)  # type: ignore[operator]
 
 
+def test_pow_forms_no_product_above_the_result_degree(monkeypatch):
+    # Square-and-multiply must stop squaring once the exponent is used up:
+    # (D+x+1)^32 needs no product of degree 64.
+    degrees = []
+    mul = Poly.__mul__
+
+    def recording_mul(self, other):
+        product = mul(self, other)
+        degrees.append(product.total_degree())
+        return product
+
+    monkeypatch.setattr(Poly, "__mul__", recording_mul)
+    base = DEL + LAM + 1
+    for n in (1, 2, 5, 32):
+        degrees.clear()
+        assert (base ** n).total_degree() == n
+        assert max(degrees) == n
+    assert base ** 0 == Poly.one()
+
+
 def test_divmod_oracle():
     # (D^2 + 3D + 2) / (D + 1) = (D + 2, 0)
     f = DEL**2 + 3 * DEL + 2

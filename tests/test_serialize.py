@@ -195,6 +195,16 @@ def test_readme_algebra_file_example_loads():
     assert check_skew(alg).ok and check_jacobi(alg).ok
 
 
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "False\nD + 3\n"
+
+
 def test_algebra_without_window_names_the_field():
     d = algebra_to_dict(make_block(1, 2, TRUNC))
     del d["window"]
@@ -232,6 +242,11 @@ def test_algebra_rejections():
             algebra_from_dict(corrupt(structure={"0,0": entry}))
     with pytest.raises(ParseError):
         algebra_from_dict(corrupt(policy="maybe"))
+    # A file of the wrong JSON shape is refused, not left to fail on access.
+    for data in ([1], corrupt(structure=[1]), corrupt(structure=[["0,0", {"0": "D"}]]),
+                 corrupt(p=1)):
+        with pytest.raises(ParseError):
+            algebra_from_dict(data)
 
 
 # -- module files -----------------------------------------------------------------
@@ -295,6 +310,9 @@ def test_module_rejections():
                 {"format": "confal-module", "kind": "free", "rank": 1,
                  "action": {"0,0": entry}}
             )
+    for data in ([1], {"format": "confal-module", "kind": "free", "rank": 1, "action": [1]}):
+        with pytest.raises(ParseError):
+            module_from_dict(data)
 
 
 # -- file IO ------------------------------------------------------------------------
