@@ -35,11 +35,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import linalg
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
-from .linalg import add_terms
+from .linalg import add_terms, render_combo
 from .poly import Poly, Var
 
 Label = str
@@ -291,6 +291,16 @@ class CentralityReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "element": self.element,
+            "checked": self.checked,
+            "excluded": self.excluded,
+            "failures": [
+                {"against": label, "residual": render_combo(r)} for label, r in self.failures
+            ],
+        }
+
 
 def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
     """Verify that ``T - (1/p) L(0,-1)`` commutes with every basis element.
@@ -361,6 +371,21 @@ class LieReport:
     @property
     def ok(self) -> bool:
         return not self.antisymmetry_failures and not self.jacobi_failures
+
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "pairs_checked": self.pairs_checked,
+            "triples_checked": self.triples_checked,
+            "triples_excluded": self.triples_excluded,
+            "antisymmetry_failures": [
+                {"pair": [x, y], "residual": render_combo(r)}
+                for x, y, r in self.antisymmetry_failures
+            ],
+            "jacobi_failures": [
+                {"triple": [x, y, z], "residual": render_combo(r)}
+                for x, y, z, r in self.jacobi_failures
+            ],
+        }
 
 
 def check_lie(alg: FiniteLieAlgebra) -> LieReport:
@@ -498,6 +523,21 @@ class ResonanceReport:
         default_factory=list
     )
 
+    def to_payload(self) -> dict[str, Any]:
+        corner = self.corner_coefficient
+        return {
+            "case": self.case.value,
+            "resonances": [list(r) for r in self.resonances],
+            "top_resonance": list(self.top_resonance) if self.top_resonance else None,
+            "ideal_name": self.ideal_name,
+            "ideal": list(self.ideal),
+            "corner_coefficient": str(corner) if corner is not None else None,
+            "corner_internal_brackets": [
+                {"pair": [x, y], "value": render_combo(v)}
+                for x, y, v in self.corner_internal_brackets
+            ],
+        }
+
 
 def resonance_analysis(G: FiniteLieAlgebra) -> ResonanceReport:
     """Classify the zero-eigenvalue locus of ``ad J(0,0)`` and name the ideal.
@@ -597,6 +637,17 @@ class IdealReport:
     nilpotent: bool
     nilpotency_class: int | None
     series_dims: list[int]
+
+    def to_payload(self, ideal_name: str) -> dict[str, Any]:
+        """The structure of the span, which the caller names ``ideal_name``."""
+        return {
+            "ideal_name": ideal_name,
+            "is_ideal": self.is_ideal,
+            "abelian": self.abelian,
+            "nilpotent": self.nilpotent,
+            "nilpotency_class": self.nilpotency_class,
+            "series_dims": self.series_dims,
+        }
 
 
 def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealReport:
@@ -716,6 +767,14 @@ class CharacterReport:
     character_dim: int
     characters: list[dict[Label, Fraction]]
     verified: bool
+
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "dimension": self.dimension,
+            "derived_rank": self.derived_rank,
+            "character_dim": self.character_dim,
+            "characters": [render_combo(phi) for phi in self.characters],
+        }
 
 
 def characters(alg: FiniteLieAlgebra) -> CharacterReport:

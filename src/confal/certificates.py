@@ -6,6 +6,9 @@ UNDECIDED plus a structured payload), and the caveat list.  All rationals
 are rendered ``a/b`` (or ``a``), all polynomials in the canonical term
 order, and collections are sorted before rendering, so byte-identical runs
 produce byte-identical certificates.
+
+Each checker's report renders its own payload (``to_payload``); the two
+table blocks, which identify a table by its hash, are rendered here.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import Any
 from . import __version__
 from .annihilation import FiniteLieAlgebra
 from .conformal import ConformalAlgebra
-from .serialize import poly_str, rat_str
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -43,6 +45,10 @@ class Certificate:
     def add(self, name: str, status: str, payload: dict[str, Any] | None = None) -> None:
         self.results.append(CheckResult(name, status, payload or {}))
 
+    def check(self, name: str, ok: bool, payload: dict[str, Any]) -> None:
+        """Add a result that passes exactly when ``ok``."""
+        self.add(name, PASS if ok else FAIL, payload)
+
     @property
     def exit_code(self) -> int:
         return 1 if any(r.status == FAIL for r in self.results) else 0
@@ -66,7 +72,7 @@ class Certificate:
 
 def conformal_table_hash(alg: ConformalAlgebra) -> str:
     data = {
-        f"{i},{j}": {str(k): poly_str(v) for k, v in sorted(entry.items())}
+        f"{i},{j}": {str(k): str(v) for k, v in sorted(entry.items())}
         for (i, j), entry in sorted(alg.structure.items())
     }
     blob = json.dumps(data, sort_keys=True).encode("utf-8")
@@ -75,8 +81,36 @@ def conformal_table_hash(alg: ConformalAlgebra) -> str:
 
 def lie_table_hash(alg: FiniteLieAlgebra) -> str:
     data = {
-        f"{x}|{y}": {label: rat_str(c) for label, c in sorted(entry.items())}
+        f"{x}|{y}": {label: str(c) for label, c in sorted(entry.items())}
         for (x, y), entry in sorted(alg.table.items())
     }
     blob = json.dumps(data, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def structure_table(alg: ConformalAlgebra) -> dict[str, Any]:
+    """Payload of the ``structure_table`` block: the table's identity and hash."""
+    return {
+        "algebra": alg.name,
+        "window": alg.window,
+        "policy": alg.policy.value,
+        "sha256": conformal_table_hash(alg),
+    }
+
+
+def bracket_table(alg: FiniteLieAlgebra, expanded: bool) -> dict[str, Any]:
+    """Payload of the ``bracket_table`` block: the table's identity and hash.
+
+    A mode expansion (``expanded``) also states that the closed form agreed,
+    which :func:`~confal.annihilation.build_annihilation` enforces, and how
+    many pairs lost a product to the window.
+    """
+    payload: dict[str, Any] = {
+        "algebra": alg.name,
+        "basis_size": len(alg.basis),
+        "sha256": lie_table_hash(alg),
+    }
+    if expanded:
+        payload["closed_form_cross_check"] = "agreed"
+        payload["truncated_pairs"] = len(alg.truncated_pairs)
+    return payload

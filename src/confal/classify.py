@@ -37,12 +37,12 @@ irreducibility dichotomy against the report's own claims.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Any
 
 from . import linalg
-from .conformal import ConformalAlgebra, TruncationPolicy, make_block, make_bn
+from .conformal import TruncationPolicy, make_block, make_bn
 from .modules import (
     FAMILY_BETA,
     FAMILY_PLAIN,
@@ -106,6 +106,21 @@ class BatteryResult:
     def all_violated(self) -> bool:
         return self.samples == self.violations
 
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "seed": self.seed,
+            "samples": self.samples,
+            "violations": self.violations,
+            "certificates": [
+                {
+                    "candidate": str(c.candidate),
+                    "witness_point": c.witness_point,
+                    "residual_terms": sum(1 for _ in c.residual.terms()),
+                }
+                for c in self.certificates
+            ],
+        }
+
 
 @dataclass
 class ClassificationReport:
@@ -120,6 +135,25 @@ class ClassificationReport:
     battery: BatteryResult
     caveats: list[str]
     undecided: list[int]
+
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "algebra": self.algebra,
+            "p": str(self.p),
+            "top_index_bound": self.top_index_bound,
+            "degree_bound": self.degree_bound,
+            "families": [asdict(fam) for fam in self.families],
+            "steps": [
+                {
+                    "rule": step.rule,
+                    "top_index": step.top_index,
+                    "polys": {key: str(val) for key, val in sorted(step.polys.items())},
+                    "conclusion": step.conclusion,
+                }
+                for step in self.steps
+            ],
+            "undecided": self.undecided,
+        }
 
 
 def symmetry_residual(f: Poly) -> Poly:
@@ -212,7 +246,10 @@ def _composed_identity_coefficient(p: Fraction, index: int) -> Poly:
 
 
 def _mu_zero_kernel_dim(p: Fraction, index: int, degree_bound: int) -> int:
-    """Exact kernel dimension of ``f(x) -> -(index+p) x f(x)`` on degree <= bound."""
+    """Exact kernel dimension of ``f(x) -> -(index+p) x f(x)`` on degree <= bound.
+
+    By rank-nullity it is the number of coefficients less the rank.
+    """
     rows = []
     # Coefficient of x^(e+1) in -(index+p) x f is -(index+p) f_e: one row per
     # output degree, diagonal system.
@@ -222,7 +259,7 @@ def _mu_zero_kernel_dim(p: Fraction, index: int, degree_bound: int) -> int:
         for j in range(degree_bound + 1):
             row.append(scale if out_deg == j + 1 else Fraction(0))
         rows.append(row)
-    return len(linalg.nullspace(rows, degree_bound + 1))
+    return degree_bound + 1 - linalg.rank(rows)
 
 
 def shift_kernel(degree_bound: int) -> list[list[Fraction]]:
@@ -439,6 +476,9 @@ def classify_bn(n: int, degree_bound: int = 6, seed: int = 0) -> ClassificationR
 
 _GRID = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)]
 _BETA_GRID = [Fraction(0), Fraction(1), Fraction(-2)]
+
+#: The parameter grid of :func:`verify_report`, as certificates state it.
+SELF_CHECK_GRID = "delta, alpha in {0, 1, -2, 1/2}; beta in {0, 1, -2}"
 
 
 def _eval_condition(condition: str, delta: Fraction, beta: Fraction | None) -> bool:

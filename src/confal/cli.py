@@ -1,8 +1,11 @@
 """Command-line front end emitting JSON certificates.
 
 Subcommands: ``verify-algebra``, ``verify-module``, ``classify``,
-``annihilation``.  Exit codes: 0 when every check passed, 1 when any check
-failed, 2 on malformed input, on a table whose checked identities leave its
+``annihilation``.  Each one parses its arguments, builds its inputs, runs
+the checkers in order and adds each report's own payload (``to_payload``) to
+the certificate.  Exit codes: 0 when every check passed, 1 when any check
+failed, 2 with one line on stderr on malformed input (usage errors
+included), on a table whose checked identities leave its
 ERROR_ON_OVERFLOW window, or when ``--out`` cannot be written.  The
 environment variable ``CONFAL_SEED`` (an integer, default 0) fixes the
 randomness of falsification batteries, so certificates are byte-stable run
@@ -16,10 +19,10 @@ import contextlib
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import certificates as cert
 from .annihilation import (
-    LieReport,
     annihilation_subquotient,
     build_annihilation,
     characters,
@@ -28,7 +31,7 @@ from .annihilation import (
     ideal_and_nilpotency,
     resonance_analysis,
 )
-from .classify import classify_bn, classify_rank_one, verify_report
+from .classify import SELF_CHECK_GRID, classify_bn, classify_rank_one, verify_report
 from .conformal import (
     ConformalAlgebra,
     TruncationPolicy,
@@ -58,9 +61,6 @@ from .serialize import (
     load_json,
     module_from_dict,
     parse_rat,
-    poly_str,
-    rat_str,
-    render_combo,
 )
 
 
@@ -93,8 +93,15 @@ def _seed_from_env() -> int:
         raise InputError(f"CONFAL_SEED must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are one line on stderr and exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confal",
         description="exact checks and certificates for windowed Lie "
         "conformal algebras",
@@ -190,7 +197,7 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict
             alg = make_block(args.p, args.window, policy)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        inputs.update(p=rat_str(args.p), window=args.window, policy=args.policy)
+        inputs.update(p=str(args.p), window=args.window, policy=args.policy)
     elif selector == "bn":
         if args.n is None:
             raise InputError("--alg bn needs --n")
@@ -250,52 +257,15 @@ def _module_from_args(
 
 def _algebra_results(alg: ConformalAlgebra, certificate: cert.Certificate) -> None:
     skew = check_skew(alg)
-    certificate.add(
-        "skew_symmetry",
-        cert.PASS if skew.ok else cert.FAIL,
-        {
-            "algebra": alg.name,
-            "pairs_checked": skew.pairs_checked,
-            "failures": [
-                {
-                    "pair": [f.i, f.j],
-                    "residual": render_combo(f.residual, alg.gen_name),
-                }
-                for f in skew.failures
-            ],
-        },
-    )
+    certificate.check("skew_symmetry", skew.ok, skew.to_payload())
     jac = check_jacobi(alg)
-    certificate.add(
-        "jacobi_identity",
-        cert.PASS if jac.ok else cert.FAIL,
-        {
-            "algebra": alg.name,
-            "triples_checked": jac.triples_checked,
-            "failures": [
-                {
-                    "triple": [f.i, f.j, f.k],
-                    "residual": render_combo(f.residual, alg.gen_name),
-                }
-                for f in jac.failures
-            ],
-        },
-    )
+    certificate.check("jacobi_identity", jac.ok, jac.to_payload())
 
 
 def cmd_verify_algebra(args: argparse.Namespace) -> cert.Certificate:
     alg, inputs = _algebra_from_args(args)
     certificate = cert.Certificate(command="verify-algebra", inputs=inputs)
-    certificate.add(
-        "structure_table",
-        cert.PASS,
-        {
-            "algebra": alg.name,
-            "window": alg.window,
-            "policy": alg.policy.value,
-            "sha256": cert.conformal_table_hash(alg),
-        },
-    )
+    certificate.add("structure_table", cert.PASS, cert.structure_table(alg))
     _algebra_results(alg, certificate)
     return certificate
 
@@ -306,50 +276,18 @@ def cmd_verify_module(args: argparse.Namespace) -> cert.Certificate:
     inputs = {**inputs, **mod_inputs, "degree_bound": args.degree_bound}
     certificate = cert.Certificate(command="verify-module", inputs=inputs)
     _algebra_results(alg, certificate)
-
     report = check_module(alg, mod)
-    certificate.add(
-        "module_identity",
-        cert.PASS if report.ok else cert.FAIL,
-        {
-            "algebra": alg.name,
-            "kind": mod.kind,
-            "rank": mod.rank,
-            "pairs_checked": report.pairs_checked,
-            "failures": [
-                {
-                    "pair": [f.i, f.j],
-                    "basis": f.basis,
-                    "residual": render_combo(f.residual),
-                }
-                for f in report.failures
-            ],
-        },
-    )
-
-    if mod.kind == KIND_FREE and mod.rank == 1:
-        try:
-            verdict = is_irreducible_rank_one(mod, degree_bound=args.degree_bound)
-        except UnsupportedModuleError as exc:
-            certificate.add("irreducibility", cert.UNDECIDED, {"reason": str(exc)})
-        else:
-            payload = {
-                "verdict": "IRREDUCIBLE" if verdict.irreducible else "REDUCIBLE",
-                "criterion": verdict.criterion_irreducible,
-                "search": verdict.search_irreducible,
-                "candidates_checked": [
-                    poly_str(c) for c in verdict.candidates_checked
-                ],
-            }
-            if verdict.witness is not None:
-                payload["witness"] = poly_str(verdict.witness)
-            certificate.add("irreducibility", cert.PASS, payload)
+    certificate.check("module_identity", report.ok, report.to_payload())
+    if mod.kind != KIND_FREE or mod.rank != 1:
+        reason = "only free rank-one tables are searched"
+        certificate.add("irreducibility", cert.UNDECIDED, {"reason": reason})
+        return certificate
+    try:
+        verdict = is_irreducible_rank_one(mod, degree_bound=args.degree_bound)
+    except UnsupportedModuleError as exc:
+        certificate.add("irreducibility", cert.UNDECIDED, {"reason": str(exc)})
     else:
-        certificate.add(
-            "irreducibility",
-            cert.UNDECIDED,
-            {"reason": "only free rank-one tables are searched"},
-        )
+        certificate.add("irreducibility", cert.PASS, verdict.to_payload())
     return certificate
 
 
@@ -363,209 +301,60 @@ def cmd_classify(args: argparse.Namespace) -> cert.Certificate:
             report = classify_rank_one(
                 args.p, top_index_bound=args.K, degree_bound=args.D, seed=seed
             )
-            inputs = {"p": rat_str(args.p), "K": args.K, "D": args.D, "seed": seed}
+            inputs = {"p": str(args.p), "K": args.K, "D": args.D, "seed": seed}
     except ValueError as exc:
         raise InputError(str(exc)) from None
     certificate = cert.Certificate(command="classify", inputs=inputs)
     certificate.caveats = list(report.caveats)
-    certificate.add(
-        "classification",
-        cert.PASS if not report.undecided else cert.UNDECIDED,
-        {
-            "algebra": report.algebra,
-            "p": rat_str(report.p),
-            "top_index_bound": report.top_index_bound,
-            "degree_bound": report.degree_bound,
-            "families": [
-                {
-                    "tag": fam.tag,
-                    "description": fam.description,
-                    "irreducible_iff": fam.irreducible_iff,
-                }
-                for fam in report.families
-            ],
-            "steps": [
-                {
-                    "rule": step.rule,
-                    "top_index": step.top_index,
-                    "polys": {
-                        key: poly_str(val) for key, val in sorted(step.polys.items())
-                    },
-                    "conclusion": step.conclusion,
-                }
-                for step in report.steps
-            ],
-            "undecided": report.undecided,
-        },
-    )
+    status = cert.UNDECIDED if report.undecided else cert.PASS
+    certificate.add("classification", status, report.to_payload())
     battery = report.battery
-    certificate.add(
-        "falsification_battery",
-        cert.PASS if battery.all_violated else cert.FAIL,
-        {
-            "seed": battery.seed,
-            "samples": battery.samples,
-            "violations": battery.violations,
-            "certificates": [
-                {
-                    "candidate": poly_str(c.candidate),
-                    "witness_point": c.witness_point,
-                    "residual_terms": sum(1 for _ in c.residual.terms()),
-                }
-                for c in battery.certificates
-            ],
-        },
-    )
-    self_check = verify_report(report)
-    certificate.add(
-        "self_check",
-        cert.PASS if self_check else cert.FAIL,
-        {"grid": "delta, alpha in {0, 1, -2, 1/2}; beta in {0, 1, -2}"},
-    )
+    certificate.check("falsification_battery", battery.all_violated, battery.to_payload())
+    certificate.check("self_check", verify_report(report), {"grid": SELF_CHECK_GRID})
     return certificate
-
-
-def _lie_payload(lie: LieReport) -> dict:
-    return {
-        "pairs_checked": lie.pairs_checked,
-        "triples_checked": lie.triples_checked,
-        "triples_excluded": lie.triples_excluded,
-        "antisymmetry_failures": [
-            {"pair": [x, y], "residual": render_combo(r)}
-            for x, y, r in lie.antisymmetry_failures
-        ],
-        "jacobi_failures": [
-            {"triple": [x, y, z], "residual": render_combo(r)}
-            for x, y, z, r in lie.jacobi_failures
-        ],
-    }
 
 
 def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
     # Each mode refuses the other mode's flags rather than ignoring them.
     if args.G:
-        mode = "--G"
+        mode, needs = "--G", "--k and --N"
         given = {"--idx": args.idx is not None, "--mode": args.mode is not None,
                  "--extended": args.extended}
+        missing = args.k is None or args.N is None
     else:
-        mode = "mode expansion"
+        mode, needs = "mode expansion", "--idx and --mode"
         given = {"--k": args.k is not None, "--N": args.N is not None}
+        missing = args.idx is None or args.mode is None
     stray = [flag for flag, present in given.items() if present]
     if stray:
         raise InputError(f"{mode} does not take {', '.join(stray)}")
-    if args.G:
-        if args.k is None or args.N is None:
-            raise InputError("--G needs --k and --N")
-        try:
-            G = annihilation_subquotient(args.p, args.k, args.N)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
-        inputs = {"G": True, "p": rat_str(args.p), "k": args.k, "N": args.N}
-        certificate = cert.Certificate(command="annihilation", inputs=inputs)
-        certificate.add(
-            "bracket_table",
-            cert.PASS,
-            {
-                "algebra": G.name,
-                "basis_size": len(G.basis),
-                "sha256": cert.lie_table_hash(G),
-            },
-        )
-        lie = check_lie(G)
-        certificate.add(
-            "lie_axioms", cert.PASS if lie.ok else cert.FAIL, _lie_payload(lie)
-        )
-        res = resonance_analysis(G)
-        certificate.add(
-            "resonance_analysis",
-            cert.PASS,
-            {
-                "case": res.case.value,
-                "resonances": [list(r) for r in res.resonances],
-                "top_resonance": list(res.top_resonance)
-                if res.top_resonance
-                else None,
-                "ideal_name": res.ideal_name,
-                "ideal": list(res.ideal),
-                "corner_coefficient": rat_str(res.corner_coefficient)
-                if res.corner_coefficient is not None
-                else None,
-                "corner_internal_brackets": [
-                    {"pair": [x, y], "value": render_combo(v)}
-                    for x, y, v in res.corner_internal_brackets
-                ],
-            },
-        )
-        ideal = ideal_and_nilpotency(G, list(res.ideal))
-        certificate.add(
-            "ideal_structure",
-            cert.PASS if ideal.is_ideal else cert.FAIL,
-            {
-                "ideal_name": res.ideal_name,
-                "is_ideal": ideal.is_ideal,
-                "abelian": ideal.abelian,
-                "nilpotent": ideal.nilpotent,
-                "nilpotency_class": ideal.nilpotency_class,
-                "series_dims": ideal.series_dims,
-            },
-        )
-        chars = characters(G)
-        certificate.add(
-            "characters",
-            cert.PASS if chars.verified else cert.FAIL,
-            {
-                "dimension": chars.dimension,
-                "derived_rank": chars.derived_rank,
-                "character_dim": chars.character_dim,
-                "characters": [render_combo(phi) for phi in chars.characters],
-            },
-        )
-        return certificate
-
-    if args.idx is None or args.mode is None:
-        raise InputError("mode expansion needs --idx and --mode")
+    if missing:
+        raise InputError(f"{mode} needs {needs}")
     try:
-        base = make_block(args.p, args.idx, TruncationPolicy.TRUNCATE_TO_ZERO)
-        ext = build_annihilation(base, args.idx, args.mode, extended=args.extended)
+        if args.G:
+            alg = annihilation_subquotient(args.p, args.k, args.N)
+            inputs = {"G": True, "p": str(args.p), "k": args.k, "N": args.N}
+        else:
+            base = make_block(args.p, args.idx, TruncationPolicy.TRUNCATE_TO_ZERO)
+            alg = build_annihilation(base, args.idx, args.mode, extended=args.extended)
+            inputs = {"p": str(args.p), "idx": args.idx, "mode": args.mode,
+                      "extended": args.extended}
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    inputs = {
-        "p": rat_str(args.p),
-        "idx": args.idx,
-        "mode": args.mode,
-        "extended": args.extended,
-    }
     certificate = cert.Certificate(command="annihilation", inputs=inputs)
-    certificate.add(
-        "bracket_table",
-        cert.PASS,
-        {
-            "algebra": ext.name,
-            "basis_size": len(ext.basis),
-            "sha256": cert.lie_table_hash(ext),
-            "closed_form_cross_check": "agreed",
-            "truncated_pairs": len(ext.truncated_pairs),
-        },
-    )
-    lie = check_lie(ext)
-    certificate.add(
-        "lie_axioms", cert.PASS if lie.ok else cert.FAIL, _lie_payload(lie)
-    )
-    if args.extended:
-        central = check_central(ext)
-        certificate.add(
-            "centrality",
-            cert.PASS if central.ok else cert.FAIL,
-            {
-                "element": central.element,
-                "checked": central.checked,
-                "excluded": central.excluded,
-                "failures": [
-                    {"against": label, "residual": render_combo(r)}
-                    for label, r in central.failures
-                ],
-            },
-        )
+    certificate.add("bracket_table", cert.PASS, cert.bracket_table(alg, expanded=not args.G))
+    lie = check_lie(alg)
+    certificate.check("lie_axioms", lie.ok, lie.to_payload())
+    if args.G:
+        res = resonance_analysis(alg)
+        certificate.add("resonance_analysis", cert.PASS, res.to_payload())
+        ideal = ideal_and_nilpotency(alg, list(res.ideal))
+        certificate.check("ideal_structure", ideal.is_ideal, ideal.to_payload(res.ideal_name))
+        chars = characters(alg)
+        certificate.check("characters", chars.verified, chars.to_payload())
+    elif args.extended:
+        central = check_central(alg)
+        certificate.check("centrality", central.ok, central.to_payload())
     return certificate
 
 

@@ -34,9 +34,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
-from .linalg import add_terms
+from .linalg import add_terms, render_combo
 from .poly import DEL, LAM, MU, Poly, Var
 
 GenId = int
@@ -81,9 +81,6 @@ class ConformalAlgebra:
 
     def generators(self) -> range:
         return range(self.window + 1)
-
-    def gen_name(self, i: GenId) -> str:
-        return self.gen_names[i]
 
     def pair_defined(self, i: GenId, j: GenId) -> bool:
         """Whether the bracket of the pair is available under the policy."""
@@ -256,6 +253,7 @@ class TripleResidual:
 @dataclass
 class SkewReport:
     algebra: str
+    gen_names: tuple[str, ...]
     pairs_checked: int
     failures: list[PairResidual] = field(default_factory=list)
 
@@ -263,16 +261,39 @@ class SkewReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "algebra": self.algebra,
+            "pairs_checked": self.pairs_checked,
+            "failures": [
+                {"pair": [f.i, f.j],
+                 "residual": render_combo(f.residual, self.gen_names.__getitem__)}
+                for f in self.failures
+            ],
+        }
+
 
 @dataclass
 class JacobiReport:
     algebra: str
+    gen_names: tuple[str, ...]
     triples_checked: int
     failures: list[TripleResidual] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "algebra": self.algebra,
+            "triples_checked": self.triples_checked,
+            "failures": [
+                {"triple": [f.i, f.j, f.k],
+                 "residual": render_combo(f.residual, self.gen_names.__getitem__)}
+                for f in self.failures
+            ],
+        }
 
 
 def skew_residual(alg: ConformalAlgebra, i: GenId, j: GenId) -> LambdaValue:
@@ -293,7 +314,7 @@ def check_skew(alg: ConformalAlgebra) -> SkewReport:
     vanishes iff the lower-triangle residual does, and each genuine failure is
     reported once.
     """
-    report = SkewReport(algebra=alg.name, pairs_checked=0)
+    report = SkewReport(alg.name, alg.gen_names, pairs_checked=0)
     for i in alg.generators():
         for j in range(i + 1):
             if not (alg.pair_defined(i, j) and alg.pair_defined(j, i)):
@@ -393,7 +414,7 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
     The bracket table is compiled once for the whole walk, so each entry is
     substituted once per pair instead of once per triple that uses it.
     """
-    report = JacobiReport(algebra=alg.name, triples_checked=0)
+    report = JacobiReport(alg.name, alg.gen_names, triples_checked=0)
     table = _CompiledTable(alg)
     gens = list(alg.generators())
     for a in gens:

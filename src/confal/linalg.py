@@ -15,7 +15,7 @@ return dense rows for the callers that build small dense systems.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 Vector = list[Fraction]
 SparseRow = dict[int, Fraction]
@@ -39,6 +39,15 @@ def add_terms(out: dict[K, V], terms: Iterable[tuple[K, V]]) -> dict[K, V]:
         else:
             out.pop(key, None)
     return out
+
+
+def render_combo(combo: Mapping[K, V], name: Callable[[K], str] = str) -> dict[str, str]:
+    """A sparse combination as strings, keys in sorted order, zeros left out.
+
+    ``name`` renders a key: a generator name for an index, ``str`` for an
+    index or a basis label written as itself.
+    """
+    return {name(k): str(v) for k, v in sorted(combo.items()) if v}
 
 
 class Echelon:

@@ -27,14 +27,12 @@ for every available generator pair and every basis vector, expanded exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Any, Mapping
 
-from . import linalg
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
-from .linalg import add_terms
+from .linalg import add_terms, render_combo
 from .poly import AUX1, DEL, LAM, MU, Poly, Var, divmod_in_var
 
 KIND_FREE = "free"
@@ -204,12 +202,26 @@ class ModuleFailure:
 @dataclass
 class ModuleReport:
     algebra: str
+    kind: str
+    rank: int
     pairs_checked: int
     failures: list[ModuleFailure] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+    def to_payload(self) -> dict[str, Any]:
+        return {
+            "algebra": self.algebra,
+            "kind": self.kind,
+            "rank": self.rank,
+            "pairs_checked": self.pairs_checked,
+            "failures": [
+                {"pair": [f.i, f.j], "basis": f.basis, "residual": render_combo(f.residual)}
+                for f in self.failures
+            ],
+        }
 
 
 def module_residual(
@@ -246,7 +258,7 @@ def module_residual(
 
 def check_module(alg: ConformalAlgebra, mod: ConformalModule) -> ModuleReport:
     """Verify the module identity on every available pair and basis vector."""
-    report = ModuleReport(algebra=alg.name, pairs_checked=0)
+    report = ModuleReport(alg.name, mod.kind, mod.rank, pairs_checked=0)
     for i in alg.generators():
         for j in alg.generators():
             if not alg.pair_defined(i, j):
@@ -353,51 +365,28 @@ class IrreducibilityVerdict:
     witness: Poly | None
     candidates_checked: list[Poly] = field(default_factory=list)
 
+    def to_payload(self) -> dict[str, Any]:
+        payload: dict[str, Any] = {
+            "verdict": "IRREDUCIBLE" if self.irreducible else "REDUCIBLE",
+            "criterion": self.criterion_irreducible,
+            "search": self.search_irreducible,
+            "candidates_checked": [str(c) for c in self.candidates_checked],
+        }
+        if self.witness is not None:
+            payload["witness"] = str(self.witness)
+        return payload
 
-def _invariance_candidate(alpha: Fraction, degree: int) -> Poly | None:
+
+def _invariance_candidate(alpha: Fraction, degree: int) -> Poly:
     """The unique monic degree-``d`` solution of the linear invariance condition.
 
     A monic ``g`` generating an invariant span under an action with
     ``L_0 -> c1 (D + delta x + alpha)`` must satisfy the bracket-variable
-    linear part ``g'(D) (D + alpha) - d g(D) = 0``.  The system is solved
-    exactly; it is triangular with nonzero diagonal, so the solution exists
-    and is unique for every degree.
+    linear part ``g'(D) (D + alpha) - d g(D) = 0``.  Its solution is
+    ``(D + alpha)^d``: the condition reads ``(D + alpha) g' = d g``, whose
+    monic polynomial solutions of degree ``d`` are that power alone.
     """
-    d = degree
-    base = Poly.variable(Var.PARTIAL) ** d
-    fixed = _derivative_condition(base, alpha, d)
-    columns = []
-    for j in range(d):
-        columns.append(_derivative_condition(Poly.variable(Var.PARTIAL) ** j, alpha, d))
-    rows = []
-    rhs = []
-    for e in range(d + 1):
-        rows.append(
-            [
-                col.coeff_in(Var.PARTIAL, e) * Fraction(1, math.factorial(e))
-                for col in columns
-            ]
-        )
-        rhs.append(-(fixed.coeff_in(Var.PARTIAL, e) * Fraction(1, math.factorial(e))))
-    rows = [[c.as_constant() for c in row] for row in rows]
-    rhs = [v.as_constant() for v in rhs]
-    solution = linalg.solve(rows, rhs)
-    if solution is None:
-        return None
-    g = base
-    for j, coeff in enumerate(solution):
-        g = g + coeff * Poly.variable(Var.PARTIAL) ** j
-    return g
-
-
-def _derivative_condition(mono: Poly, alpha: Fraction, d: int) -> Poly:
-    """``g'(D) (D + alpha) - d g(D)`` restricted to one monomial ``g``."""
-    deriv = Poly.zero()
-    for exp, c in mono.terms():
-        e = exp[Var.PARTIAL]
-        if e:
-            deriv = deriv + c * e * Poly.variable(Var.PARTIAL) ** (e - 1)
-    return deriv * (DEL + alpha) - d * mono
+    return (DEL + alpha) ** degree
 
 
 def is_irreducible_rank_one(
@@ -426,8 +415,6 @@ def is_irreducible_rank_one(
     candidates: list[Poly] = []
     for degree in range(1, degree_bound + 1):
         candidate = _invariance_candidate(tag.alpha, degree)
-        if candidate is None:
-            continue
         candidates.append(candidate)
         result = submodule_action(mod, candidate)
         if result.invariant and witness is None:

@@ -33,7 +33,7 @@ import ast
 import json
 import os
 from fractions import Fraction
-from typing import Any, Callable, Collection, Mapping
+from typing import Any, Collection
 
 from .conformal import ConformalAlgebra, LambdaValue, TruncationPolicy
 from .modules import (
@@ -44,6 +44,7 @@ from .modules import (
     FamilyTag,
     infer_family,
 )
+from .linalg import render_combo
 from .poly import SPELLING_TO_VAR, Poly, Var
 
 
@@ -51,30 +52,11 @@ class ParseError(ValueError):
     """Malformed textual input, annotated with a position where possible."""
 
 
-def rat_str(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def parse_rat(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}: {exc}") from None
-
-
-def poly_str(poly: Poly) -> str:
-    return str(poly)
-
-
-def render_combo(
-    combo: Mapping[Any, Poly | Fraction], name: Callable[[Any], str] = str
-) -> dict[str, str]:
-    """A sparse combination as strings, keys in sorted order, zeros left out.
-
-    ``name`` renders a key: a generator name for an index, ``str`` for an
-    index or a basis label written as itself.
-    """
-    return {name(k): str(v) for k, v in sorted(combo.items()) if v}
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -191,6 +173,23 @@ def _object(value: Any, what: str) -> dict[str, Any]:
     return value
 
 
+def _integer(value: Any, what: str) -> int:
+    """``value`` itself, if it is a JSON integer; ParseError otherwise.
+
+    ``true``, ``1.0`` and ``"1"`` are refused, not coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what}={value!r} is not an integer")
+    return value
+
+
+def _rational(value: Any, what: str) -> Fraction:
+    """``value`` parsed, if it is a rational string; ParseError otherwise."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what}={value!r} is not a rational string")
+    return parse_rat(value)
+
+
 def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly]:
     """One structure or action entry of a file: target index -> polynomial.
 
@@ -228,7 +227,7 @@ def algebra_to_dict(alg: ConformalAlgebra) -> dict[str, Any]:
         "name": alg.name,
         "kind": alg.kind,
         "window": alg.window,
-        "p": rat_str(alg.param_p) if alg.param_p is not None else None,
+        "p": str(alg.param_p) if alg.param_p is not None else None,
         "policy": alg.policy.value,
         "generators": list(alg.gen_names),
         "structure": structure,
@@ -250,12 +249,14 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
         raise ParseError("not an algebra file: missing format marker")
     if "window" not in data:
         raise ParseError("malformed algebra file: missing field 'window'")
+    window = _integer(data["window"], "algebra window")
     try:
-        window = int(data["window"])
         policy = TruncationPolicy(data.get("policy", "truncate"))
-        generators = list(data.get("generators", []))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"malformed algebra file: {exc}") from None
+    generators = data.get("generators", [])
+    if not (isinstance(generators, list) and all(isinstance(g, str) for g in generators)):
+        raise ParseError(f"algebra generators {generators!r} are not a list of strings")
     raw_structure = _object(data.get("structure", {}), "algebra structure")
     if window < 0:
         raise ParseError("window must be nonnegative")
@@ -266,9 +267,7 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
             f"{len(generators)} generator names for window {window}"
         )
     p_raw = data.get("p")
-    if p_raw is not None and not isinstance(p_raw, str):
-        raise ParseError(f"algebra parameter p={p_raw!r} is not a rational string")
-    p = parse_rat(p_raw) if p_raw is not None else None
+    p = _rational(p_raw, "algebra parameter p") if p_raw is not None else None
     structure: dict[tuple[int, int], LambdaValue] = {}
     for key, entry in raw_structure.items():
         i, j = _parse_pair_key(key, "structure")
@@ -297,7 +296,7 @@ def module_to_dict(mod: ConformalModule) -> dict[str, Any]:
             "format": "confal-module",
             "kind": KIND_SCALAR_DEL,
             "rank": mod.rank,
-            "alpha": rat_str(mod.alpha if mod.alpha is not None else Fraction(0)),
+            "alpha": str(mod.alpha if mod.alpha is not None else Fraction(0)),
         }
     action: dict[str, dict[str, str]] = {}
     for (i, b), entry in sorted(mod.action.items()):
@@ -317,7 +316,7 @@ def module_from_dict(data: Any) -> ConformalModule:
         raise ParseError("not a module file: missing format marker")
     kind = data.get("kind")
     if kind == KIND_SCALAR_DEL:
-        alpha = parse_rat(str(data.get("alpha", "0")))
+        alpha = _rational(data.get("alpha", "0"), "module alpha")
         return ConformalModule(
             kind=KIND_SCALAR_DEL,
             rank=1,
@@ -328,10 +327,7 @@ def module_from_dict(data: Any) -> ConformalModule:
         )
     if kind != KIND_FREE:
         raise ParseError(f"unknown module kind {kind!r}")
-    try:
-        rank = int(data.get("rank", 1))
-    except (ValueError, TypeError):
-        raise ParseError("module rank must be an integer") from None
+    rank = _integer(data.get("rank", 1), "module rank")
     if rank < 1:
         raise ParseError("module rank must be positive")
     action: dict[tuple[int, int], dict[int, Poly]] = {}

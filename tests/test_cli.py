@@ -7,6 +7,8 @@ compares raw bytes, which pins down certificate determinism at the level
 the tool actually promises it.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -503,8 +505,12 @@ def test_file_entry_in_other_variables_exits_two_before_expanding(capsys, tmp_pa
         (["verify-module", "--alg", "vir", "--mod"],
          {"format": "confal-module", "kind": "free", "rank": 1, "action": [1]},
          "module action is not an object"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 1.9},
+         "algebra window=1.9 is not an integer"),
     ],
-    ids=["algebra-file-list", "algebra-p-number", "module-action-list"],
+    ids=["algebra-file-list", "algebra-p-number", "module-action-list",
+         "algebra-window-float"],
 )
 def test_file_of_the_wrong_json_shape_exits_two(capsys, tmp_path, argv, data, message):
     path = tmp_path / "shape.json"
@@ -641,3 +647,80 @@ def test_module_entry_point_is_byte_deterministic():
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.endswith(b"\n")
+
+
+# -- the exit-code contract under fuzzed argv ------------------------------------------
+
+
+def test_fuzzed_argv_ends_in_a_verdict_or_one_line_exit_two():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def weighted(common, rare):
+        """A value from ``common``, or one time in ten a value from ``rare``."""
+        return st.integers(0, 9).flatmap(lambda n: st.sampled_from(rare if n == 0 else common))
+
+    missing = "/nonexistent/confal.json"
+    rational = weighted(["1", "-1", "1/2", "-2/3", "2"], ["0", "x", "3/0"])
+    size = weighted(["1", "2", "3"], ["-1", "0", "x"])
+    window = weighted(["0", "1", "2", "3", "4"], ["-1", "x"])
+    algebra = weighted(["block", "bn", "hv", "hv-misprint", "sv", "vir"],
+                     ["file", f"file:{missing}", "nosuch"])
+    module = weighted(["M:1:1/2", "M:0:2", "Mb:0:2:5", "Mb:1:0:3", "trivial:3"],
+                    ["M:x:1", "Q:1", f"file:{missing}"])
+    policy = weighted(["error", "truncate"], ["other"])
+
+    @st.composite
+    def argvs(draw):
+        def given(flag, values=None, rate=7):
+            """``flag`` (with a drawn value) ``rate`` times in ten, else nothing."""
+            if draw(st.integers(0, 9)) >= rate:
+                return []
+            # ``--p=-1/2``: a separate "-1/2" would read as an option.
+            return [flag] if values is None else [f"{flag}={draw(values)}"]
+
+        # classify takes about 0.1 s a run, the others a few ms.
+        command = draw(weighted(["verify-algebra", "verify-module", "annihilation"],
+                              ["classify"]))
+        # Each mode gets its own flags nine times in ten and the other
+        # mode's one time in ten.
+        mode = draw(st.booleans())
+        on, off = (9, 1) if mode else (1, 9)
+        argv = [command]
+        if command.startswith("verify"):
+            argv += (given("--alg", algebra, 9) + given("--p", rational)
+                     + given("--window", window) + given("--n", size)
+                     + given("--policy", policy, 3) + given("--file", st.just(missing), 1))
+        if command == "verify-module":
+            argv += given("--mod", module, 9) + given("--degree-bound", size, 5)
+        if command == "classify":
+            argv += (given("--p", rational, on) + given("--bn", size, off)
+                     + given("--K", size, 9) + given("--D", size, 9))
+        if command == "annihilation":
+            argv += (given("--p", rational, 9) + given("--G", rate=on)
+                     + given("--k", size, on) + given("--N", size, on)
+                     + given("--idx", size, off) + given("--mode", size, off)
+                     + given("--extended", rate=off))
+        return argv
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "", argv
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        else:
+            assert err == "", argv
+            statuses = [r["status"] for r in json.loads(out)["results"]]
+            assert code == (1 if "FAIL" in statuses else 0), argv
+
+    check()

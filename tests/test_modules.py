@@ -237,6 +237,22 @@ def test_irreducibility_candidates_are_binomial_powers():
     ]
 
 
+def test_invariance_candidate_solves_the_linear_condition():
+    # g = (D + alpha)^d solves g'(D) (D + alpha) - d g(D) = 0, and no other
+    # monic g of degree d does: the condition maps D^j to
+    # (j - d) D^j + j alpha D^(j-1), so it is injective below degree d.
+    def condition(g, alpha, d):
+        deriv = sum((c * e * DEL ** (e - 1) for (e, *_), c in g.terms() if e), Poly.zero())
+        return deriv * (DEL + alpha) - d * g
+
+    for alpha in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 5)):
+        for d in range(7):
+            assert condition((DEL + alpha) ** d, alpha, d).is_zero()
+            for j in range(d):
+                lower = j * alpha * DEL ** (j - 1) if j else 0
+                assert condition(DEL**j, alpha, d) == (j - d) * DEL**j + lower
+
+
 def test_irreducibility_cross_check_catches_mistagged_module():
     # a module whose tag lies about delta must trip the hard disagreement
     # error instead of silently trusting either answer.

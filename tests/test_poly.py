@@ -249,6 +249,36 @@ def test_mul_and_substitute_match_sympy():
         assert sympy.expand(to_sympy(a.substitute(var, rep)) - expected) == 0
 
 
+def test_divmod_in_var_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("D x y u w")
+
+    def to_sympy(poly):
+        return sympy.Add(*(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(s**e for s, e in zip(symbols, exp)))
+            for exp, c in poly.terms()
+        ))
+
+    rng = random.Random(808)
+    for _ in range(40):
+        var = rng.choice(list(Var)[:3])
+        v = Poly.variable(var)
+        f = rand_poly(rng)
+        # Leading coefficient in ``var`` a nonzero constant; the lower
+        # coefficients are polynomials in the other variables.
+        dg = rng.randint(0, 3)
+        g = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) * v**dg
+        for e in range(dg):
+            g = g + rand_poly(rng, max_degree=1).substitute(var, 0) * v**e
+        q, r = divmod_in_var(f, g, var)
+        assert q * g + r == f
+        assert r.is_zero() or r.degree_in(var) < dg
+        sq, sr = sympy.div(to_sympy(f), to_sympy(g), symbols[var])
+        assert sympy.expand(to_sympy(q) - sq) == 0
+        assert sympy.expand(to_sympy(r) - sr) == 0
+
+
 def test_hash_consistent_with_eq():
     rng = random.Random(505)
     for _ in range(30):

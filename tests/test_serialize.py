@@ -40,8 +40,6 @@ from confal.serialize import (
     module_to_dict,
     parse_poly,
     parse_rat,
-    poly_str,
-    rat_str,
     save_json,
 )
 
@@ -53,7 +51,7 @@ TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
 
 def test_rational_round_trip():
     for v in (Fraction(0), Fraction(-3), Fraction(22, 7), Fraction(-1, 2)):
-        assert parse_rat(rat_str(v)) == v
+        assert parse_rat(str(v)) == v
     assert parse_rat(" 3/4 ") == Fraction(3, 4)
     with pytest.raises(ParseError):
         parse_rat("3/0")
@@ -73,7 +71,7 @@ def test_poly_grammar_round_trip_oracle():
         -DEL * LAM + 3 * MU**2,
     ]
     for p in cases:
-        assert parse_poly(poly_str(p)) == p
+        assert parse_poly(str(p)) == p
 
 
 def test_poly_grammar_accepts_standard_forms():
@@ -142,7 +140,7 @@ def test_poly_grammar_random_round_trip():
         for _ in range(rng.randint(1, 5)):
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             p = p + c * DEL ** rng.randint(0, 3) * LAM ** rng.randint(0, 3)
-        assert parse_poly(poly_str(p)) == p
+        assert parse_poly(str(p)) == p
 
 
 # -- algebra files ---------------------------------------------------------------
@@ -247,6 +245,13 @@ def test_algebra_rejections():
                  corrupt(p=1)):
         with pytest.raises(ParseError):
             algebra_from_dict(data)
+    # Numbers and strings are not coerced: a window is a JSON integer and the
+    # generator names are a list of strings.
+    for data in (corrupt(window=2.0), corrupt(window=1.9), corrupt(window="2"),
+                 corrupt(window=True), corrupt(generators="LMN"),
+                 corrupt(generators=["L", "M", 3]), corrupt(generators=None)):
+        with pytest.raises(ParseError):
+            algebra_from_dict(data)
 
 
 # -- module files -----------------------------------------------------------------
@@ -313,6 +318,13 @@ def test_module_rejections():
     for data in ([1], {"format": "confal-module", "kind": "free", "rank": 1, "action": [1]}):
         with pytest.raises(ParseError):
             module_from_dict(data)
+    # A rank is a JSON integer and a scalar_del alpha a rational string.
+    for rank in (1.7, 1.0, "1", True):
+        with pytest.raises(ParseError):
+            module_from_dict({"format": "confal-module", "kind": "free", "rank": rank})
+    for alpha in (1, 0.5, None, ["1/2"]):
+        with pytest.raises(ParseError):
+            module_from_dict({"format": "confal-module", "kind": "scalar_del", "alpha": alpha})
 
 
 # -- file IO ------------------------------------------------------------------------
