@@ -15,11 +15,8 @@ from .poly import (  # noqa: F401
     MU,
     MissingVariableError,
     Poly,
-    ScheduleExhaustedError,
     Var,
     divmod_in_var,
-    pit_points,
-    pit_verify,
 )
 from .conformal import (  # noqa: F401
     ConformalAlgebra,
@@ -54,7 +51,6 @@ from .modules import (  # noqa: F401
     ConformalModule,
     FamilyTag,
     UnsupportedModuleError,
-    act,
     check_module,
     infer_family,
     is_irreducible_rank_one,

@@ -89,9 +89,6 @@ class FiniteLieAlgebra:
         """Basis label -> its index in ``basis``."""
         return {label: i for i, label in enumerate(self.basis)}
 
-    def index(self, label: Label) -> int:
-        return self.positions[label]
-
     def bracket_basis(self, x: Label, y: Label) -> LinComb:
         return dict(self.table.get((x, y), {}))
 
@@ -676,7 +673,7 @@ def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealR
 
     # Lower central series of the span, S^{t+1} = [S, S^t], as sparse rows
     # over the basis indices.
-    current = linalg.Echelon({alg.index(lab): Fraction(1)} for lab in span)
+    current = linalg.Echelon({alg.positions[lab]: Fraction(1)} for lab in span)
     dims = [current.rank]
     abelian: bool | None = None
     nilpotent = False
@@ -687,7 +684,7 @@ def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealR
             for row in current.pivot_rows.values():
                 comb = {alg.basis[col]: c for col, c in row.items()}
                 out = lie_bracket(alg, {s: Fraction(1)}, comb)
-                nxt.add({alg.index(lab): c for lab, c in out.items()})
+                nxt.add({alg.positions[lab]: c for lab, c in out.items()})
         if abelian is None:
             abelian = not nxt.rank
         if not nxt.rank:
@@ -786,7 +783,7 @@ def characters(alg: FiniteLieAlgebra) -> CharacterReport:
     then re-applied to every bracket as a final verification.
     """
     echelon = linalg.Echelon(
-        {alg.index(lab): c for lab, c in value.items()} for value in alg.table.values()
+        {alg.positions[lab]: c for lab, c in value.items()} for value in alg.table.values()
     )
     chars = [
         {alg.basis[col]: c for col, c in vec.items()}

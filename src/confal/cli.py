@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import NoReturn
@@ -94,7 +95,15 @@ def _seed_from_env() -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are one line on stderr and exit 2."""
+    """Argument parser whose usage errors are one line on stderr and exit 2.
+
+    A negative fraction such as ``-2/3`` is read as a value, as argparse
+    already reads ``-1`` and ``-0.5``, so ``--p -2/3`` needs no ``=``.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -150,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = pc.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=_rat_arg, help="family parameter")
     group.add_argument("--bn", type=int, help="classify over the quotient b(n)")
-    pc.add_argument("--K", type=int, default=6, help="top index bound (default 6)")
+    pc.add_argument("--K", type=int, help="top index bound for --p (default 6)")
     pc.add_argument("--D", type=int, default=6, help="degree bound (default 6)")
     pc.add_argument("--out", help="write the certificate to this path")
 
@@ -293,15 +302,18 @@ def cmd_verify_module(args: argparse.Namespace) -> cert.Certificate:
 
 def cmd_classify(args: argparse.Namespace) -> cert.Certificate:
     seed = _seed_from_env()
+    if args.bn is not None and args.K is not None:
+        raise InputError("--bn does not take --K")
     try:
         if args.bn is not None:
             report = classify_bn(args.bn, degree_bound=args.D, seed=seed)
             inputs = {"bn": args.bn, "D": args.D, "seed": seed}
         else:
+            top = 6 if args.K is None else args.K
             report = classify_rank_one(
-                args.p, top_index_bound=args.K, degree_bound=args.D, seed=seed
+                args.p, top_index_bound=top, degree_bound=args.D, seed=seed
             )
-            inputs = {"p": str(args.p), "K": args.K, "D": args.D, "seed": seed}
+            inputs = {"p": str(args.p), "K": top, "D": args.D, "seed": seed}
     except ValueError as exc:
         raise InputError(str(exc)) from None
     certificate = cert.Certificate(command="classify", inputs=inputs)

@@ -10,6 +10,8 @@ its nonzero entries, not to the width of the matrix.
 
 :func:`rref`, :func:`rank`, :func:`nullspace` and :func:`solve` take and
 return dense rows for the callers that build small dense systems.
+:func:`solve` has no caller in this package; it stays because the
+benchmark's layer trace wraps it by name.
 """
 
 from __future__ import annotations

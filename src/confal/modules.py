@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
 from .linalg import add_terms, render_combo
@@ -68,9 +68,6 @@ class ConformalModule:
 
     def action_of(self, gen: int, basis: int) -> dict[int, Poly]:
         return self.action.get((gen, basis), {})
-
-    def generators_acting(self) -> list[int]:
-        return sorted({g for g, _ in self.action})
 
 
 # -- constructors ---------------------------------------------------------------
@@ -146,7 +143,7 @@ def trivial_module(alpha: Fraction | int) -> ConformalModule:
     )
 
 
-# -- the action on elements --------------------------------------------------------
+# -- the module identity -------------------------------------------------------------
 
 
 def _partial_shift(mod: ConformalModule) -> Poly:
@@ -158,37 +155,6 @@ def _partial_shift(mod: ConformalModule) -> Poly:
     if mod.kind == KIND_FREE:
         return DEL + LAM
     return Poly.const(mod.alpha) + LAM
-
-
-def act(
-    alg: ConformalAlgebra,
-    mod: ConformalModule,
-    x: Mapping[int, Poly],
-    v: Mapping[int, Poly],
-) -> dict[int, Poly]:
-    """Action of an algebra element on a module element.
-
-    ``x`` maps generator index to a polynomial in ``D``; ``v`` maps module
-    basis index to a polynomial in ``D`` (interpreted through ``alpha`` on
-    scalar_del modules).  Sesquilinearity fixes the extension:
-    ``(f(D) L_i)_x (g(D) v_b) = f(-x) g(D + x) (L_i_x v_b)``.
-    """
-    out: dict[int, Poly] = {}
-    shift = _partial_shift(mod)
-    for i, f in x.items():
-        f_neg = f.substitute(Var.PARTIAL, -LAM)
-        if f_neg.is_zero():
-            continue
-        for b, g in v.items():
-            if mod.kind == KIND_SCALAR_DEL:
-                g = g.substitute(Var.PARTIAL, mod.alpha)
-            scale = f_neg * g.substitute(Var.PARTIAL, shift)
-            if not scale.is_zero():
-                add_terms(out, ((c, scale * A) for c, A in mod.action_of(i, b).items()))
-    return out
-
-
-# -- the module identity -------------------------------------------------------------
 
 
 @dataclass

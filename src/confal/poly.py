@@ -27,7 +27,7 @@ import enum
 import math
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -388,69 +388,3 @@ def divmod_in_var(f: Poly, g: Poly, var: Var) -> tuple[Poly, Poly]:
         r = r - step * g
     return q, r
 
-
-# ---------------------------------------------------------------------------
-# Deterministic sample schedule for polynomial identity testing.
-#
-# A nonzero univariate polynomial of degree <= d has at most d roots, so
-# vanishing at d+1 distinct rational points certifies vanishing identically.
-# The schedule is fixed so that every run tests the same points: 1, -1, then
-# for each prime q in order the block q, -q, 1/q, -1/q.
-# ---------------------------------------------------------------------------
-
-_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
-    31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-    73, 79, 83, 89, 97,
-)
-
-
-class ScheduleExhaustedError(RuntimeError):
-    """More distinct sample points were requested than the schedule holds."""
-
-
-def _schedule() -> Iterator[Fraction]:
-    yield Fraction(1)
-    yield Fraction(-1)
-    for q in _PRIMES:
-        yield Fraction(q)
-        yield Fraction(-q)
-        yield Fraction(1, q)
-        yield Fraction(-1, q)
-
-
-def pit_points(count: int, exclude: Iterable[Scalar] = ()) -> list[Fraction]:
-    """First ``count`` schedule points, skipping any excluded values."""
-    banned = {_as_rat(v) for v in exclude}
-    out: list[Fraction] = []
-    for point in _schedule():
-        if point in banned:
-            continue
-        out.append(point)
-        if len(out) == count:
-            return out
-    raise ScheduleExhaustedError(
-        f"schedule exhausted after {len(out)} of {count} requested points"
-    )
-
-
-def pit_verify(
-    family: Callable[[Fraction], Poly | Fraction | int],
-    degree_bound: int,
-    exclude: Iterable[Scalar] = (),
-) -> bool:
-    """Decide whether a polynomial family vanishes identically in its parameter.
-
-    ``family(t)`` must be the exact value at parameter ``t`` (a polynomial or
-    a plain rational), and the caller guarantees the dependence on ``t`` has
-    degree at most ``degree_bound``.  Testing ``degree_bound + 1`` schedule
-    points is then a proof, not a heuristic.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree_bound must be nonnegative")
-    for point in pit_points(degree_bound + 1, exclude):
-        value = family(point)
-        zero = value.is_zero() if isinstance(value, Poly) else value == 0
-        if not zero:
-            return False
-    return True

@@ -37,12 +37,11 @@ from typing import Any, Collection
 
 from .conformal import ConformalAlgebra, LambdaValue, TruncationPolicy
 from .modules import (
-    FAMILY_TRIVIAL,
     KIND_FREE,
     KIND_SCALAR_DEL,
     ConformalModule,
-    FamilyTag,
     infer_family,
+    trivial_module,
 )
 from .linalg import render_combo
 from .poly import SPELLING_TO_VAR, Poly, Var
@@ -213,15 +212,16 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
     return parsed
 
 
+def _render_table(table: dict[tuple[int, int], LambdaValue]) -> dict[str, dict[str, str]]:
+    """A pair-keyed table as ``"i,j"`` -> rendered entry, zero entries left out."""
+    rendered = ((f"{i},{j}", render_combo(entry)) for (i, j), entry in sorted(table.items()))
+    return {key: entry for key, entry in rendered if entry}
+
+
 # -- algebra files ------------------------------------------------------------
 
 
 def algebra_to_dict(alg: ConformalAlgebra) -> dict[str, Any]:
-    structure: dict[str, dict[str, str]] = {}
-    for (i, j), entry in sorted(alg.structure.items()):
-        rendered = render_combo(entry)
-        if rendered:
-            structure[f"{i},{j}"] = rendered
     return {
         "format": "confal-algebra",
         "name": alg.name,
@@ -230,7 +230,7 @@ def algebra_to_dict(alg: ConformalAlgebra) -> dict[str, Any]:
         "p": str(alg.param_p) if alg.param_p is not None else None,
         "policy": alg.policy.value,
         "generators": list(alg.gen_names),
-        "structure": structure,
+        "structure": _render_table(alg.structure),
     }
 
 
@@ -298,16 +298,11 @@ def module_to_dict(mod: ConformalModule) -> dict[str, Any]:
             "rank": mod.rank,
             "alpha": str(mod.alpha if mod.alpha is not None else Fraction(0)),
         }
-    action: dict[str, dict[str, str]] = {}
-    for (i, b), entry in sorted(mod.action.items()):
-        rendered = render_combo(entry)
-        if rendered:
-            action[f"{i},{b}"] = rendered
     return {
         "format": "confal-module",
         "kind": KIND_FREE,
         "rank": mod.rank,
-        "action": action,
+        "action": _render_table(mod.action),
     }
 
 
@@ -316,15 +311,7 @@ def module_from_dict(data: Any) -> ConformalModule:
         raise ParseError("not a module file: missing format marker")
     kind = data.get("kind")
     if kind == KIND_SCALAR_DEL:
-        alpha = _rational(data.get("alpha", "0"), "module alpha")
-        return ConformalModule(
-            kind=KIND_SCALAR_DEL,
-            rank=1,
-            alpha=alpha,
-            action={},
-            family=FamilyTag(family=FAMILY_TRIVIAL, p=None, delta=None,
-                             alpha=alpha, beta=None),
-        )
+        return trivial_module(_rational(data.get("alpha", "0"), "module alpha"))
     if kind != KIND_FREE:
         raise ParseError(f"unknown module kind {kind!r}")
     rank = _integer(data.get("rank", 1), "module rank")

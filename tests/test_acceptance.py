@@ -1,8 +1,8 @@
 """Release gate: nine end-to-end checks, one test per numbered criterion.
 
 Every check is exact (rational arithmetic, tolerance zero).  Structure
-coefficients of the bracket family are cubic in the family parameter, so a
-four-point evaluation schedule decides polynomial identities in that
+coefficients of the bracket family are cubic in the family parameter, so the
+four parameter values 1, -1, 2, -2 decide polynomial identities in that
 parameter exactly.  Each test prints one "CRITERION n: PASS" line; run with
 -v (or -s) to see them as a checklist.  The whole file is budgeted to finish
 in well under a minute.
@@ -46,9 +46,9 @@ from confal.modules import (
     rank_one_module,
     submodule_action,
 )
-from confal.poly import DEL, LAM, MU, pit_points
+from confal.poly import DEL, LAM, MU
 
-SCHEDULE = pit_points(4)
+SCHEDULE = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
 
 GRID = [Fraction(-2), Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
 BETA_GRID = [Fraction(0), Fraction(1), Fraction(-2)]

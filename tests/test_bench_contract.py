@@ -3,7 +3,7 @@
 ``perfbench/layers.py`` wraps each entry of ``LAYER_SPANS`` and
 ``POLY_SPANS`` by looking it up in its module (or on its class there); a
 name that no longer exists makes the traced benchmark pass fail to install.
-Some of them, such as ``linalg.rank``, have no caller inside the package, so
+Some of them, such as ``linalg.solve``, have no caller inside the package, so
 only this test notices when one is deleted or renamed.
 
 The file is read and executed into a fresh namespace, not imported, so no

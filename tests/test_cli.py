@@ -413,6 +413,14 @@ def test_annihilation_refuses_the_other_modes_flags(capsys, flags, message):
     assert err == f"confal: error: {message}\n"
 
 
+def test_classify_bn_refuses_a_top_index_bound(capsys):
+    # b(n) fixes its top index at n, so a --K would go unused and unrecorded.
+    code, out, err = run_cli(capsys, ["classify", "--bn", "2", "--K", "3"])
+    assert code == 2
+    assert out == ""
+    assert err == "confal: error: --bn does not take --K\n"
+
+
 def test_classify_rejects_nonpositive_quotient_size(capsys):
     code, _, err = run_cli(capsys, ["classify", "--bn", "0"])
     assert code == 2
@@ -575,6 +583,25 @@ def test_unparseable_rational_flag_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_negative_fraction_after_a_space_is_a_value(capsys):
+    tail = ["--K", "2", "--D", "2"]
+    spaced = run_cli(capsys, ["classify", "--p", "-2/3", *tail])
+    joined = run_cli(capsys, ["classify", "--p=-2/3", *tail])
+    assert spaced == joined
+    assert spaced[2] == "" and json.loads(spaced[1])["inputs"]["p"] == "-2/3"
+    code, out, _ = run_cli(capsys, ["verify-algebra", "--alg", "block", "--p", "-1/2",
+                                    "--window", "2"])
+    assert code == 0 and json.loads(out)["inputs"]["p"] == "-1/2"
+
+
+def test_option_where_a_value_belongs_stays_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--p", "--K", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "confal classify: error: argument --p: expected one argument\n"
+
+
 # -- output channel and determinism -------------------------------------------------
 
 
@@ -676,8 +703,10 @@ def test_fuzzed_argv_ends_in_a_verdict_or_one_line_exit_two():
             """``flag`` (with a drawn value) ``rate`` times in ten, else nothing."""
             if draw(st.integers(0, 9)) >= rate:
                 return []
-            # ``--p=-1/2``: a separate "-1/2" would read as an option.
-            return [flag] if values is None else [f"{flag}={draw(values)}"]
+            if values is None:
+                return [flag]
+            value = draw(values)
+            return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
 
         # classify takes about 0.1 s a run, the others a few ms.
         command = draw(weighted(["verify-algebra", "verify-module", "annihilation"],

@@ -27,7 +27,7 @@ from confal.conformal import (
     skew_residual,
 )
 from confal.linalg import add_terms
-from confal.poly import AUX1, DEL, LAM, MU, Poly, Var, pit_points
+from confal.poly import AUX1, DEL, LAM, MU, Poly, Var
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
 ERROR = TruncationPolicy.ERROR_ON_OVERFLOW
@@ -97,7 +97,7 @@ def test_bn_rescales_to_hv_and_sv():
 
 
 def test_block_axioms_across_parameter_schedule():
-    for p in pit_points(4):
+    for p in [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]:
         alg = make_block(p, 6, TRUNC)
         skew = check_skew(alg)
         jac = check_jacobi(alg)

@@ -17,11 +17,8 @@ from confal.poly import (
     MU,
     MissingVariableError,
     Poly,
-    ScheduleExhaustedError,
     Var,
     divmod_in_var,
-    pit_points,
-    pit_verify,
 )
 
 
@@ -285,48 +282,3 @@ def test_hash_consistent_with_eq():
         a = rand_poly(rng)
         b = a + Poly.zero()
         assert a == b and hash(a) == hash(b)
-
-
-# -- identity-testing schedule ------------------------------------------------
-
-
-def test_pit_points_prefix_is_frozen():
-    assert pit_points(4) == [
-        Fraction(1),
-        Fraction(-1),
-        Fraction(2),
-        Fraction(-2),
-    ]
-    assert pit_points(6)[4:] == [Fraction(1, 2), Fraction(-1, 2)]
-
-
-def test_pit_points_exclusion_and_exhaustion():
-    pts = pit_points(3, exclude={Fraction(1), Fraction(-2)})
-    assert pts == [Fraction(-1), Fraction(2), Fraction(1, 2)]
-    with pytest.raises(ScheduleExhaustedError):
-        pit_points(1000)
-
-
-def test_pit_verify_decides_correctly():
-    # degree-2 family with roots off the schedule head: caught anyway,
-    # because vanishing at 3 points would force the zero polynomial.
-    assert not pit_verify(lambda t: (t - 7) * (t - 11), degree_bound=2)
-    assert pit_verify(lambda t: Fraction(0), degree_bound=2)
-    assert pit_verify(lambda t: (t - t) * LAM, degree_bound=1)
-    with pytest.raises(ValueError):
-        pit_verify(lambda t: Fraction(0), degree_bound=-1)
-
-
-def test_pit_verify_random_nonzero_families():
-    # any nonzero polynomial family of bounded degree must be detected.
-    rng = random.Random(606)
-    for _ in range(30):
-        degree = rng.randint(0, 3)
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(degree + 1)]
-        if not any(coeffs):
-            coeffs[0] = Fraction(1)
-
-        def family(t, cs=tuple(coeffs)):
-            return sum((c * t**i for i, c in enumerate(cs)), Fraction(0))
-
-        assert not pit_verify(family, degree_bound=degree)

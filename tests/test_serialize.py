@@ -31,6 +31,7 @@ from confal.modules import (
 )
 from confal.poly import DEL, LAM, MU, Poly, Var
 from confal.serialize import (
+    ENTRY_VARIABLES,
     MAX_POLY_DEGREE,
     ParseError,
     algebra_from_dict,
@@ -141,6 +142,30 @@ def test_poly_grammar_random_round_trip():
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             p = p + c * DEL ** rng.randint(0, 3) * LAM ** rng.randint(0, 3)
         assert parse_poly(str(p)) == p
+
+
+def test_poly_grammar_hypothesis_round_trip():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+    coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    polys = st.dictionaries(exponents, coefficients, max_size=6).map(
+        lambda terms: Poly({exp + (0, 0): c for exp, c in terms.items()})
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(polys)
+    def check(p):
+        text = str(p)
+        assert parse_poly(text) == p
+        # File entries admit D and x only: refused exactly when y occurs.
+        if Var.MU in p.variables():
+            with pytest.raises(ParseError, match="variable 'y' is not one of D, x"):
+                parse_poly(text, ENTRY_VARIABLES)
+        else:
+            assert parse_poly(text, ENTRY_VARIABLES) == p
+
+    check()
 
 
 # -- algebra files ---------------------------------------------------------------
