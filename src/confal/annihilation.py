@@ -430,13 +430,17 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
         for b in range(a, n):
             tab_b = tab[b]
             ab = tab_a[b]
+            if cut is not None and cut[a][b]:
+                # Every triple (a, b, c) consults [a,b].
+                excluded += n - b
+                continue
             for c in range(b, n):
                 tab_c = tab[c]
                 bc, ca = tab_b[c], tab_c[a]
                 # The triple consults [b,c], [c,a], [a,b] and the brackets
                 # of a, b, c with their targets.
                 if cut is not None and (
-                    cut[b][c] or cut[c][a] or cut[a][b]
+                    cut[b][c] or cut[c][a]
                     or any(cut[a][t] for t in bc)
                     or any(cut[b][t] for t in ca)
                     or any(cut[c][t] for t in ab)

@@ -294,8 +294,10 @@ def classify_rank_one(
     p = Fraction(p)
     if p == 0:
         raise ValueError("the family parameter p must be nonzero")
-    if top_index_bound < 1 or degree_bound < 0:
-        raise ValueError("bounds out of range")
+    if top_index_bound < 1:
+        raise ValueError(f"top index bound K must be >= 1, got {top_index_bound}")
+    if degree_bound < 0:
+        raise ValueError(f"degree bound D must be >= 0, got {degree_bound}")
     battery = falsification_battery(seed)
     steps: list[DerivationStep] = []
     undecided: list[int] = []

@@ -32,12 +32,13 @@ at ``n = 2``; ``test_bn_rescales_to_hv_and_sv`` in the tests checks both.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 from .linalg import add_terms, render_combo
-from .poly import DEL, LAM, MU, Poly, Var
+from .poly import DEL, LAM, MU, NVARS, Poly, Var
 
 GenId = int
 
@@ -326,21 +327,40 @@ def check_skew(alg: ConformalAlgebra) -> SkewReport:
     return report
 
 
+#: A polynomial as ``(packed exponent, integer coefficient)`` terms; see
+#: :class:`_PackedTable`.
+_Packed = tuple[tuple[int, int], ...]
+
+
 class _PairForms(NamedTuple):
     """One target of a table entry ``s(D, x) L_k``, with its substituted forms.
 
     The Jacobi residual only ever needs an entry under one of these
     substitutions, so each is made once per pair rather than once per triple.
-    The two forms that enter the residual with a minus sign carry it.
+    The two forms that enter the residual with a minus sign carry it.  The
+    forms are :class:`Poly` in :class:`_CompiledTable` and packed integer
+    terms in :class:`_PackedTable`.
     """
 
     k: GenId
-    s: Poly  #: s(D, x), outer factor of [a_x [b_y c]]
-    lift_x: Poly  #: s(D+x, y), inner factor of [a_x [b_y c]]
-    neg_out: Poly  #: -s(-x-y, x), inner factor of [[a_x b]_{x+y} c]
-    at_sum: Poly  #: s(D, x+y), outer factor of [[a_x b]_{x+y} c]
-    neg_lift_y: Poly  #: -s(D+y, x), inner factor of [b_y [a_x c]]
-    at_y: Poly  #: s(D, y), outer factor of [b_y [a_x c]]
+    s: Poly | _Packed  #: s(D, x), outer factor of [a_x [b_y c]]
+    lift_x: Poly | _Packed  #: s(D+x, y), inner factor of [a_x [b_y c]]
+    neg_out: Poly | _Packed  #: -s(-x-y, x), inner factor of [[a_x b]_{x+y} c]
+    at_sum: Poly | _Packed  #: s(D, x+y), outer factor of [[a_x b]_{x+y} c]
+    neg_lift_y: Poly | _Packed  #: -s(D+y, x), inner factor of [b_y [a_x c]]
+    at_y: Poly | _Packed  #: s(D, y), outer factor of [b_y [a_x c]]
+
+
+def _forms(s: Poly) -> tuple[Poly, ...]:
+    """The forms of ``s`` in the field order of :class:`_PairForms`."""
+    return (
+        s,
+        s.substitute(Var.LAMBDA, MU).substitute(Var.PARTIAL, DEL + LAM),
+        -s.substitute(Var.PARTIAL, -LAM - MU),
+        s.substitute(Var.LAMBDA, LAM + MU),
+        -s.substitute(Var.PARTIAL, DEL + MU),
+        s.substitute(Var.LAMBDA, MU),
+    )
 
 
 class _CompiledTable(dict):
@@ -356,20 +376,90 @@ class _CompiledTable(dict):
         self.alg = alg
 
     def __missing__(self, pair: tuple[GenId, GenId]) -> tuple[_PairForms, ...]:
-        forms = tuple(
-            _PairForms(
-                k,
-                s,
-                s.substitute(Var.LAMBDA, MU).substitute(Var.PARTIAL, DEL + LAM),
-                -s.substitute(Var.PARTIAL, -LAM - MU),
-                s.substitute(Var.LAMBDA, LAM + MU),
-                -s.substitute(Var.PARTIAL, DEL + MU),
-                s.substitute(Var.LAMBDA, MU),
-            )
-            for k, s in self.alg.structure_of(*pair).items()
+        forms = self[pair] = tuple(
+            _PairForms(k, *_forms(s)) for k, s in self.alg.structure_of(*pair).items()
         )
-        self[pair] = forms
         return forms
+
+
+class _PackedTable(_CompiledTable):
+    """The :class:`_CompiledTable` of ``alg`` on integers, for the Jacobi walk.
+
+    Every form is multiplied by ``scale``, the lcm of the denominators of the
+    table's coefficients; the substitutions have integer coefficients, so the
+    scaled forms do too.  A monomial ``D^e0 x^e1 y^e2 u^e3 w^e4`` packs into
+    the int ``sum(e_i << i*width)`` (Monagan and Pearce, 2009).  A form's
+    exponent in any slot is at most the entry's total degree, and ``width``
+    leaves room for twice the largest one, so adding two packed exponents
+    multiplies the monomials without a carry.  The outer forms (``s``,
+    ``at_sum``, ``at_y``) also carry their target as ``k << 5*width``, so the
+    sum of an inner and an outer exponent names both the target and the
+    monomial of a residual term.
+
+    The forms are linear in the entry, so a pair's forms are summed from the
+    packed forms of the entry's monomials, each substituted once per table.
+    Pairs are packed on first lookup, and no :class:`Poly` form is kept.
+    """
+
+    def __init__(self, alg: ConformalAlgebra):
+        super().__init__(alg)
+        entries = [s for value in alg.structure.values() for s in value.values()]
+        self.scale = math.lcm(1, *(c.denominator for s in entries for _, c in s.terms()))
+        maxdeg = max((s.total_degree() for s in entries), default=0)
+        self.width = max(8, (2 * maxdeg).bit_length())
+        self.monomials: dict[tuple[int, ...], tuple[_Packed, ...]] = {}
+
+    def _monomial_forms(self, exp: tuple[int, ...]) -> tuple[_Packed, ...]:
+        forms = self.monomials.get(exp)
+        if forms is None:
+            width = self.width
+            forms = self.monomials[exp] = tuple(
+                tuple((sum(e << i * width for i, e in enumerate(m)), c.numerator)
+                      for m, c in form.terms())
+                for form in _forms(Poly({exp: 1}))
+            )
+        return forms
+
+    def __missing__(self, pair: tuple[GenId, GenId]) -> tuple[_PairForms, ...]:
+        scale, shift = self.scale, NVARS * self.width
+        packed = []
+        for k, s in self.alg.structure_of(*pair).items():
+            totals: tuple[dict[int, int], ...] = ({}, {}, {}, {}, {}, {})
+            for exp, c in s.terms():
+                c = c.numerator * (scale // c.denominator)
+                for total, form in zip(totals, self._monomial_forms(exp)):
+                    for e, v in form:
+                        total[e] = total.get(e, 0) + c * v
+            top = k << shift
+            packed.append(_PairForms(k, *(
+                tuple((e + t, v) for e, v in total.items() if v)
+                for total, t in zip(totals, (top, 0, 0, top, 0, top))
+            )))
+        forms = self[pair] = tuple(packed)
+        return forms
+
+
+def _factor_pairs(
+    table: _CompiledTable, a: GenId, b: GenId, c: GenId
+) -> Iterator[tuple[GenId, Poly | _Packed, Poly | _Packed]]:
+    """The products ``inner * outer`` that make up the residual on ``L_target``.
+
+    Yields ``(target, inner, outer)`` for every term of
+    ``[a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]]``, looking the
+    pairs up in the same order on either table.
+    """
+    # [a_x [b_y c]]
+    for f in table[b, c]:
+        for g in table[a, f.k]:
+            yield g.k, f.lift_x, g.s
+    # - [[a_x b]_{x+y} c]
+    for f in table[a, b]:
+        for g in table[f.k, c]:
+            yield g.k, f.neg_out, g.at_sum
+    # - [b_y [a_x c]]
+    for f in table[a, c]:
+        for g in table[b, f.k]:
+            yield g.k, f.neg_lift_y, g.at_y
 
 
 def _jacobi_terms(
@@ -377,19 +467,25 @@ def _jacobi_terms(
 ) -> LambdaValue:
     residual: dict[GenId, Poly] = {}
     zero = Poly.zero()
-    # [a_x [b_y c]]
-    for f in table[b, c]:
-        for g in table[a, f.k]:
-            residual[g.k] = residual.get(g.k, zero) + f.lift_x * g.s
-    # - [[a_x b]_{x+y} c]
-    for f in table[a, b]:
-        for g in table[f.k, c]:
-            residual[g.k] = residual.get(g.k, zero) + f.neg_out * g.at_sum
-    # - [b_y [a_x c]]
-    for f in table[a, c]:
-        for g in table[b, f.k]:
-            residual[g.k] = residual.get(g.k, zero) + f.neg_lift_y * g.at_y
+    for k, inner, outer in _factor_pairs(table, a, b, c):
+        residual[k] = residual.get(k, zero) + inner * outer
     return {k: v for k, v in residual.items() if not v.is_zero()}
+
+
+def _jacobi_fails(table: _PackedTable, a: GenId, b: GenId, c: GenId) -> bool:
+    """Whether the residual of :func:`_jacobi_terms` is nonzero, on integers.
+
+    The outer forms carry their target, so one dict holds the residual on
+    every target, times ``table.scale**2``.
+    """
+    total: dict[int, int] = {}
+    get = total.get
+    for _, inner, outer in _factor_pairs(table, a, b, c):
+        for e, v in inner:
+            for key, w in outer:
+                key += e
+                total[key] = get(key, 0) + v * w
+    return any(total.values())
 
 
 def jacobi_residual(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> LambdaValue:
@@ -411,11 +507,14 @@ def _triple_available(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> bo
 def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
     """Verify the Jacobi identity on every available ordered generator triple.
 
-    The bracket table is compiled once for the whole walk, so each entry is
-    substituted once per pair instead of once per triple that uses it.
+    The walk runs on :class:`_PackedTable`, whose residuals are the exact
+    ones times a fixed nonzero integer, so they vanish on the same triples.
+    A triple that fails is evaluated again on the exact :class:`Poly` forms,
+    and the report carries that exact residual.
     """
     report = JacobiReport(alg.name, alg.gen_names, triples_checked=0)
-    table = _CompiledTable(alg)
+    table = _PackedTable(alg)
+    exact: _CompiledTable | None = None
     gens = list(alg.generators())
     for a in gens:
         for b in gens:
@@ -423,7 +522,9 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
                 if not _triple_available(alg, a, b, c):
                     continue
                 report.triples_checked += 1
-                residual = _jacobi_terms(table, a, b, c)
-                if residual:
+                if _jacobi_fails(table, a, b, c):
+                    if exact is None:
+                        exact = _CompiledTable(alg)
+                    residual = _jacobi_terms(exact, a, b, c)
                     report.failures.append(TripleResidual(a, b, c, residual))
     return report

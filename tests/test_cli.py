@@ -427,6 +427,21 @@ def test_classify_rejects_nonpositive_quotient_size(capsys):
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p", "1", "--K", "0"], "top index bound K must be >= 1, got 0"),
+        (["--p", "1", "--D", "-1"], "degree bound D must be >= 0, got -1"),
+        (["--bn", "2", "--D", "-1"], "degree bound D must be >= 0, got -1"),
+    ],
+)
+def test_classify_bounds_errors_name_the_bound(capsys, flags, message):
+    code, out, err = run_cli(capsys, ["classify", *flags])
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: {message}\n"
+
+
 def test_bad_seed_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("CONFAL_SEED", "abc")
     code, _, err = run_cli(capsys, ["classify", "--p", "1"])

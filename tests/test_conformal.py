@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from confal import conformal
 from confal.conformal import (
     ConformalAlgebra,
     TruncationPolicy,
@@ -286,7 +287,8 @@ def test_compiled_jacobi_matches_reference_on_random_tables():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    coeff = st.integers(-3, 3)
+    # Denominators make the kernel scale its table by their lcm.
+    coeff = st.fractions(-3, 3, max_denominator=4)
     poly = st.dictionaries(
         st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff, max_size=3
     ).map(lambda terms: Poly({(d, x, 0, 0, 0): c for (d, x), c in terms.items()}))
@@ -320,6 +322,71 @@ def test_compiled_jacobi_matches_reference_on_random_tables():
         assert_kernel_matches_reference(alg)
 
     check()
+
+
+def test_wide_exponents_widen_the_packing():
+    # Products of degree 260 do not fit 8-bit exponent slots.
+    alg = ConformalAlgebra(
+        name="wide",
+        kind="custom",
+        window=1,
+        policy=TRUNC,
+        param_p=None,
+        structure={(0, 0): {0: DEL**130 + LAM}, (0, 1): {1: DEL + LAM}, (1, 0): {1: LAM}},
+        gen_names=("L", "M"),
+    )
+    assert conformal._PackedTable(alg).width == 9
+    _, failures = assert_kernel_matches_reference(alg)
+    assert failures
+
+
+def test_tampered_fractional_table_reports_exact_residuals():
+    alg = make_block(Fraction(1, 3), 4, TRUNC)
+    alg.structure[(1, 2)] = {3: alg.structure[(1, 2)][3] + Fraction(1, 2) * LAM}
+    assert conformal._PackedTable(alg).scale == 6
+    _, failures = assert_kernel_matches_reference(alg)
+    assert failures
+
+
+def test_residuals_on_different_targets_do_not_cancel():
+    # [L_0 L_0] = x L_0 - x L_1 leaves (-x^2 - xy)(L_0 - L_1) at (0, 0, 0).
+    alg = ConformalAlgebra(
+        name="two-target",
+        kind="custom",
+        window=1,
+        policy=TRUNC,
+        param_p=None,
+        structure={(0, 0): {0: LAM, 1: -LAM}},
+        gen_names=("L_0", "L_1"),
+    )
+    _, failures = assert_kernel_matches_reference(alg)
+    q = -LAM * LAM - LAM * MU
+    assert failures[0] == (0, 0, 0, {0: q, 1: -q})
+
+
+def count_exact_recomputations(monkeypatch, alg):
+    calls = []
+    exact = conformal._jacobi_terms
+
+    def counted(table, a, b, c):
+        calls.append((a, b, c))
+        return exact(table, a, b, c)
+
+    monkeypatch.setattr(conformal, "_jacobi_terms", counted)
+    report = check_jacobi(alg)
+    return calls, [(f.i, f.j, f.k) for f in report.failures]
+
+
+def test_only_failing_triples_are_recomputed_exactly(monkeypatch):
+    calls, failures = count_exact_recomputations(
+        monkeypatch, make_block(Fraction(1, 2), 6, TRUNC)
+    )
+    assert calls == failures == []
+    calls, failures = count_exact_recomputations(
+        monkeypatch, make_heisenberg_virasoro_misprint()
+    )
+    assert failures
+    assert calls == failures
 
 
 def test_handwritten_table_checks_like_builtin():
