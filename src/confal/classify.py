@@ -519,7 +519,7 @@ def verify_report(report: ClassificationReport) -> bool:
                     mods = [rank_one_module(alg, delta, alpha)]
                 elif fam.tag == FAMILY_BETA:
                     mods = [
-                        rank_one_beta_module(alg, delta, alpha, beta, unchecked=True)
+                        rank_one_beta_module(alg, delta, alpha, beta)
                         for beta in _BETA_GRID
                     ]
                 else:
@@ -537,7 +537,7 @@ def verify_report(report: ClassificationReport) -> bool:
 
     # Bolt-on fixture: the constant extension with beta != 0 must fail the
     # axioms exactly when the parameter is not -1.
-    probe = rank_one_beta_module(alg, 1, 0, 5, unchecked=True)
+    probe = rank_one_beta_module(alg, 1, 0, 5)
     probe_ok = check_module(alg, probe).ok
     if probe_ok != (report.p == -1):
         return False

@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--policy",
             choices=["error", "truncate"],
-            default="truncate",
             help="window policy for --alg block (default truncate)",
         )
 
@@ -188,8 +187,21 @@ def build_parser() -> argparse.ArgumentParser:
 # -- builders -------------------------------------------------------------------
 
 
+#: The selector flags each ``--alg`` takes (``file:<path>`` takes none); any
+#: other one given is refused rather than ignored.
+_SELECTOR_FLAGS = {
+    "block": ("p", "window", "policy"), "bn": ("n",), "file": ("file",),
+    "hv": (), "hv-misprint": (), "sv": (), "vir": (),
+}
+
+
 def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict]:
     selector = args.alg
+    stray = [f"--{flag}" for flag in ("p", "window", "n", "file", "policy")
+             if getattr(args, flag) is not None
+             and flag not in _SELECTOR_FLAGS.get(selector, ())]
+    if stray and (selector in _SELECTOR_FLAGS or selector.startswith("file:")):
+        raise InputError(f"--alg {selector} does not take {', '.join(stray)}")
     path = args.file
     if selector.startswith("file:"):
         selector, path = "file", selector.split(":", 1)[1]
@@ -197,16 +209,12 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict
     if selector == "block":
         if args.p is None or args.window is None:
             raise InputError("--alg block needs --p and --window")
-        policy = (
-            TruncationPolicy.TRUNCATE_TO_ZERO
-            if args.policy == "truncate"
-            else TruncationPolicy.ERROR_ON_OVERFLOW
-        )
+        policy = TruncationPolicy(args.policy or "truncate")
         try:
             alg = make_block(args.p, args.window, policy)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-        inputs.update(p=str(args.p), window=args.window, policy=args.policy)
+        inputs.update(p=str(args.p), window=args.window, policy=policy.value)
     elif selector == "bn":
         if args.n is None:
             raise InputError("--alg bn needs --n")
@@ -248,7 +256,6 @@ def _module_from_args(
                 parse_rat(parts[1]),
                 parse_rat(parts[2]),
                 parse_rat(parts[3]),
-                unchecked=True,
             )
             return mod, {"mod": selector}
         if parts[0] == "trivial" and len(parts) == 2:

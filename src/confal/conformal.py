@@ -32,10 +32,11 @@ at ``n = 2``; ``test_bn_rescales_to_hv_and_sv`` in the tests checks both.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .linalg import add_terms, render_combo
 from .poly import DEL, LAM, MU, NVARS, Poly, Var
@@ -338,17 +339,16 @@ class _PairForms(NamedTuple):
     The Jacobi residual only ever needs an entry under one of these
     substitutions, so each is made once per pair rather than once per triple.
     The two forms that enter the residual with a minus sign carry it.  The
-    forms are :class:`Poly` in :class:`_CompiledTable` and packed integer
-    terms in :class:`_PackedTable`.
+    forms are packed integer terms, see :class:`_PackedTable`.
     """
 
     k: GenId
-    s: Poly | _Packed  #: s(D, x), outer factor of [a_x [b_y c]]
-    lift_x: Poly | _Packed  #: s(D+x, y), inner factor of [a_x [b_y c]]
-    neg_out: Poly | _Packed  #: -s(-x-y, x), inner factor of [[a_x b]_{x+y} c]
-    at_sum: Poly | _Packed  #: s(D, x+y), outer factor of [[a_x b]_{x+y} c]
-    neg_lift_y: Poly | _Packed  #: -s(D+y, x), inner factor of [b_y [a_x c]]
-    at_y: Poly | _Packed  #: s(D, y), outer factor of [b_y [a_x c]]
+    s: _Packed  #: s(D, x), outer factor of [a_x [b_y c]]
+    lift_x: _Packed  #: s(D+x, y), inner factor of [a_x [b_y c]]
+    neg_out: _Packed  #: -s(-x-y, x), inner factor of [[a_x b]_{x+y} c]
+    at_sum: _Packed  #: s(D, x+y), outer factor of [[a_x b]_{x+y} c]
+    neg_lift_y: _Packed  #: -s(D+y, x), inner factor of [b_y [a_x c]]
+    at_y: _Packed  #: s(D, y), outer factor of [b_y [a_x c]]
 
 
 def _forms(s: Poly) -> tuple[Poly, ...]:
@@ -363,27 +363,8 @@ def _forms(s: Poly) -> tuple[Poly, ...]:
     )
 
 
-class _CompiledTable(dict):
-    """Bracket table of ``alg`` as :class:`_PairForms` tuples, keyed by pair.
-
-    A pair is compiled on its first lookup.  A pair the policy leaves out is
-    looked up through :meth:`ConformalAlgebra.structure_of` every time, so it
-    raises exactly where a direct lookup would.
-    """
-
-    def __init__(self, alg: ConformalAlgebra):
-        super().__init__()
-        self.alg = alg
-
-    def __missing__(self, pair: tuple[GenId, GenId]) -> tuple[_PairForms, ...]:
-        forms = self[pair] = tuple(
-            _PairForms(k, *_forms(s)) for k, s in self.alg.structure_of(*pair).items()
-        )
-        return forms
-
-
-class _PackedTable(_CompiledTable):
-    """The :class:`_CompiledTable` of ``alg`` on integers, for the Jacobi walk.
+class _PackedTable(dict):
+    """Bracket table of ``alg`` as :class:`_PairForms` tuples on integers.
 
     Every form is multiplied by ``scale``, the lcm of the denominators of the
     table's coefficients; the substitutions have integer coefficients, so the
@@ -398,11 +379,14 @@ class _PackedTable(_CompiledTable):
 
     The forms are linear in the entry, so a pair's forms are summed from the
     packed forms of the entry's monomials, each substituted once per table.
-    Pairs are packed on first lookup, and no :class:`Poly` form is kept.
+    A pair is packed on its first lookup.  A pair the policy leaves out is
+    looked up through :meth:`ConformalAlgebra.structure_of` every time, so it
+    raises exactly where a direct lookup would.
     """
 
     def __init__(self, alg: ConformalAlgebra):
-        super().__init__(alg)
+        super().__init__()
+        self.alg = alg
         entries = [s for value in alg.structure.values() for s in value.values()]
         self.scale = math.lcm(1, *(c.denominator for s in entries for _, c in s.terms()))
         maxdeg = max((s.total_degree() for s in entries), default=0)
@@ -438,15 +422,29 @@ class _PackedTable(_CompiledTable):
         forms = self[pair] = tuple(packed)
         return forms
 
+    def unpack(self, total: dict[int, int]) -> LambdaValue:
+        """The exact residual that ``total`` packs.
+
+        A key's target is ``key >> 5*width``, its exponents are the masked
+        slots below, and its coefficient ``v`` stands for ``v / scale**2``.
+        """
+        width = self.width
+        mask, shift, denominator = (1 << width) - 1, NVARS * width, self.scale**2
+        residual: dict[GenId, dict[tuple[int, ...], Fraction]] = {}
+        for key, v in total.items():
+            if v:
+                exp = tuple(key >> i * width & mask for i in range(NVARS))
+                residual.setdefault(key >> shift, {})[exp] = Fraction(v, denominator)
+        return {k: Poly(terms) for k, terms in residual.items()}
+
 
 def _factor_pairs(
-    table: _CompiledTable, a: GenId, b: GenId, c: GenId
-) -> Iterator[tuple[GenId, Poly | _Packed, Poly | _Packed]]:
+    table: _PackedTable, a: GenId, b: GenId, c: GenId
+) -> Iterator[tuple[GenId, _Packed, _Packed]]:
     """The products ``inner * outer`` that make up the residual on ``L_target``.
 
     Yields ``(target, inner, outer)`` for every term of
-    ``[a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]]``, looking the
-    pairs up in the same order on either table.
+    ``[a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]]``.
     """
     # [a_x [b_y c]]
     for f in table[b, c]:
@@ -462,21 +460,11 @@ def _factor_pairs(
             yield g.k, f.neg_lift_y, g.at_y
 
 
-def _jacobi_terms(
-    table: _CompiledTable, a: GenId, b: GenId, c: GenId
-) -> LambdaValue:
-    residual: dict[GenId, Poly] = {}
-    zero = Poly.zero()
-    for k, inner, outer in _factor_pairs(table, a, b, c):
-        residual[k] = residual.get(k, zero) + inner * outer
-    return {k: v for k, v in residual.items() if not v.is_zero()}
+def _packed_residual(table: _PackedTable, a: GenId, b: GenId, c: GenId) -> dict[int, int]:
+    """The Jacobi residual of ``(a, b, c)`` on every target, times ``table.scale**2``.
 
-
-def _jacobi_fails(table: _PackedTable, a: GenId, b: GenId, c: GenId) -> bool:
-    """Whether the residual of :func:`_jacobi_terms` is nonzero, on integers.
-
-    The outer forms carry their target, so one dict holds the residual on
-    every target, times ``table.scale**2``.
+    The outer forms carry their target, so one dict holds all of it.  A term
+    that cancels stays in the dict as a zero.
     """
     total: dict[int, int] = {}
     get = total.get
@@ -485,7 +473,7 @@ def _jacobi_fails(table: _PackedTable, a: GenId, b: GenId, c: GenId) -> bool:
             for key, w in outer:
                 key += e
                 total[key] = get(key, 0) + v * w
-    return any(total.values())
+    return total
 
 
 def jacobi_residual(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> LambdaValue:
@@ -495,36 +483,46 @@ def jacobi_residual(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> Lamb
     :class:`_PairForms`); in the middle term the ``D`` of ``[a b]`` becomes
     ``-x - y`` and the bracket variable of ``[m c]`` becomes ``x + y``.
     """
-    return _jacobi_terms(_CompiledTable(alg), a, b, c)
+    table = _PackedTable(alg)
+    return table.unpack(_packed_residual(table, a, b, c))
 
 
-def _triple_available(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> bool:
-    if alg.policy is TruncationPolicy.TRUNCATE_TO_ZERO:
-        return True
-    return a + b + c <= alg.window
+def jacobi_failures(
+    alg: ConformalAlgebra, triples: Iterable[tuple[GenId, GenId, GenId]]
+) -> Iterator[TripleResidual]:
+    """The triples of ``triples``, in order, that fail the Jacobi identity.
+
+    The walk runs on :class:`_PackedTable`, whose residuals are the exact
+    ones times ``scale**2``, so they vanish on the same triples; a failing
+    triple's exact residual is read off its packed one.  This is the one
+    expansion of a bracket identity: :func:`confal.modules.check_module`
+    walks the module identity here too, as the Jacobi identity of the
+    semidirect product of the algebra and the module.
+    """
+    table = _PackedTable(alg)
+    for a, b, c in triples:
+        total = _packed_residual(table, a, b, c)
+        if any(total.values()):
+            yield TripleResidual(a, b, c, table.unpack(total))
 
 
 def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
     """Verify the Jacobi identity on every available ordered generator triple.
 
-    The walk runs on :class:`_PackedTable`, whose residuals are the exact
-    ones times a fixed nonzero integer, so they vanish on the same triples.
-    A triple that fails is evaluated again on the exact :class:`Poly` forms,
-    and the report carries that exact residual.
+    Under TRUNCATE_TO_ZERO every triple of the window is available; under
+    ERROR_ON_OVERFLOW only those whose index sum stays inside it.
     """
-    report = JacobiReport(alg.name, alg.gen_names, triples_checked=0)
-    table = _PackedTable(alg)
-    exact: _CompiledTable | None = None
-    gens = list(alg.generators())
-    for a in gens:
-        for b in gens:
-            for c in gens:
-                if not _triple_available(alg, a, b, c):
-                    continue
-                report.triples_checked += 1
-                if _jacobi_fails(table, a, b, c):
-                    if exact is None:
-                        exact = _CompiledTable(alg)
-                    residual = _jacobi_terms(exact, a, b, c)
-                    report.failures.append(TripleResidual(a, b, c, residual))
-    return report
+    w = alg.window
+    if alg.policy is TruncationPolicy.TRUNCATE_TO_ZERO:
+        triples: Iterable[tuple[GenId, GenId, GenId]] = itertools.product(range(w + 1), repeat=3)
+        count = (w + 1) ** 3
+    else:
+        triples = (
+            (a, b, c)
+            for a in range(w + 1)
+            for b in range(w + 1 - a)
+            for c in range(w + 1 - a - b)
+        )
+        count = math.comb(w + 3, 3)
+    failures = list(jacobi_failures(alg, triples))
+    return JacobiReport(alg.name, alg.gen_names, count, failures)

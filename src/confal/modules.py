@@ -13,27 +13,33 @@ Rank-one families over the bracket family at parameter ``p``:
 * ``rank_one_module``:  ``L_0 -> p (D + delta x + alpha)``, higher
   generators act by zero;
 * ``rank_one_beta_module``: additionally ``L_1 -> beta``; this satisfies the
-  module identity only at ``p = -1``, and the constructor refuses other
-  parameters unless explicitly bypassed (the bypass exists so checkers can
-  demonstrate the failure);
+  module identity only at ``p = -1``.  The constructor builds it at any
+  parameter, and :func:`check_module` reports the failing pairs elsewhere;
 * ``trivial_module``: the scalar_del module with zero action.
 
 The module identity checked by :func:`check_module` is
 
     [L_i  L_j]_{x+y} v  =  L_i_x (L_j_y v) - L_j_y (L_i_x v)
 
-for every available generator pair and every basis vector, expanded exactly.
+for every available generator pair and every basis vector.  It is the Jacobi
+identity of the semidirect product of the algebra and the module, and is
+walked by :func:`confal.conformal.jacobi_failures`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable, Iterator
 
-from .conformal import ConformalAlgebra, UnsupportedAlgebraError
-from .linalg import add_terms, render_combo
-from .poly import AUX1, DEL, LAM, MU, Poly, Var, divmod_in_var
+from .conformal import (
+    ConformalAlgebra,
+    TruncationPolicy,
+    UnsupportedAlgebraError,
+    jacobi_failures,
+)
+from .linalg import render_combo
+from .poly import DEL, LAM, Poly, Var, divmod_in_var
 
 KIND_FREE = "free"
 KIND_SCALAR_DEL = "scalar_del"
@@ -102,19 +108,13 @@ def rank_one_beta_module(
     delta: Fraction | int,
     alpha: Fraction | int,
     beta: Fraction | int,
-    unchecked: bool = False,
 ) -> ConformalModule:
     """Free rank one with the index-one generator acting by the constant ``beta``.
 
-    Only parameter ``p = -1`` admits this family; pass ``unchecked=True`` to
-    build the table anyway (e.g. to let :func:`check_module` exhibit the
-    failing pair).
+    Only parameter ``p = -1`` admits this family as a module; at any other
+    parameter :func:`check_module` reports the pairs where it fails.
     """
     p = _family_parameter(alg)
-    if p != -1 and not unchecked:
-        raise UnsupportedModuleError(
-            f"the beta family needs parameter p = -1, algebra has p = {p}"
-        )
     delta = Fraction(delta)
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -144,17 +144,6 @@ def trivial_module(alpha: Fraction | int) -> ConformalModule:
 
 
 # -- the module identity -------------------------------------------------------------
-
-
-def _partial_shift(mod: ConformalModule) -> Poly:
-    """What ``D`` becomes when pulled through one bracket variable.
-
-    On free modules the translation survives (``D + x``); on scalar_del
-    modules ``D`` is the scalar ``alpha``, so the shift is ``alpha + x``.
-    """
-    if mod.kind == KIND_FREE:
-        return DEL + LAM
-    return Poly.const(mod.alpha) + LAM
 
 
 @dataclass
@@ -190,51 +179,53 @@ class ModuleReport:
         }
 
 
+def _module_failures(
+    alg: ConformalAlgebra, mod: ConformalModule, triples: Iterable[tuple[int, int, int]]
+) -> Iterator[ModuleFailure]:
+    """The ``(i, j, b)`` of ``triples``, in order, that fail the module identity.
+
+    ``M`` is an abelian ideal of the semidirect product of ``alg`` and ``M``
+    (D'Andrea and Kac, 1998).  Its generators are those of ``alg`` followed
+    by ``v_b`` at index ``window + 1 + b``, and its bracket ``[L_i  v_b]`` is
+    the action, so the module residual on ``(i, j, b)`` is minus the Jacobi
+    residual of the product on ``(L_i, L_j, v_b)``.  The product truncates,
+    so the caller passes available pairs only.  A scalar_del module has no
+    free ``D``, so only its zero action fits this product.
+    """
+    if mod.kind != KIND_FREE and mod.action:
+        raise UnsupportedModuleError("a scalar_del module is checked only with zero action")
+    v = alg.window + 1
+    action = {
+        (i, v + b): {v + c: A for c, A in entry.items()}
+        for (i, b), entry in mod.action.items()
+    }
+    product = ConformalAlgebra(
+        name=f"{alg.name} semidirect M",
+        kind="semidirect",
+        window=alg.window + mod.rank,
+        policy=TruncationPolicy.TRUNCATE_TO_ZERO,
+        param_p=None,
+        structure={**alg.structure, **action},
+        gen_names=alg.gen_names + tuple(f"v_{b}" for b in range(mod.rank)),
+    )
+    for f in jacobi_failures(product, ((i, j, v + b) for i, j, b in triples)):
+        yield ModuleFailure(f.i, f.j, f.k - v, {c - v: -s for c, s in f.residual.items()})
+
+
 def module_residual(
     alg: ConformalAlgebra, mod: ConformalModule, i: int, j: int, b: int
 ) -> dict[int, Poly]:
     """Exact residual of the module identity on one generator pair and basis vector."""
-    shift = _partial_shift(mod)
-    shift_mu = shift.substitute(Var.LAMBDA, MU)
-
-    residual: dict[int, Poly] = {}
-
-    # [L_i L_j] acting with bracket variable x+y: hold the outer variable as
-    # a scratch u until both factors are assembled.
-    for m, s in alg.structure_of(i, j).items():
-        s_out = s.substitute(Var.PARTIAL, -AUX1)
-        add_terms(residual, (
-            (c, (s_out * A.substitute(Var.LAMBDA, AUX1)).substitute(Var.AUX1, LAM + MU))
-            for c, A in mod.action_of(m, b).items()
-        ))
-
-    # minus L_i_x (L_j_y v_b)
-    for c, h in mod.action_of(j, b).items():
-        h_in = h.substitute(Var.LAMBDA, MU).substitute(Var.PARTIAL, shift)
-        add_terms(residual, ((e, -(h_in * A)) for e, A in mod.action_of(i, c).items()))
-
-    # plus L_j_y (L_i_x v_b)
-    for c, h in mod.action_of(i, b).items():
-        h_in = h.substitute(Var.PARTIAL, shift_mu)
-        add_terms(residual, (
-            (e, h_in * A.substitute(Var.LAMBDA, MU)) for e, A in mod.action_of(j, c).items()
-        ))
-    return residual
+    alg.structure_of(i, j)  # a pair the policy leaves out raises here
+    return next((f.residual for f in _module_failures(alg, mod, [(i, j, b)])), {})
 
 
 def check_module(alg: ConformalAlgebra, mod: ConformalModule) -> ModuleReport:
     """Verify the module identity on every available pair and basis vector."""
-    report = ModuleReport(alg.name, mod.kind, mod.rank, pairs_checked=0)
-    for i in alg.generators():
-        for j in alg.generators():
-            if not alg.pair_defined(i, j):
-                continue
-            report.pairs_checked += 1
-            for b in range(mod.rank):
-                residual = module_residual(alg, mod, i, j, b)
-                if residual:
-                    report.failures.append(ModuleFailure(i, j, b, residual))
-    return report
+    gens = alg.generators()
+    pairs = [(i, j) for i in gens for j in gens if alg.pair_defined(i, j)]
+    failures = _module_failures(alg, mod, ((i, j, b) for i, j in pairs for b in range(mod.rank)))
+    return ModuleReport(alg.name, mod.kind, mod.rank, len(pairs), list(failures))
 
 
 # -- submodules and irreducibility ------------------------------------------------------

@@ -145,7 +145,7 @@ def test_criterion_5_module_dichotomy():
 
     for p in (1, 2, -2, Fraction(1, 2)):
         alg = make_block(p, 3)
-        mod = rank_one_beta_module(alg, 1, 0, 5, unchecked=True)
+        mod = rank_one_beta_module(alg, 1, 0, 5)
         report = check_module(alg, mod)
         assert not report.ok, p
         by_pair = {(f.i, f.j): f.residual for f in report.failures}

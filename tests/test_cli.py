@@ -413,6 +413,32 @@ def test_annihilation_refuses_the_other_modes_flags(capsys, flags, message):
     assert err == f"confal: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-algebra", "--alg", "vir", "--window", "5", "--p", "3", "--policy", "error"],
+         "--alg vir does not take --p, --window, --policy"),
+        (["verify-algebra", "--alg", "hv", "--policy", "truncate"],
+         "--alg hv does not take --policy"),
+        (["verify-algebra", "--alg", "bn", "--n", "2", "--window", "2"],
+         "--alg bn does not take --window"),
+        (["verify-algebra", "--alg", "block", "--p", "1", "--window", "2", "--n", "3"],
+         "--alg block does not take --n"),
+        (["verify-algebra", "--alg", "sv", "--file", "x.json"],
+         "--alg sv does not take --file"),
+        (["verify-algebra", "--alg=file:x.json", "--file", "y.json"],
+         "--alg file:x.json does not take --file"),
+        (["verify-module", "--alg", "vir", "--p", "1", "--mod", "trivial:0"],
+         "--alg vir does not take --p"),
+    ],
+)
+def test_verify_refuses_selector_flags_it_would_ignore(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: {message}\n"
+
+
 def test_classify_bn_refuses_a_top_index_bound(capsys):
     # b(n) fixes its top index at n, so a --K would go unused and unrecorded.
     code, out, err = run_cli(capsys, ["classify", "--bn", "2", "--K", "3"])

@@ -28,6 +28,7 @@ from confal.conformal import (
     skew_residual,
 )
 from confal.linalg import add_terms
+from confal.modules import KIND_FREE, ConformalModule, check_module, module_residual
 from confal.poly import AUX1, DEL, LAM, MU, Poly, Var
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
@@ -283,10 +284,8 @@ def test_leaky_error_table_overflows_at_the_reference_pair():
     )
 
 
-def test_compiled_jacobi_matches_reference_on_random_tables():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
+def random_table_strategies(st):
+    """Strategies for table entries and small tables under both policies."""
     # Denominators make the kernel scale its table by their lcm.
     coeff = st.fractions(-3, 3, max_denominator=4)
     poly = st.dictionaries(
@@ -314,10 +313,17 @@ def test_compiled_jacobi_matches_reference_on_random_tables():
             gen_names=tuple(f"L_{i}" for i in range(window + 1)),
         )
 
+    return poly, tables()
+
+
+def test_compiled_jacobi_matches_reference_on_random_tables():
+    hypothesis = pytest.importorskip("hypothesis")
+    _, tables = random_table_strategies(hypothesis.strategies)
+
     @hypothesis.settings(
         max_examples=80, deadline=None, derandomize=True, database=None
     )
-    @hypothesis.given(tables())
+    @hypothesis.given(tables)
     def check(alg):
         assert_kernel_matches_reference(alg)
 
@@ -364,29 +370,102 @@ def test_residuals_on_different_targets_do_not_cancel():
     assert failures[0] == (0, 0, 0, {0: q, 1: -q})
 
 
-def count_exact_recomputations(monkeypatch, alg):
+def unpacked_residuals(monkeypatch, alg):
     calls = []
-    exact = conformal._jacobi_terms
+    unpack = conformal._PackedTable.unpack
 
-    def counted(table, a, b, c):
-        calls.append((a, b, c))
-        return exact(table, a, b, c)
+    def counted(table, total):
+        calls.append(unpack(table, total))
+        return calls[-1]
 
-    monkeypatch.setattr(conformal, "_jacobi_terms", counted)
+    monkeypatch.setattr(conformal._PackedTable, "unpack", counted)
     report = check_jacobi(alg)
-    return calls, [(f.i, f.j, f.k) for f in report.failures]
+    return calls, [f.residual for f in report.failures]
 
 
-def test_only_failing_triples_are_recomputed_exactly(monkeypatch):
-    calls, failures = count_exact_recomputations(
+def test_only_failing_triples_are_unpacked(monkeypatch):
+    calls, failures = unpacked_residuals(
         monkeypatch, make_block(Fraction(1, 2), 6, TRUNC)
     )
     assert calls == failures == []
-    calls, failures = count_exact_recomputations(
+    calls, failures = unpacked_residuals(
         monkeypatch, make_heisenberg_virasoro_misprint()
     )
     assert failures
     assert calls == failures
+
+
+# -- the module identity on the same walk against its own formula ------------------
+
+
+def reference_module_residual(alg, mod, i, j, b):
+    """The module identity's residual, assembled on its own formula.
+
+    ``[L_i L_j]_{x+y} v_b - L_i x (L_j y v_b) + L_j y (L_i x v_b)``: the
+    outer variable of the first term is held as the scratch ``u`` until both
+    factors are assembled, and pulling ``L_i x`` past a coefficient turns
+    its ``D`` into ``D + x`` (into ``alpha + x`` on a scalar_del module).
+    """
+    shift = DEL + LAM if mod.kind == KIND_FREE else Poly.const(mod.alpha) + LAM
+    shift_mu = shift.substitute(Var.LAMBDA, MU)
+    residual = {}
+    for m, s in alg.structure_of(i, j).items():
+        s_out = s.substitute(Var.PARTIAL, -AUX1)
+        add_terms(residual, (
+            (c, (s_out * A.substitute(Var.LAMBDA, AUX1)).substitute(Var.AUX1, LAM + MU))
+            for c, A in mod.action_of(m, b).items()
+        ))
+    for c, h in mod.action_of(j, b).items():
+        h_in = h.substitute(Var.LAMBDA, MU).substitute(Var.PARTIAL, shift)
+        add_terms(residual, ((e, -(h_in * A)) for e, A in mod.action_of(i, c).items()))
+    for c, h in mod.action_of(i, b).items():
+        h_in = h.substitute(Var.PARTIAL, shift_mu)
+        add_terms(residual, (
+            (e, h_in * A.substitute(Var.LAMBDA, MU)) for e, A in mod.action_of(j, c).items()
+        ))
+    return residual
+
+
+def test_module_identity_matches_reference_on_random_modules():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    poly, tables = random_table_strategies(st)
+
+    @st.composite
+    def algebras_and_modules(draw):
+        alg = draw(tables)
+        rank = draw(st.integers(1, 2))
+        basis = st.integers(0, rank - 1)
+        action = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, alg.window), basis),
+                st.dictionaries(basis, poly, min_size=1, max_size=2),
+                max_size=4,
+            )
+        )
+        return alg, ConformalModule(kind=KIND_FREE, rank=rank, alpha=None, action=action)
+
+    @hypothesis.settings(
+        max_examples=80, deadline=None, derandomize=True, database=None
+    )
+    @hypothesis.given(algebras_and_modules())
+    def check(pair):
+        alg, mod = pair
+        gens = list(alg.generators())
+        pairs = [(i, j) for i in gens for j in gens if alg.pair_defined(i, j)]
+        expected = [
+            (i, j, b, residual)
+            for i, j in pairs
+            for b in range(mod.rank)
+            if (residual := reference_module_residual(alg, mod, i, j, b))
+        ]
+        report = check_module(alg, mod)
+        assert report.pairs_checked == len(pairs)
+        assert [(f.i, f.j, f.basis, f.residual) for f in report.failures] == expected
+        for i, j, b, residual in expected:
+            assert module_residual(alg, mod, i, j, b) == residual
+
+    check()
 
 
 def test_handwritten_table_checks_like_builtin():

@@ -3,7 +3,7 @@
 Action oracles were computed by hand from the defining formulas.  The module
 identity runs over parameter and coefficient grids; the beta-extension and
 irreducibility tests pin down the exact boundaries the library claims: the
-extension exists only at parameter -1, and reducibility happens exactly on
+extension is a module only at parameter -1, and reducibility happens exactly on
 the advertised locus with an explicit generator witness.
 """
 
@@ -16,6 +16,8 @@ from confal.conformal import TruncationPolicy, make_block, make_bn, make_virasor
 from confal.modules import (
     FAMILY_BETA,
     FAMILY_PLAIN,
+    KIND_SCALAR_DEL,
+    ConformalModule,
     FamilyTag,
     UnsupportedModuleError,
     check_module,
@@ -46,18 +48,13 @@ def test_rank_one_action_oracle():
     )
 
 
-def test_beta_action_oracle_and_gate():
+def test_beta_action_oracle():
     alg = make_bn(1)
     mod = rank_one_beta_module(alg, 1, 0, 7)
     assert mod.action[(0, 0)] == {0: -(DEL + LAM)}
     assert mod.action[(1, 0)] == {0: Poly.const(7)}
     # beta = 0 leaves no index-one row at all.
     assert (1, 0) not in rank_one_beta_module(alg, 1, 0, 0).action
-    # other parameters reject the extension unless explicitly unchecked.
-    other = make_block(2, 2, TRUNC)
-    with pytest.raises(UnsupportedModuleError):
-        rank_one_beta_module(other, 1, 0, 7)
-    assert rank_one_beta_module(other, 1, 0, 7, unchecked=True).action[(1, 0)]
 
 
 def test_module_needs_bracket_family():
@@ -91,7 +88,7 @@ def test_beta_bolt_on_fails_at_exact_pairs():
     # (0,1) and (1,0) with residual beta (1+p) x (resp. its mirror), and
     # nowhere else.
     alg = make_block(1, 3, TRUNC)
-    mod = rank_one_beta_module(alg, 1, 0, 5, unchecked=True)
+    mod = rank_one_beta_module(alg, 1, 0, 5)
     rep = check_module(alg, mod)
     assert not rep.ok
     assert sorted((f.i, f.j) for f in rep.failures) == [(0, 1), (1, 0)]
@@ -103,7 +100,7 @@ def test_beta_bolt_on_fails_at_exact_pairs():
 def test_beta_bolt_on_failure_scales_with_parameter():
     for p in (Fraction(2), Fraction(-2), Fraction(1, 2)):
         alg = make_block(p, 3, TRUNC)
-        mod = rank_one_beta_module(alg, 1, 0, 5, unchecked=True)
+        mod = rank_one_beta_module(alg, 1, 0, 5)
         rep = check_module(alg, mod)
         by_pair = {(f.i, f.j): f.residual for f in rep.failures}
         assert by_pair[(0, 1)] == {0: 5 * (1 + p) * LAM}
@@ -114,6 +111,18 @@ def test_trivial_module_identity():
         alg = make_block(p, 4, TRUNC)
         for alpha in (Fraction(0), Fraction(2), Fraction(-1, 2)):
             assert check_module(alg, trivial_module(alpha)).ok
+
+
+def test_scalar_del_module_with_an_action_is_refused():
+    # D acts by a scalar there, so the module is not free over the algebra's D.
+    alg = make_block(1, 2, TRUNC)
+    mod = ConformalModule(
+        kind=KIND_SCALAR_DEL, rank=1, alpha=Fraction(1), action={(0, 0): {0: LAM}}
+    )
+    with pytest.raises(UnsupportedModuleError):
+        check_module(alg, mod)
+    with pytest.raises(UnsupportedModuleError):
+        module_residual(alg, mod, 0, 0, 0)
 
 
 def test_module_residual_zero_spot_checks():
@@ -164,7 +173,7 @@ def test_module_residual_matches_sympy():
     for p in (Fraction(-1), Fraction(1, 2), Fraction(2)):
         alg = make_block(p, 3, TRUNC)
         mods = [rank_one_module(alg, draw(), draw()) for _ in range(2)]
-        mods += [rank_one_beta_module(alg, draw(), draw(), draw() or 1, unchecked=True)
+        mods += [rank_one_beta_module(alg, draw(), draw(), draw() or 1)
                  for _ in range(2)]
         for mod in mods:
             for i in alg.generators():
