@@ -13,7 +13,6 @@ from .poly import (  # noqa: F401
     DEL,
     LAM,
     MU,
-    MissingVariableError,
     Poly,
     Var,
     divmod_in_var,
@@ -54,7 +53,6 @@ from .modules import (  # noqa: F401
     check_module,
     infer_family,
     is_irreducible_rank_one,
-    is_isomorphic_rank_one,
     rank_one_beta_module,
     rank_one_module,
     submodule_action,

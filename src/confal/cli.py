@@ -290,9 +290,12 @@ def cmd_verify_module(args: argparse.Namespace) -> cert.Certificate:
     alg, inputs = _algebra_from_args(args)
     mod, mod_inputs = _module_from_args(args, alg)
     inputs = {**inputs, **mod_inputs, "degree_bound": args.degree_bound}
+    try:
+        report = check_module(alg, mod)
+    except UnsupportedModuleError as exc:
+        raise InputError(str(exc)) from None
     certificate = cert.Certificate(command="verify-module", inputs=inputs)
     _algebra_results(alg, certificate)
-    report = check_module(alg, mod)
     certificate.check("module_identity", report.ok, report.to_payload())
     if mod.kind != KIND_FREE or mod.rank != 1:
         reason = "only free rank-one tables are searched"

@@ -368,12 +368,12 @@ class _PackedTable(dict):
 
     Every form is multiplied by ``scale``, the lcm of the denominators of the
     table's coefficients; the substitutions have integer coefficients, so the
-    scaled forms do too.  A monomial ``D^e0 x^e1 y^e2 u^e3 w^e4`` packs into
-    the int ``sum(e_i << i*width)`` (Monagan and Pearce, 2009).  A form's
+    scaled forms do too.  A monomial ``D^e0 x^e1 y^e2`` packs into the int
+    ``sum(e_i << i*width)`` (Monagan and Pearce, 2009).  A form's
     exponent in any slot is at most the entry's total degree, and ``width``
     leaves room for twice the largest one, so adding two packed exponents
     multiplies the monomials without a carry.  The outer forms (``s``,
-    ``at_sum``, ``at_y``) also carry their target as ``k << 5*width``, so the
+    ``at_sum``, ``at_y``) also carry their target as ``k << 3*width``, so the
     sum of an inner and an outer exponent names both the target and the
     monomial of a residual term.
 
@@ -425,7 +425,7 @@ class _PackedTable(dict):
     def unpack(self, total: dict[int, int]) -> LambdaValue:
         """The exact residual that ``total`` packs.
 
-        A key's target is ``key >> 5*width``, its exponents are the masked
+        A key's target is ``key >> 3*width``, its exponents are the masked
         slots below, and its coefficient ``v`` stands for ``v / scale**2``.
         """
         width = self.width

@@ -190,10 +190,17 @@ def _module_failures(
     the action, so the module residual on ``(i, j, b)`` is minus the Jacobi
     residual of the product on ``(L_i, L_j, v_b)``.  The product truncates,
     so the caller passes available pairs only.  A scalar_del module has no
-    free ``D``, so only its zero action fits this product.
+    free ``D``, so only its zero action fits this product.  An action row of
+    a generator ``alg`` lacks would never be walked, so it is refused.
     """
     if mod.kind != KIND_FREE and mod.action:
         raise UnsupportedModuleError("a scalar_del module is checked only with zero action")
+    stray = next((key for key in sorted(mod.action) if key[0] not in alg.generators()), None)
+    if stray is not None:
+        raise UnsupportedModuleError(
+            f"action key '{stray[0]},{stray[1]}' names generator {stray[0]}, "
+            f"but {alg.name} has generators 0..{alg.window}"
+        )
     v = alg.window + 1
     action = {
         (i, v + b): {v + c: A for c, A in entry.items()}
@@ -390,20 +397,3 @@ def is_irreducible_rank_one(
         candidates_checked=candidates,
     )
 
-
-def is_isomorphic_rank_one(a: ConformalModule, b: ConformalModule) -> bool:
-    """Whether two rank-one free modules are isomorphic.
-
-    Rescaling the free generator by a nonzero rational multiplies each side
-    of every action entry identically, so the action table is a complete
-    isomorphism invariant; the decision is table equality.
-    """
-    _require_rank_one_free(a)
-    _require_rank_one_free(b)
-    keys = set(a.action) | set(b.action)
-    for key in keys:
-        ea = {k: v for k, v in a.action.get(key, {}).items() if not v.is_zero()}
-        eb = {k: v for k, v in b.action.get(key, {}).items() if not v.is_zero()}
-        if ea != eb:
-            return False
-    return True

@@ -6,7 +6,6 @@ The variable registry is closed:
     ``D``     the translation generator (the "partial" of the algebra)
     ``x``     the first bracket variable (lambda)
     ``y``     the second bracket variable (mu)
-    ``u, w``  reserved scratch variables used while composing brackets
 
 A :class:`Poly` maps exponent vectors (one slot per registry variable) to
 nonzero :class:`~fractions.Fraction` coefficients.  The zero polynomial
@@ -16,7 +15,7 @@ canonical value.  Two polynomials are mathematically equal if and only if
 they compare equal structurally, so ``==`` is an exact identity test and
 rendering is byte-stable.
 
-Terms are ordered graded-lexicographically with ``D > x > y > u > w``:
+Terms are ordered graded-lexicographically with ``D > x > y``:
 higher total degree first, ties broken by the exponent vector with ``D``
 weighted heaviest.  All iteration and string rendering follow that order.
 """
@@ -38,23 +37,17 @@ class Var(enum.IntEnum):
     PARTIAL = 0
     LAMBDA = 1
     MU = 2
-    AUX1 = 3
-    AUX2 = 4
 
     @property
     def spelling(self) -> str:
         return _SPELLINGS[self]
 
 
-_SPELLINGS = ("D", "x", "y", "u", "w")
-NVARS = 5
-_ZERO_EXP = (0, 0, 0, 0, 0)
+_SPELLINGS = ("D", "x", "y")
+NVARS = 3
+_ZERO_EXP = (0, 0, 0)
 
 SPELLING_TO_VAR = {s: Var(i) for i, s in enumerate(_SPELLINGS)}
-
-
-class MissingVariableError(ValueError):
-    """A point evaluation did not assign every variable that occurs."""
 
 
 def _as_rat(value: Scalar) -> Fraction:
@@ -272,23 +265,6 @@ class Poly:
                 out[tuple(rest)] = c * scale
         return _wrap(out)
 
-    def evaluate(self, assignment: Mapping[Var, Scalar]) -> Fraction:
-        """Evaluate at a rational point covering every occurring variable."""
-        point = {Var(v): _as_rat(c) for v, c in assignment.items()}
-        missing = sorted(v.spelling for v in self.variables() if v not in point)
-        if missing:
-            raise MissingVariableError(
-                f"assignment missing variables: {', '.join(missing)}"
-            )
-        total = Fraction(0)
-        for exp, c in self._terms.items():
-            term = c
-            for i, e in enumerate(exp):
-                if e:
-                    term *= point[Var(i)] ** e
-            total += term
-        return total
-
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
@@ -360,8 +336,6 @@ _ONE = Poly({_ZERO_EXP: Fraction(1)})
 DEL = Poly.variable(Var.PARTIAL)
 LAM = Poly.variable(Var.LAMBDA)
 MU = Poly.variable(Var.MU)
-AUX1 = Poly.variable(Var.AUX1)
-AUX2 = Poly.variable(Var.AUX2)
 
 
 def divmod_in_var(f: Poly, g: Poly, var: Var) -> tuple[Poly, Poly]:

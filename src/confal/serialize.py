@@ -260,6 +260,8 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
     raw_structure = _object(data.get("structure", {}), "algebra structure")
     if window < 0:
         raise ParseError("window must be nonnegative")
+    if window > MAX_FILE_WINDOW:
+        raise ParseError(f"algebra window={window} exceeds the limit {MAX_FILE_WINDOW}")
     if not generators:
         generators = [f"L_{i}" for i in range(window + 1)]
     if len(generators) != window + 1:
@@ -317,9 +319,13 @@ def module_from_dict(data: Any) -> ConformalModule:
     rank = _integer(data.get("rank", 1), "module rank")
     if rank < 1:
         raise ParseError("module rank must be positive")
+    if rank > MAX_MODULE_RANK:
+        raise ParseError(f"module rank={rank} exceeds the limit {MAX_MODULE_RANK}")
     action: dict[tuple[int, int], dict[int, Poly]] = {}
     for key, entry in _object(data.get("action", {}), "module action").items():
         i, b = _parse_pair_key(key, "action")
+        if i < 0:
+            raise ParseError(f"action key {key!r} names a negative generator index")
         if not 0 <= b < rank:
             raise ParseError(f"action key {key!r} hits basis index outside rank {rank}")
         parsed = _parse_entry(entry, "action", rank, f"rank {rank}")
@@ -336,6 +342,16 @@ def module_from_dict(data: Any) -> ConformalModule:
 #: Largest input file :func:`load_json` accepts, in bytes.  A block table of
 #: window 24 written by :func:`save_json` takes about 15 KB.
 MAX_FILE_BYTES = 1 << 20
+
+#: Largest ``window`` an algebra file may declare.  The Jacobi walk is cubic
+#: in the window: an empty table of window 64 verifies in under a second,
+#: one of window 128 in a few seconds.
+MAX_FILE_WINDOW = 64
+
+#: Largest ``rank`` a module file may declare.  The module walk grows about
+#: as the cube of the rank: a dense action of rank 16 on a window-3 table
+#: verifies in under a second, one of rank 64 in about 20 s.
+MAX_MODULE_RANK = 16
 
 
 def load_json(path: str) -> dict[str, Any]:

@@ -41,7 +41,6 @@ from confal.conformal import (
 from confal.modules import (
     check_module,
     is_irreducible_rank_one,
-    is_isomorphic_rank_one,
     rank_one_beta_module,
     rank_one_module,
     submodule_action,
@@ -192,7 +191,7 @@ def test_criterion_7_submodule_structure():
             sub = submodule_action(bottom, shift)
             assert sub.invariant
             assert sub.remainder is None
-            assert is_isomorphic_rank_one(sub.module, rank_one_module(alg, 1, alpha))
+            assert sub.module.action == rank_one_module(alg, 1, alpha).action
             verdict = is_irreducible_rank_one(bottom, degree_bound=3)
             assert not verdict.irreducible
             assert verdict.witness == shift

@@ -531,8 +531,8 @@ WIDE_ENTRY = "(D+x+y+u+w+1)^16 - (D+x+y+u+w+1)^16 + D + 2*x"
     ],
 )
 def test_file_entry_in_other_variables_exits_two_before_expanding(capsys, tmp_path, argv, data):
-    # Expanding the entry in five variables would take minutes; only D and x
-    # are admitted, so the parser stops at the first other name.
+    # Expanding the entry's 16th powers would take minutes; only D and x are
+    # admitted, so the parser stops at the first other name.
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     start = time.perf_counter()
@@ -569,6 +569,49 @@ def test_file_of_the_wrong_json_shape_exits_two(capsys, tmp_path, argv, data, me
     assert out == ""
     assert err.count("\n") == 1
     assert err.endswith(f"{message}\n")
+
+
+STRAY_ACTION = {"0,0": {"0": "D + x"}, "3,0": {"0": "D^5"}}
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "free", "rank": 1, "action": STRAY_ACTION},
+         "confal: error: action key '3,0' names generator 3, but Vir has generators 0..0\n"),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "free", "rank": 1,
+          "action": {**STRAY_ACTION, "-2,0": {"0": "x"}}},
+         "action key '-2,0' names a negative generator index\n"),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "free", "rank": 10**9},
+         "module rank=1000000000 exceeds the limit 16\n"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 10**9},
+         "confal: error: algebra window=1000000000 exceeds the limit 64\n"),
+    ],
+    ids=["stray-generator", "negative-generator", "huge-rank", "huge-window"],
+)
+def test_file_beyond_the_algebra_or_a_size_limit_exits_two(capsys, tmp_path, argv, data, message):
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv + [f"file:{path}"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.endswith(message)
+
+
+def test_beta_module_on_a_window_without_l1_exits_two(capsys):
+    code, out, err = run_cli(
+        capsys, ["verify-module", "--alg", "block", "--p=-1", "--window", "0", "--mod", "Mb:0:0:1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "confal: error: action key '1,0' names generator 1, but B(-1) has generators 0..0\n"
 
 
 def test_file_above_size_limit_exits_two(capsys, tmp_path):

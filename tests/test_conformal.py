@@ -29,7 +29,7 @@ from confal.conformal import (
 )
 from confal.linalg import add_terms
 from confal.modules import KIND_FREE, ConformalModule, check_module, module_residual
-from confal.poly import AUX1, DEL, LAM, MU, Poly, Var
+from confal.poly import DEL, LAM, MU, Poly, Var
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
 ERROR = TruncationPolicy.ERROR_ON_OVERFLOW
@@ -190,8 +190,8 @@ def reference_jacobi_residual(alg, a, b, c):
     """The Jacobi residual substituted afresh for every triple.
 
     This is the formula the checker used before it compiled the table: the
-    middle term goes through the scratch variable ``u`` and substitutes
-    ``u := x + y`` in the product.
+    middle term is ``g(-x-y) * entry(x+y)``, substituted in each factor
+    before the product.
     """
     residual = {}
     for m, h in alg.structure_of(b, c).items():
@@ -199,10 +199,9 @@ def reference_jacobi_residual(alg, a, b, c):
         for k, entry in alg.structure_of(a, m).items():
             residual[k] = residual.get(k, Poly.zero()) + lifted * entry
     for m, g in alg.structure_of(a, b).items():
-        g_out = g.substitute(Var.PARTIAL, -AUX1)
+        g_out = g.substitute(Var.PARTIAL, -LAM - MU)
         for k, entry in alg.structure_of(m, c).items():
-            entry_out = entry.substitute(Var.LAMBDA, AUX1)
-            term = (g_out * entry_out).substitute(Var.AUX1, LAM + MU)
+            term = g_out * entry.substitute(Var.LAMBDA, LAM + MU)
             residual[k] = residual.get(k, Poly.zero()) - term
     for m, u in alg.structure_of(a, c).items():
         u_shift = u.substitute(Var.PARTIAL, DEL + MU)
@@ -290,7 +289,7 @@ def random_table_strategies(st):
     coeff = st.fractions(-3, 3, max_denominator=4)
     poly = st.dictionaries(
         st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff, max_size=3
-    ).map(lambda terms: Poly({(d, x, 0, 0, 0): c for (d, x), c in terms.items()}))
+    ).map(lambda terms: Poly({(d, x, 0): c for (d, x), c in terms.items()}))
 
     @st.composite
     def tables(draw):
@@ -402,17 +401,17 @@ def reference_module_residual(alg, mod, i, j, b):
     """The module identity's residual, assembled on its own formula.
 
     ``[L_i L_j]_{x+y} v_b - L_i x (L_j y v_b) + L_j y (L_i x v_b)``: the
-    outer variable of the first term is held as the scratch ``u`` until both
-    factors are assembled, and pulling ``L_i x`` past a coefficient turns
+    first term is ``s(-x-y) * A(x+y)``, substituted in each factor before
+    the product, and pulling ``L_i x`` past a coefficient turns
     its ``D`` into ``D + x`` (into ``alpha + x`` on a scalar_del module).
     """
     shift = DEL + LAM if mod.kind == KIND_FREE else Poly.const(mod.alpha) + LAM
     shift_mu = shift.substitute(Var.LAMBDA, MU)
     residual = {}
     for m, s in alg.structure_of(i, j).items():
-        s_out = s.substitute(Var.PARTIAL, -AUX1)
+        s_out = s.substitute(Var.PARTIAL, -LAM - MU)
         add_terms(residual, (
-            (c, (s_out * A.substitute(Var.LAMBDA, AUX1)).substitute(Var.AUX1, LAM + MU))
+            (c, s_out * A.substitute(Var.LAMBDA, LAM + MU))
             for c, A in mod.action_of(m, b).items()
         ))
     for c, h in mod.action_of(j, b).items():

@@ -16,6 +16,7 @@ from confal.conformal import TruncationPolicy, make_block, make_bn, make_virasor
 from confal.modules import (
     FAMILY_BETA,
     FAMILY_PLAIN,
+    KIND_FREE,
     KIND_SCALAR_DEL,
     ConformalModule,
     FamilyTag,
@@ -23,7 +24,6 @@ from confal.modules import (
     check_module,
     infer_family,
     is_irreducible_rank_one,
-    is_isomorphic_rank_one,
     module_residual,
     rank_one_beta_module,
     rank_one_module,
@@ -125,6 +125,23 @@ def test_scalar_del_module_with_an_action_is_refused():
         module_residual(alg, mod, 0, 0, 0)
 
 
+def test_action_rows_of_generators_the_algebra_lacks_are_refused():
+    # Vir has only L_0; a row for L_3 would never be walked.
+    mod = ConformalModule(
+        kind=KIND_FREE, rank=1, alpha=None, action={(0, 0): {0: DEL + LAM}, (3, 0): {0: DEL**5}}
+    )
+    message = "action key '3,0' names generator 3, but Vir has generators 0..0"
+    with pytest.raises(UnsupportedModuleError, match=message):
+        check_module(make_virasoro(), mod)
+    with pytest.raises(UnsupportedModuleError, match=message):
+        module_residual(make_virasoro(), mod, 0, 0, 0)
+    # The beta family acts by L_1, which the window-0 table lacks.
+    alg = make_block(1, 0, TRUNC)
+    with pytest.raises(UnsupportedModuleError, match="action key '1,0' names generator 1"):
+        check_module(alg, rank_one_beta_module(alg, 0, 0, 1))
+    assert check_module(alg, rank_one_beta_module(alg, 0, 0, 0)).ok
+
+
 def test_module_residual_zero_spot_checks():
     alg = make_block(Fraction(1, 2), 3, TRUNC)
     mod = rank_one_module(alg, Fraction(1, 2), 2)
@@ -144,8 +161,8 @@ def test_module_residual_matches_sympy():
     # f(D) L_m acts with variable x+y as f(-x-y) L_m, and pulling L_i x past
     # a module coefficient g(D) turns it into g(D+x).
     sympy = pytest.importorskip("sympy")
-    symbols = sympy.symbols("D x y u w")
-    D, x, y = symbols[:3]
+    symbols = sympy.symbols("D x y")
+    D, x, y = symbols
 
     def to_sympy(poly):
         return sympy.Add(*(
@@ -196,7 +213,7 @@ def test_submodule_generator_shifts_delta_by_one():
             result = submodule_action(m0, DEL + alpha)
             assert result.invariant
             target = rank_one_module(alg, 1, alpha)
-            assert is_isomorphic_rank_one(result.module, target)
+            assert result.module.action == target.action
             assert result.module.family.delta == 1
             assert result.module.family.alpha == alpha
 
@@ -322,26 +339,3 @@ def test_random_reducible_points_have_witnesses():
         assert not verdict.irreducible
         assert verdict.witness == DEL + alpha
         assert submodule_action(rank_one_module(alg, 0, alpha), verdict.witness).invariant
-
-
-# -- isomorphism --------------------------------------------------------------------------
-
-
-def test_isomorphism_is_table_equality():
-    alg = make_block(1, 3, TRUNC)
-    a = rank_one_module(alg, 1, 2)
-    b = rank_one_module(alg, 1, 2)
-    c = rank_one_module(alg, 1, 3)
-    d = rank_one_module(alg, 2, 2)
-    assert is_isomorphic_rank_one(a, b)
-    assert not is_isomorphic_rank_one(a, c)
-    assert not is_isomorphic_rank_one(a, d)
-
-
-def test_isomorphism_distinguishes_beta():
-    alg = make_bn(1)
-    plain = rank_one_module(alg, 1, 0)
-    with_beta = rank_one_beta_module(alg, 1, 0, 1)
-    zero_beta = rank_one_beta_module(alg, 1, 0, 0)
-    assert not is_isomorphic_rank_one(plain, with_beta)
-    assert is_isomorphic_rank_one(plain, zero_beta)

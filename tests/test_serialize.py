@@ -32,6 +32,8 @@ from confal.modules import (
 from confal.poly import DEL, LAM, MU, Poly, Var
 from confal.serialize import (
     ENTRY_VARIABLES,
+    MAX_FILE_WINDOW,
+    MAX_MODULE_RANK,
     MAX_POLY_DEGREE,
     ParseError,
     algebra_from_dict,
@@ -114,7 +116,14 @@ def test_poly_grammar_admits_only_the_given_variables():
         parse_poly("D + y*u", (Var.PARTIAL, Var.LAMBDA))
 
 
-#: An entry that cancels to ``D + 2*x`` but expands in five variables first.
+def test_default_registry_is_d_x_y():
+    for text in ("D + u", "w"):
+        with pytest.raises(ParseError, match="is not one of D, x, y in"):
+            parse_poly(text)
+
+
+#: An entry that cancels to ``D + 2*x`` only after two 16th powers of a
+#: six-term sum are expanded; ``u`` and ``w`` are not even ring variables.
 WIDE_ENTRY = "(D+x+y+u+w+1)^16 - (D+x+y+u+w+1)^16 + D + 2*x"
 
 
@@ -149,9 +158,7 @@ def test_poly_grammar_hypothesis_round_trip():
     st = hypothesis.strategies
     exponents = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
     coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
-    polys = st.dictionaries(exponents, coefficients, max_size=6).map(
-        lambda terms: Poly({exp + (0, 0): c for exp, c in terms.items()})
-    )
+    polys = st.dictionaries(exponents, coefficients, max_size=6).map(Poly)
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hypothesis.given(polys)
@@ -279,6 +286,14 @@ def test_algebra_rejections():
             algebra_from_dict(data)
 
 
+def test_algebra_window_is_bounded():
+    data = {"format": "confal-algebra", "window": MAX_FILE_WINDOW}
+    assert algebra_from_dict(data).window == MAX_FILE_WINDOW
+    for window in (MAX_FILE_WINDOW + 1, 10**9):
+        with pytest.raises(ParseError, match=f"algebra window={window} exceeds the limit 64"):
+            algebra_from_dict({**data, "window": window})
+
+
 # -- module files -----------------------------------------------------------------
 
 
@@ -350,6 +365,21 @@ def test_module_rejections():
     for alpha in (1, 0.5, None, ["1/2"]):
         with pytest.raises(ParseError):
             module_from_dict({"format": "confal-module", "kind": "scalar_del", "alpha": alpha})
+
+
+def test_module_rank_is_bounded():
+    data = {"format": "confal-module", "kind": "free", "rank": MAX_MODULE_RANK}
+    assert module_from_dict(data).rank == MAX_MODULE_RANK
+    for rank in (MAX_MODULE_RANK + 1, 10**9):
+        with pytest.raises(ParseError, match=f"module rank={rank} exceeds the limit 16"):
+            module_from_dict({**data, "rank": rank})
+
+
+def test_module_action_refuses_a_negative_generator_index():
+    data = {"format": "confal-module", "kind": "free", "rank": 1,
+            "action": {"0,0": {"0": "D + x"}, "-2,0": {"0": "x"}}}
+    with pytest.raises(ParseError, match="action key '-2,0' names a negative generator index"):
+        module_from_dict(data)
 
 
 # -- file IO ------------------------------------------------------------------------
