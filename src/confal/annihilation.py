@@ -14,11 +14,14 @@ For the one-parameter bracket family the shifted labels ``L(i, m)`` with
 
 written once, in ``_closed_form_table``: it walks indices ``0..idx_cap`` and
 modes ``mode_lo..mode_cap`` in integer coordinates ``(i, m)`` and returns the
-table and the ordered pairs whose nonzero product escapes the window.
+table and the ordered pairs whose nonzero product escapes the window.  Every
+bracket is a multiple of one basis element, so a table stores one
+``(target, coefficient)`` per pair.
 
 :func:`build_annihilation` builds the window twice, from this closed form and
-by the general mode expansion, on coordinates, and raises if they disagree;
-labels are attached once, after the comparison.  The extended variant
+by the general mode expansion, on coordinates, and compares them pair by
+pair; a disagreement raises :class:`ClosedFormMismatchError` naming the
+pairs.  Labels are attached once, after the comparison.  The extended variant
 adjoins a translation generator ``T`` with ``[T, L(i,m)] = -(m+1) L(i,m-1)``;
 ``T - (1/p) L(0,-1)`` is then central, which :func:`check_central` verifies
 bracket by bracket.  :func:`annihilation_subquotient` takes the same closed
@@ -47,9 +50,16 @@ Label = str
 #: Linear combination of basis labels with rational coefficients.
 LinComb = dict[Label, Fraction]
 
+#: One table entry: the bracket is ``coefficient * target``.
+Bracket = tuple[Label, Fraction]
+
 
 class ClosedFormMismatchError(RuntimeError):
-    """The mode-expansion table disagreed with the closed-form table."""
+    """The mode expansion of ``algebra`` disagreed with the closed form on ``pairs``."""
+
+    def __init__(self, algebra: str, pairs: list[tuple[Label, Label]]) -> None:
+        super().__init__(f"{algebra}: mode expansion and closed form disagree on {pairs[:5]}")
+        self.algebra, self.pairs = algebra, pairs
 
 
 def label_L(i: int, m: int) -> Label:
@@ -65,10 +75,13 @@ T_LABEL: Label = "T"
 
 @dataclass
 class FiniteLieAlgebra:
-    """A finite-dimensional Lie algebra with a rational structure table.
+    """A finite-dimensional Lie algebra whose brackets each have one target.
 
-    ``table`` stores each ordered pair with a nonzero bracket; missing pairs
-    bracket to zero.  Antisymmetry must hold tablewise and is rechecked by
+    ``table`` maps each ordered pair with a nonzero bracket to one
+    ``(target, coefficient)``; missing pairs bracket to zero.  Every label
+    it names, and every label of ``truncated_pairs``, lies in ``basis``, and
+    no coefficient is zero; construction refuses anything else with a
+    ``ValueError``.  Antisymmetry must hold tablewise and is rechecked by
     :func:`check_lie` rather than assumed.
 
     ``coords`` maps each mode label to its ``(index, mode)``.
@@ -79,10 +92,20 @@ class FiniteLieAlgebra:
 
     name: str
     basis: tuple[Label, ...]
-    table: dict[tuple[Label, Label], LinComb]
+    table: dict[tuple[Label, Label], Bracket]
     param_p: Fraction | None
     coords: dict[Label, tuple[int, int]] = field(default_factory=dict)
     truncated_pairs: frozenset[tuple[Label, Label]] = frozenset()
+
+    def __post_init__(self) -> None:
+        known = self.positions
+        for (x, y), (target, coeff) in self.table.items():
+            if not (x in known and y in known and target in known and coeff):
+                raise ValueError(f"table entry [{x}, {y}] = {coeff} {target} is not a nonzero "
+                                 "multiple of a basis label on a pair of basis labels")
+        for x, y in self.truncated_pairs:
+            if not (x in known and y in known):
+                raise ValueError(f"truncated pair ({x}, {y}) names a label outside the basis")
 
     @cached_property
     def positions(self) -> dict[Label, int]:
@@ -90,16 +113,17 @@ class FiniteLieAlgebra:
         return {label: i for i, label in enumerate(self.basis)}
 
     def bracket_basis(self, x: Label, y: Label) -> LinComb:
-        return dict(self.table.get((x, y), {}))
+        entry = self.table.get((x, y))
+        return {entry[0]: entry[1]} if entry else {}
 
 
 def lie_bracket(alg: FiniteLieAlgebra, u: Mapping[Label, Fraction],
                 v: Mapping[Label, Fraction]) -> LinComb:
     return add_terms({}, (
-        (target, cu * cv * coeff)
+        (entry[0], cu * cv * entry[1])
         for xu, cu in u.items()
         for xv, cv in v.items()
-        for target, coeff in alg.table.get((xu, xv), {}).items()
+        if (entry := alg.table.get((xu, xv)))
     ))
 
 
@@ -127,8 +151,8 @@ def k_products(alg: ConformalAlgebra, i: int, j: int) -> list[tuple[int, dict[in
 
 Coord = tuple[int, int]
 
-#: Mode table on integer coordinates: ``((i, m), (j, n)) -> {(i', m'): c}``.
-CoordTable = dict[tuple[Coord, Coord], dict[Coord, Fraction]]
+#: Mode table on integer coordinates: ``((i, m), (j, n)) -> ((i', m'), c)``.
+CoordTable = dict[tuple[Coord, Coord], tuple[Coord, Fraction]]
 
 
 def _closed_form_table(
@@ -155,16 +179,13 @@ def _closed_form_table(
             if i + j > idx_cap or m + n > mode_cap:
                 escaping.add((x, y))
             else:
-                table[(x, y)] = {(i + j, m + n): Fraction(num, b)}
+                table[(x, y)] = ((i + j, m + n), Fraction(num, b))
     return table, escaping
 
 
-def _labelled(table: CoordTable, name: dict[Coord, Label]) -> dict[tuple[Label, Label], LinComb]:
+def _labelled(table: CoordTable, name: dict[Coord, Label]) -> dict[tuple[Label, Label], Bracket]:
     """``table`` on labels; every entry shares the one string of each label."""
-    return {
-        (name[x], name[y]): {name[t]: c for t, c in value.items()}
-        for (x, y), value in table.items()
-    }
+    return {(name[x], name[y]): (name[t], c) for (x, y), (t, c) in table.items()}
 
 
 # -- the annihilation window ----------------------------------------------------
@@ -181,8 +202,9 @@ def build_annihilation(
     Basis labels are ``L(i,m)`` for ``0 <= i <= idx_window`` and
     ``-1 <= m <= mode_window`` (plus ``T`` when ``extended``).  The table is
     computed from the k-th products via the general mode-bracket formula and
-    independently from the closed form; any disagreement raises
-    :class:`ClosedFormMismatchError`.  Products whose untruncated target
+    independently from the closed form, and the two are compared pair by
+    pair; any disagreement raises :class:`ClosedFormMismatchError` with the
+    disagreeing pairs.  Products whose untruncated target
     falls outside the window are dropped.  The ordered pairs either route
     dropped something from are recorded in ``truncated_pairs``, so
     downstream checks can exclude them honestly.
@@ -201,11 +223,16 @@ def build_annihilation(
     assert p is not None
 
     closed, truncated = _closed_form_table(p, idx_window, -1, mode_window)
+    cells = [(i, m) for i in range(idx_window + 1) for m in range(-1, mode_window + 1)]
+    coords = {label_L(*c): c for c in cells}
+    name = {c: lab for lab, c in coords.items()}
+    title = f"A({alg.name};{idx_window},{mode_window})" + ("+T" if extended else "")
 
     # Route one, the independent cross-check: the general mode-bracket formula
     # over every term (k, generator, D power, signed coefficient) of each
     # pair's k-th products.  A pair of which any term lands above the mode
-    # window joins ``truncated``, even where its terms sum to zero.
+    # window joins ``truncated``, even where its terms sum to zero.  Each
+    # pair's value is compared with the closed form as soon as it is summed.
     indices = range(idx_window + 1)
     terms = {
         (i, j): [
@@ -218,8 +245,7 @@ def build_annihilation(
         for j in indices
         if i + j <= idx_window
     }
-    cells = [(i, m) for i in indices for m in range(-1, mode_window + 1)]
-    expanded: CoordTable = {}
+    mismatched: list[tuple[Label, Label]] = []
     for x in cells:
         i, s = x[0], x[1] + 1
         for y in cells:
@@ -240,35 +266,24 @@ def build_annihilation(
                 key = (gen, shifted)
                 value[key] = value.get(key, 0) + math.comb(s, k) * fall * coeff
             value = {key: c for key, c in value.items() if c}
-            if value:
-                expanded[(x, y)] = value
+            entry = closed.get((x, y))
+            if value != ({entry[0]: entry[1]} if entry else {}):
+                mismatched.append((name[x], name[y]))
+    if mismatched:
+        raise ClosedFormMismatchError(title, sorted(mismatched))
 
-    if expanded != closed:
-        diff_keys = sorted(
-            tuple(label_L(*c) for c in k)
-            for k in set(expanded) | set(closed)
-            if expanded.get(k) != closed.get(k)
-        )
-        raise ClosedFormMismatchError(
-            f"mode expansion and closed form disagree on pairs {diff_keys[:5]}"
-        )
-    del expanded  # route one has served; free it before labelling
-
-    coords = {label_L(*c): c for c in cells}
-    name = {c: lab for lab, c in coords.items()}
     table = _labelled(closed, name)
     basis = list(coords)
     if extended:
         # [T, L(i,m)] = -(m+1) L(i,m-1); the mode -1 elements commute with T.
         for lab, (i, m) in coords.items():
             if m >= 0:
-                table[(T_LABEL, lab)] = {name[(i, m - 1)]: Fraction(-(m + 1))}
-                table[(lab, T_LABEL)] = {name[(i, m - 1)]: Fraction(m + 1)}
+                table[(T_LABEL, lab)] = (name[(i, m - 1)], Fraction(-(m + 1)))
+                table[(lab, T_LABEL)] = (name[(i, m - 1)], Fraction(m + 1))
         basis.append(T_LABEL)
 
     return FiniteLieAlgebra(
-        name=f"A({alg.name};{idx_window},{mode_window})"
-        + ("+T" if extended else ""),
+        name=title,
         basis=tuple(basis),
         table=table,
         param_p=p,
@@ -399,30 +414,32 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
     every interior triple is still checked exactly.  Algebras with an
     intrinsic zero rule carry no such set and are checked in full.
 
-    The triple walk runs on :func:`_integer_table`.  Its residuals are the
-    exact ones times a fixed nonzero integer, so they vanish on the same
-    triples; a triple that fails is evaluated again with the exact table,
-    and the report carries that exact residual.
+    The triple walk runs on basis indices with every coefficient multiplied
+    by ``scale``, the lcm of their denominators: ``tab[a][b]`` is ``(target
+    index, scaled coefficient)`` or ``None``, so a triple costs at most three
+    integer products.  Each product is the exact term times ``scale**2``; a
+    failing triple's exact residual is its three terms divided by
+    ``scale**2``, summed in the order ``[a,[b,c]]``, ``[b,[c,a]]``,
+    ``[c,[a,b]]``.
     """
-    report = LieReport(algebra=alg.name)
-    basis, table = alg.basis, alg.table
+    basis, pos = alg.basis, alg.positions
     n = len(basis)
-    for a in range(n):
-        for b in range(a, n):
-            x, y = basis[a], basis[b]
-            report.pairs_checked += 1
-            residual = add_terms(dict(table.get((x, y), {})), table.get((y, x), {}).items())
+    report = LieReport(algebra=alg.name, pairs_checked=n * (n + 1) // 2)
+    for a, x in enumerate(basis):
+        for y in basis[a:]:
+            residual = add_terms(alg.bracket_basis(x, y), alg.bracket_basis(y, x).items())
             if residual:
                 report.antisymmetry_failures.append((x, y, residual))
 
-    index, tab = _integer_table(alg)
-    truncated = alg.truncated_pairs
+    scale = math.lcm(*(c.denominator for _, c in alg.table.values()))
+    tab: list[list[tuple[int, int] | None]] = [[None] * n for _ in basis]
+    for (x, y), (target, c) in alg.table.items():
+        tab[pos[x]][pos[y]] = (pos[target], int(c * scale))
     cut: list[list[bool]] | None = None
-    if truncated:
-        cut = [[False] * len(index) for _ in index]
-        for x, y in truncated:
-            if x in index and y in index:
-                cut[index[x]][index[y]] = True
+    if alg.truncated_pairs:
+        cut = [[False] * n for _ in basis]
+        for x, y in alg.truncated_pairs:
+            cut[pos[x]][pos[y]] = True
 
     checked = excluded = 0
     for a in range(n):
@@ -441,55 +458,26 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
                 # of a, b, c with their targets.
                 if cut is not None and (
                     cut[b][c] or cut[c][a]
-                    or any(cut[a][t] for t in bc)
-                    or any(cut[b][t] for t in ca)
-                    or any(cut[c][t] for t in ab)
+                    or (bc and cut[a][bc[0]])
+                    or (ca and cut[b][ca[0]])
+                    or (ab and cut[c][ab[0]])
                 ):
                     excluded += 1
                     continue
                 checked += 1
-                if not (bc or ca or ab):
+                u = tab_a[bc[0]] if bc else None
+                v = tab_b[ca[0]] if ca else None
+                w = tab_c[ab[0]] if ab else None
+                if not (u or v or w):
                     continue
-                total: dict[int, int] = {}
-                for outer, inner in ((tab_a, bc), (tab_b, ca), (tab_c, ab)):
-                    for t, v in inner.items():
-                        for u, w in outer[t].items():
-                            total[u] = total.get(u, 0) + v * w
-                if any(total.values()):
-                    x, y, z = basis[a], basis[b], basis[c]
-                    report.jacobi_failures.append((x, y, z, _jacobi_residual(alg, x, y, z)))
+                terms = [(outer[0], inner[1] * outer[1])
+                         for inner, outer in ((bc, u), (ca, v), (ab, w)) if outer]
+                if add_terms({}, terms):
+                    report.jacobi_failures.append((basis[a], basis[b], basis[c], add_terms(
+                        {}, ((basis[t], Fraction(r, scale * scale)) for t, r in terms))))
     report.triples_checked = checked
     report.triples_excluded = excluded
     return report
-
-
-def _integer_table(alg: FiniteLieAlgebra) -> tuple[dict[Label, int], list[list[dict[int, int]]]]:
-    """The table on integer label indices with integer coefficients.
-
-    Returns the label index -- the basis first, then any other label the
-    table names -- and ``tab[i][j] = {k: c}`` for ``[e_i, e_j] = sum c e_k``.
-    Every coefficient is multiplied by the lcm of all their denominators;
-    scaling every bracket by one nonzero constant preserves antisymmetry and
-    Jacobi.  Explicit zero coefficients are kept, so ``tab[i][j]`` names the
-    same targets as the table entry.
-    """
-    index = dict(alg.positions)
-    for (x, y), value in alg.table.items():
-        for label in (x, y, *value):
-            index.setdefault(label, len(index))
-    scale = math.lcm(*(c.denominator for value in alg.table.values() for c in value.values()))
-    empty: dict[int, int] = {}
-    tab = [[empty] * len(index) for _ in index]
-    for (x, y), value in alg.table.items():
-        tab[index[x]][index[y]] = {index[t]: int(c * scale) for t, c in value.items()}
-    return index, tab
-
-
-def _jacobi_residual(alg: FiniteLieAlgebra, x: Label, y: Label, z: Label) -> LinComb:
-    """``[x,[y,z]] + [y,[z,x]] + [z,[x,y]]`` in exact arithmetic."""
-    total = lie_bracket(alg, {x: Fraction(1)}, alg.bracket_basis(y, z))
-    add_terms(total, lie_bracket(alg, {y: Fraction(1)}, alg.bracket_basis(z, x)).items())
-    return add_terms(total, lie_bracket(alg, {z: Fraction(1)}, alg.bracket_basis(x, y)).items())
 
 
 # -- resonance analysis ---------------------------------------------------------------
@@ -786,9 +774,7 @@ def characters(alg: FiniteLieAlgebra) -> CharacterReport:
     gives the rank of the derived subalgebra; every returned functional is
     then re-applied to every bracket as a final verification.
     """
-    echelon = linalg.Echelon(
-        {alg.positions[lab]: c for lab, c in value.items()} for value in alg.table.values()
-    )
+    echelon = linalg.Echelon({alg.positions[lab]: c} for lab, c in alg.table.values())
     chars = [
         {alg.basis[col]: c for col, c in vec.items()}
         for vec in echelon.nullspace(len(alg.basis))
@@ -796,9 +782,7 @@ def characters(alg: FiniteLieAlgebra) -> CharacterReport:
     # Pairs absent from the table bracket to zero, which every functional
     # annihilates.
     verified = not any(
-        sum(phi.get(lab, 0) * co for lab, co in value.items())
-        for phi in chars
-        for value in alg.table.values()
+        phi.get(lab, 0) * co for phi in chars for lab, co in alg.table.values()
     )
     derived_rank = echelon.rank
     return CharacterReport(

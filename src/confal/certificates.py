@@ -81,8 +81,7 @@ def conformal_table_hash(alg: ConformalAlgebra) -> str:
 
 def lie_table_hash(alg: FiniteLieAlgebra) -> str:
     data = {
-        f"{x}|{y}": {label: str(c) for label, c in sorted(entry.items())}
-        for (x, y), entry in sorted(alg.table.items())
+        f"{x}|{y}": {label: str(c)} for (x, y), (label, c) in sorted(alg.table.items())
     }
     blob = json.dumps(data, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()

@@ -24,6 +24,7 @@ from typing import NoReturn
 
 from . import certificates as cert
 from .annihilation import (
+    ClosedFormMismatchError,
     annihilation_subquotient,
     build_annihilation,
     characters,
@@ -352,18 +353,22 @@ def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
         raise InputError(f"{mode} does not take {', '.join(stray)}")
     if missing:
         raise InputError(f"{mode} needs {needs}")
+    inputs = ({"G": True, "p": str(args.p), "k": args.k, "N": args.N} if args.G else
+              {"p": str(args.p), "idx": args.idx, "mode": args.mode, "extended": args.extended})
+    certificate = cert.Certificate(command="annihilation", inputs=inputs)
     try:
         if args.G:
             alg = annihilation_subquotient(args.p, args.k, args.N)
-            inputs = {"G": True, "p": str(args.p), "k": args.k, "N": args.N}
         else:
             base = make_block(args.p, args.idx, TruncationPolicy.TRUNCATE_TO_ZERO)
             alg = build_annihilation(base, args.idx, args.mode, extended=args.extended)
-            inputs = {"p": str(args.p), "idx": args.idx, "mode": args.mode,
-                      "extended": args.extended}
+    except ClosedFormMismatchError as exc:
+        certificate.add("bracket_table", cert.FAIL, {
+            "algebra": exc.algebra, "closed_form_cross_check": "disagreed",
+            "pairs": [list(pair) for pair in exc.pairs[:5]]})
+        return certificate
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    certificate = cert.Certificate(command="annihilation", inputs=inputs)
     certificate.add("bracket_table", cert.PASS, cert.bracket_table(alg, expanded=not args.G))
     lie = check_lie(alg)
     certificate.check("lie_axioms", lie.ok, lie.to_payload())

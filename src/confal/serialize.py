@@ -313,6 +313,11 @@ def module_from_dict(data: Any) -> ConformalModule:
         raise ParseError("not a module file: missing format marker")
     kind = data.get("kind")
     if kind == KIND_SCALAR_DEL:
+        # The module is C with D acting by alpha: rank 1 and no action table.
+        if "action" in data:
+            raise ParseError("a scalar_del module takes no field 'action'")
+        if _integer(data.get("rank", 1), "module rank") != 1:
+            raise ParseError(f"a scalar_del module has rank 1, got rank={data['rank']!r}")
         return trivial_module(_rational(data.get("alpha", "0"), "module alpha"))
     if kind != KIND_FREE:
         raise ParseError(f"unknown module kind {kind!r}")

@@ -106,7 +106,7 @@ def test_criterion_3_mode_expansion_matches_closed_form():
                     expected = {}
                     if coeff and ti <= w and tm <= w:
                         expected = {label_L(ti, tm): coeff}
-                    assert ann.table.get((x, y), {}) == expected
+                    assert ann.bracket_basis(x, y) == expected
                     compared += 1
     assert compared == 4 * (12**2 + 30**2 + 56**2)
     print(f"CRITERION 3: PASS (mode expansion vs closed form, {compared} pairs)")

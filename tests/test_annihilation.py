@@ -17,6 +17,7 @@ from confal.annihilation import (
     IDEAL_TOP_INDEX_SLICE,
     IDEAL_TOP_MODE_SLICE,
     T_LABEL,
+    ClosedFormMismatchError,
     FiniteLieAlgebra,
     LieReport,
     ResonanceCase,
@@ -108,6 +109,40 @@ def test_window_validation():
         build_annihilation(make_virasoro(), 0, 2)
 
 
+def test_closed_form_disagreement_raises_naming_every_pair(flipped_closed_form):
+    closed, _ = flipped_closed_form(Fraction(1), 2, -1, 2)
+    flipped = sorted(
+        (label_L(*x), label_L(*y)) for x, y in closed if x == (1, 0)
+    )
+    assert len(flipped) > 5
+    with pytest.raises(ClosedFormMismatchError) as info:
+        window(1, idx=2, mode=2)
+    assert info.value.algebra == "A(B(1);2,2)"
+    assert info.value.pairs == flipped
+    assert str(flipped[:5]) in str(info.value)
+
+
+def test_table_names_only_basis_labels_and_nonzero_coefficients():
+    def build(table, truncated=()):
+        return FiniteLieAlgebra(
+            name="t", basis=("a", "b"), table=table, param_p=None,
+            truncated_pairs=frozenset(truncated),
+        )
+
+    alg = build({("a", "b"): ("b", Fraction(2)), ("b", "a"): ("b", Fraction(-2))}, [("a", "a")])
+    assert alg.bracket_basis("a", "b") == {"b": Fraction(2)}
+    assert alg.bracket_basis("a", "a") == {}
+    for table, message in (
+        ({("a", "b"): ("z", Fraction(1))}, r"\[a, b\] = 1 z is not a nonzero multiple"),
+        ({("z", "b"): ("a", Fraction(1))}, r"\[z, b\] = 1 a is not a nonzero multiple"),
+        ({("a", "b"): ("b", Fraction(0))}, r"\[a, b\] = 0 b is not a nonzero multiple"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(table)
+    with pytest.raises(ValueError, match=r"truncated pair \(a, z\) names a label outside"):
+        build({}, [("a", "z")])
+
+
 def test_truncated_pairs_are_recorded():
     ann = window(1, idx=2, mode=2)
     truncated = ann.truncated_pairs
@@ -143,8 +178,7 @@ def test_subquotient_is_the_window_on_nonnegative_modes():
             pair: value for pair, value in ann.table.items() if set(pair) <= set(nonneg)
         }
         relabelled = {
-            (as_l[x], as_l[y]): {as_l[t]: c for t, c in value.items()}
-            for (x, y), value in G.table.items()
+            (as_l[x], as_l[y]): (as_l[t], c) for (x, y), (t, c) in G.table.items()
         }
         assert relabelled == restricted
 
@@ -176,7 +210,8 @@ def test_sign_flip_is_caught_and_reported():
     G = annihilation_subquotient(1, 2, 3)
     table = dict(G.table)
     key = (label_J(0, 0), label_J(0, 1))
-    table[key] = {t: -c for t, c in table[key].items()}
+    target, c = table[key]
+    table[key] = (target, -c)
     bad = FiniteLieAlgebra(
         name="tampered", basis=G.basis, table=table, param_p=G.param_p,
         coords=G.coords, truncated_pairs=G.truncated_pairs,
@@ -252,7 +287,8 @@ def assert_check_lie_matches_reference(alg):
 
 def tampered(G, key, scale):
     table = dict(G.table)
-    table[key] = {t: c * scale for t, c in table[key].items()}
+    target, c = table[key]
+    table[key] = (target, c * scale)
     return FiniteLieAlgebra(
         name="tampered", basis=G.basis, table=table, param_p=G.param_p,
         coords=G.coords, truncated_pairs=G.truncated_pairs,
@@ -291,12 +327,9 @@ def test_check_lie_matches_reference_on_random_tables():
     def algebras(draw):
         basis = labels[: draw(st.integers(1, len(labels)))]
         pair = st.tuples(st.sampled_from(basis), st.sampled_from(basis))
-        # "z" lies outside the basis: a target the walk must still follow.
-        target = st.sampled_from(basis + ("z",))
+        nonzero = coeff.filter(bool)
         table = draw(st.dictionaries(
-            st.one_of(pair, st.tuples(st.sampled_from(basis), st.just("z"))),
-            st.dictionaries(target, coeff, min_size=1, max_size=2),
-            max_size=10,
+            pair, st.tuples(st.sampled_from(basis), nonzero), max_size=10,
         ))
         truncated = draw(st.sets(pair, max_size=3))
         return FiniteLieAlgebra(

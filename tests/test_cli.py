@@ -294,6 +294,21 @@ def test_annihilation_window_certificate(capsys):
     assert lie["payload"]["jacobi_failures"] == []
 
 
+def test_closed_form_disagreement_is_a_fail_verdict(capsys, flipped_closed_form):
+    code, doc = run_json(capsys, ["annihilation", "--p", "1", "--idx", "2", "--mode", "2"])
+    assert code == 1
+    assert doc["results"] == [{
+        "name": "bracket_table",
+        "status": "FAIL",
+        "payload": {
+            "algebra": "A(B(1);2,2)",
+            "closed_form_cross_check": "disagreed",
+            "pairs": [["L(1,0)", "L(0,-1)"], ["L(1,0)", "L(0,0)"], ["L(1,0)", "L(0,1)"],
+                      ["L(1,0)", "L(0,2)"], ["L(1,0)", "L(1,-1)"]],
+        },
+    }]
+
+
 def test_annihilation_extended_reports_centrality(capsys):
     code, doc = run_json(
         capsys,
@@ -590,8 +605,13 @@ STRAY_ACTION = {"0,0": {"0": "D + x"}, "3,0": {"0": "D^5"}}
         (["verify-algebra", "--alg"],
          {"format": "confal-algebra", "window": 10**9},
          "confal: error: algebra window=1000000000 exceeds the limit 64\n"),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "scalar_del", "rank": 5, "alpha": "1/2",
+          "action": {"0,0": {"0": "D^3"}}},
+         "a scalar_del module takes no field 'action'\n"),
     ],
-    ids=["stray-generator", "negative-generator", "huge-rank", "huge-window"],
+    ids=["stray-generator", "negative-generator", "huge-rank", "huge-window",
+         "scalar-del-rank-and-action"],
 )
 def test_file_beyond_the_algebra_or_a_size_limit_exits_two(capsys, tmp_path, argv, data, message):
     path = tmp_path / "beyond.json"

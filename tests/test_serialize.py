@@ -367,6 +367,21 @@ def test_module_rejections():
             module_from_dict({"format": "confal-module", "kind": "scalar_del", "alpha": alpha})
 
 
+def test_scalar_del_module_is_rank_one_without_action():
+    data = {"format": "confal-module", "kind": "scalar_del", "alpha": "1/2"}
+    assert module_from_dict(data).rank == 1
+    assert module_from_dict({**data, "rank": 1}).alpha == Fraction(1, 2)
+    for action in ({"0,0": {"0": "D^3"}}, {}):
+        with pytest.raises(ParseError, match="a scalar_del module takes no field 'action'"):
+            module_from_dict({**data, "rank": 1, "action": action})
+    for rank in (5, 0):
+        with pytest.raises(ParseError, match=f"a scalar_del module has rank 1, got rank={rank}"):
+            module_from_dict({**data, "rank": rank})
+    for rank in (1.0, "1", True):
+        with pytest.raises(ParseError, match="is not an integer"):
+            module_from_dict({**data, "rank": rank})
+
+
 def test_module_rank_is_bounded():
     data = {"format": "confal-module", "kind": "free", "rank": MAX_MODULE_RANK}
     assert module_from_dict(data).rank == MAX_MODULE_RANK
