@@ -16,11 +16,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .annihilation import FiniteLieAlgebra
-from .conformal import ConformalAlgebra
+
+if TYPE_CHECKING:
+    from .annihilation import FiniteLieAlgebra
+    from .conformal import ConformalAlgebra
 
 PASS = "PASS"
 FAIL = "FAIL"

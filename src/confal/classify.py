@@ -497,7 +497,9 @@ def verify_report(report: ClassificationReport) -> bool:
     Re-instantiates every claimed family on a rational parameter grid, runs
     the module axiom checker and the irreducibility dichotomy, and replays
     the bolt-on falsification fixture: the constant extension must pass the
-    axioms iff the parameter is ``-1``.  Empty family lists fail.
+    axioms iff the parameter is ``-1``.  Empty family lists fail, and so
+    does a module on which the irreducibility criterion and the submodule
+    search disagree.
     """
     if not report.families:
         return False
@@ -532,6 +534,7 @@ def verify_report(report: ClassificationReport) -> bool:
                     expected = _eval_condition(
                         fam.irreducible_iff, delta, mod.family.beta
                     )
+                    # A disagreement (``None``) never equals the expected answer.
                     if verdict.irreducible != expected:
                         return False
 

@@ -6,10 +6,15 @@ the checkers in order and adds each report's own payload (``to_payload``) to
 the certificate.  Exit codes: 0 when every check passed, 1 when any check
 failed, 2 with one line on stderr on malformed input (usage errors
 included), on a table whose checked identities leave its
-ERROR_ON_OVERFLOW window, or when ``--out`` cannot be written.  The
-environment variable ``CONFAL_SEED`` (an integer, default 0) fixes the
-randomness of falsification batteries, so certificates are byte-stable run
-to run.
+ERROR_ON_OVERFLOW window, or when ``--out`` cannot be written.  A size
+flag (``--window``, ``--n``, ``--bn``, ``--K``, ``--D``, ``--degree-bound``)
+above :data:`MAX_SIZE_FLAG` is a usage error.  The environment variable
+``CONFAL_SEED`` (an integer, default 0) fixes the randomness of
+falsification batteries, so certificates are byte-stable run to run.
+
+This module imports only the standard library; each subcommand imports the
+stages it runs when it runs them, so a launch loads only its subcommand's
+modules.
 """
 
 from __future__ import annotations
@@ -19,51 +24,19 @@ import contextlib
 import os
 import re
 import sys
-from fractions import Fraction
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from . import certificates as cert
-from .annihilation import (
-    ClosedFormMismatchError,
-    annihilation_subquotient,
-    build_annihilation,
-    characters,
-    check_central,
-    check_lie,
-    ideal_and_nilpotency,
-    resonance_analysis,
-)
-from .classify import SELF_CHECK_GRID, classify_bn, classify_rank_one, verify_report
-from .conformal import (
-    ConformalAlgebra,
-    TruncationPolicy,
-    WindowOverflowError,
-    check_jacobi,
-    check_skew,
-    make_block,
-    make_bn,
-    make_heisenberg_virasoro,
-    make_heisenberg_virasoro_misprint,
-    make_schrodinger_virasoro,
-    make_virasoro,
-)
-from .modules import (
-    KIND_FREE,
-    ConformalModule,
-    UnsupportedModuleError,
-    check_module,
-    is_irreducible_rank_one,
-    rank_one_beta_module,
-    rank_one_module,
-    trivial_module,
-)
-from .serialize import (
-    ParseError,
-    algebra_from_dict,
-    load_json,
-    module_from_dict,
-    parse_rat,
-)
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .certificates import Certificate
+    from .conformal import ConformalAlgebra
+    from .modules import ConformalModule
+
+#: Largest value a size flag takes: the bound ``serialize.MAX_FILE_WINDOW``
+#: puts on an algebra file's window.  Each flag at this value runs in seconds;
+#: the checkers' cost grows as a power of it.
+MAX_SIZE_FLAG = 64
 
 
 class InputError(ValueError):
@@ -71,17 +44,26 @@ class InputError(ValueError):
 
 
 def _rat_arg(text: str) -> Fraction:
+    from .poly import ParseError, parse_rat
+
     try:
         return parse_rat(text)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int_arg(text: str) -> int:
+def _size_arg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_SIZE_FLAG:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SIZE_FLAG}, got {value}")
+    return value
+
+
+def _positive_int_arg(text: str) -> int:
+    value = _size_arg(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -125,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="block | bn | hv | hv-misprint | sv | vir | file (or file:<path>)",
         )
         p.add_argument("--p", type=_rat_arg, help="family parameter for --alg block")
-        p.add_argument("--window", type=int, help="generator window for --alg block")
-        p.add_argument("--n", type=int, help="quotient size for --alg bn")
+        p.add_argument("--window", type=_size_arg, help="generator window for --alg block")
+        p.add_argument("--n", type=_size_arg, help="quotient size for --alg bn")
         p.add_argument("--file", help="algebra JSON file for --alg file")
         p.add_argument(
             "--policy",
@@ -150,17 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--degree-bound",
         type=_positive_int_arg,
         default=3,
-        help="degree bound for the invariant-span search, at least 1 "
-        "(default 3)",
+        help="degree bound for the invariant-span search, 1 to "
+        f"{MAX_SIZE_FLAG} (default 3)",
     )
     pm.add_argument("--out", help="write the certificate to this path")
 
     pc = sub.add_parser("classify", help="replay the rank-one classification")
     group = pc.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=_rat_arg, help="family parameter")
-    group.add_argument("--bn", type=int, help="classify over the quotient b(n)")
-    pc.add_argument("--K", type=int, help="top index bound for --p (default 6)")
-    pc.add_argument("--D", type=int, default=6, help="degree bound (default 6)")
+    group.add_argument("--bn", type=_size_arg, help="classify over the quotient b(n)")
+    pc.add_argument("--K", type=_size_arg, help="top index bound for --p (default 6)")
+    pc.add_argument("--D", type=_size_arg, default=6, help="degree bound (default 6)")
     pc.add_argument("--out", help="write the certificate to this path")
 
     pn = sub.add_parser(
@@ -197,6 +179,16 @@ _SELECTOR_FLAGS = {
 
 
 def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict]:
+    from .conformal import (
+        TruncationPolicy,
+        make_block,
+        make_bn,
+        make_heisenberg_virasoro,
+        make_heisenberg_virasoro_misprint,
+        make_schrodinger_virasoro,
+        make_virasoro,
+    )
+
     selector = args.alg
     stray = [f"--{flag}" for flag in ("p", "window", "n", "file", "policy")
              if getattr(args, flag) is not None
@@ -235,6 +227,8 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict
     elif selector == "file":
         if not path:
             raise InputError("--alg file needs --file <path>")
+        from .serialize import algebra_from_dict, load_json
+
         alg = algebra_from_dict(load_json(path))
         inputs.update(file=path)
     else:
@@ -245,6 +239,14 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict
 def _module_from_args(
     args: argparse.Namespace, alg: ConformalAlgebra
 ) -> tuple[ConformalModule, dict]:
+    from .modules import (
+        UnsupportedModuleError,
+        rank_one_beta_module,
+        rank_one_module,
+        trivial_module,
+    )
+    from .poly import ParseError, parse_rat
+
     selector = args.mod
     parts = selector.split(":")
     try:
@@ -262,6 +264,8 @@ def _module_from_args(
         if parts[0] == "trivial" and len(parts) == 2:
             return trivial_module(parse_rat(parts[1])), {"mod": selector}
         if parts[0] == "file" and len(parts) >= 2:
+            from .serialize import load_json, module_from_dict
+
             path = selector.split(":", 1)[1]
             return module_from_dict(load_json(path)), {"mod": "file", "file": path}
     except (ParseError, UnsupportedModuleError, ValueError) as exc:
@@ -272,14 +276,18 @@ def _module_from_args(
 # -- subcommands ------------------------------------------------------------------
 
 
-def _algebra_results(alg: ConformalAlgebra, certificate: cert.Certificate) -> None:
+def _algebra_results(alg: ConformalAlgebra, certificate: Certificate) -> None:
+    from .conformal import check_jacobi, check_skew
+
     skew = check_skew(alg)
     certificate.check("skew_symmetry", skew.ok, skew.to_payload())
     jac = check_jacobi(alg)
     certificate.check("jacobi_identity", jac.ok, jac.to_payload())
 
 
-def cmd_verify_algebra(args: argparse.Namespace) -> cert.Certificate:
+def cmd_verify_algebra(args: argparse.Namespace) -> Certificate:
+    from . import certificates as cert
+
     alg, inputs = _algebra_from_args(args)
     certificate = cert.Certificate(command="verify-algebra", inputs=inputs)
     certificate.add("structure_table", cert.PASS, cert.structure_table(alg))
@@ -287,7 +295,15 @@ def cmd_verify_algebra(args: argparse.Namespace) -> cert.Certificate:
     return certificate
 
 
-def cmd_verify_module(args: argparse.Namespace) -> cert.Certificate:
+def cmd_verify_module(args: argparse.Namespace) -> Certificate:
+    from . import certificates as cert
+    from .modules import (
+        KIND_FREE,
+        UnsupportedModuleError,
+        check_module,
+        is_irreducible_rank_one,
+    )
+
     alg, inputs = _algebra_from_args(args)
     mod, mod_inputs = _module_from_args(args, alg)
     inputs = {**inputs, **mod_inputs, "degree_bound": args.degree_bound}
@@ -307,11 +323,15 @@ def cmd_verify_module(args: argparse.Namespace) -> cert.Certificate:
     except UnsupportedModuleError as exc:
         certificate.add("irreducibility", cert.UNDECIDED, {"reason": str(exc)})
     else:
-        certificate.add("irreducibility", cert.PASS, verdict.to_payload())
+        agreed = verdict.irreducible is not None
+        certificate.check("irreducibility", agreed, verdict.to_payload())
     return certificate
 
 
-def cmd_classify(args: argparse.Namespace) -> cert.Certificate:
+def cmd_classify(args: argparse.Namespace) -> Certificate:
+    from . import certificates as cert
+    from .classify import SELF_CHECK_GRID, classify_bn, classify_rank_one, verify_report
+
     seed = _seed_from_env()
     if args.bn is not None and args.K is not None:
         raise InputError("--bn does not take --K")
@@ -337,7 +357,20 @@ def cmd_classify(args: argparse.Namespace) -> cert.Certificate:
     return certificate
 
 
-def cmd_annihilation(args: argparse.Namespace) -> cert.Certificate:
+def cmd_annihilation(args: argparse.Namespace) -> Certificate:
+    from . import certificates as cert
+    from .annihilation import (
+        ClosedFormMismatchError,
+        annihilation_subquotient,
+        build_annihilation,
+        characters,
+        check_central,
+        check_lie,
+        ideal_and_nilpotency,
+        resonance_analysis,
+    )
+    from .conformal import TruncationPolicy, make_block
+
     # Each mode refuses the other mode's flags rather than ignoring them.
     if args.G:
         mode, needs = "--G", "--k and --N"
@@ -401,6 +434,9 @@ def _write_whole(path: str, text: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .conformal import WindowOverflowError
+    from .poly import ParseError
+
     handlers = {
         "verify-algebra": cmd_verify_algebra,
         "verify-module": cmd_verify_module,

@@ -323,15 +323,22 @@ def infer_family(mod: ConformalModule) -> FamilyTag | None:
 
 @dataclass
 class IrreducibilityVerdict:
-    irreducible: bool
     criterion_irreducible: bool
     search_irreducible: bool
     witness: Poly | None
     candidates_checked: list[Poly] = field(default_factory=list)
 
+    @property
+    def irreducible(self) -> bool | None:
+        """The answer both ways agree on, or ``None`` when they disagree."""
+        if self.criterion_irreducible != self.search_irreducible:
+            return None
+        return self.criterion_irreducible
+
     def to_payload(self) -> dict[str, Any]:
+        verdict = {True: "IRREDUCIBLE", False: "REDUCIBLE", None: "DISAGREED"}
         payload: dict[str, Any] = {
-            "verdict": "IRREDUCIBLE" if self.irreducible else "REDUCIBLE",
+            "verdict": verdict[self.irreducible],
             "criterion": self.criterion_irreducible,
             "search": self.search_irreducible,
             "candidates_checked": [str(c) for c in self.candidates_checked],
@@ -362,8 +369,9 @@ def is_irreducible_rank_one(
     irreducible iff ``delta != 0``; the beta family iff ``delta != 0`` or
     ``beta != 0``.  The search answer enumerates, for each degree up to the
     bound, the unique linear-condition candidate ``g`` and runs the full
-    invariance test on it.  The two answers must agree; a disagreement is a
-    hard error, never a silent preference.
+    invariance test on it.  The verdict carries both answers; when they
+    disagree its :attr:`~IrreducibilityVerdict.irreducible` is ``None``,
+    never a silent preference for either.
     """
     _require_rank_one_free(mod)
     tag = mod.family or infer_family(mod)
@@ -383,16 +391,9 @@ def is_irreducible_rank_one(
         result = submodule_action(mod, candidate)
         if result.invariant and witness is None:
             witness = candidate
-    search = witness is None
-    if criterion != search:
-        raise RuntimeError(
-            "irreducibility criterion and submodule search disagree on "
-            f"{tag}; criterion={criterion}, search={search}"
-        )
     return IrreducibilityVerdict(
-        irreducible=criterion,
         criterion_irreducible=criterion,
-        search_irreducible=search,
+        search_irreducible=witness is None,
         witness=witness,
         candidates_checked=candidates,
     )

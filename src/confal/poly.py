@@ -18,6 +18,10 @@ rendering is byte-stable.
 Terms are ordered graded-lexicographically with ``D > x > y``:
 higher total degree first, ties broken by the exponent vector with ``D``
 weighted heaviest.  All iteration and string rendering follow that order.
+
+:func:`parse_rat` reads one rational literal and raises :class:`ParseError`,
+the error of every text format (the polynomial grammar is in
+:mod:`confal.serialize`).
 """
 
 from __future__ import annotations
@@ -48,6 +52,17 @@ NVARS = 3
 _ZERO_EXP = (0, 0, 0)
 
 SPELLING_TO_VAR = {s: Var(i) for i, s in enumerate(_SPELLINGS)}
+
+
+class ParseError(ValueError):
+    """Malformed textual input, annotated with a position where possible."""
+
+
+def parse_rat(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
 
 
 def _as_rat(value: Scalar) -> Fraction:

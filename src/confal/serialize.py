@@ -44,18 +44,7 @@ from .modules import (
     trivial_module,
 )
 from .linalg import render_combo
-from .poly import SPELLING_TO_VAR, Poly, Var
-
-
-class ParseError(ValueError):
-    """Malformed textual input, annotated with a position where possible."""
-
-
-def parse_rat(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+from .poly import SPELLING_TO_VAR, ParseError, Poly, Var, parse_rat
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)

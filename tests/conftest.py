@@ -2,7 +2,7 @@
 
 import pytest
 
-from confal import annihilation
+from confal import annihilation, modules
 
 
 @pytest.fixture
@@ -23,3 +23,18 @@ def flipped_closed_form(monkeypatch):
 
     monkeypatch.setattr(annihilation, "_closed_form_table", flipped)
     return original
+
+
+@pytest.fixture
+def blind_submodule_search(monkeypatch):
+    """Make the submodule search find no invariant span in any module.
+
+    The search then calls every rank-one module irreducible, so it disagrees
+    with the criterion on each reducible one (``delta = 0``).
+    """
+
+    def blind(mod, g):
+        return modules.SubmoduleResult(
+            invariant=False, module=None, offending_generator=0, remainder=g)
+
+    monkeypatch.setattr(modules, "submodule_action", blind)

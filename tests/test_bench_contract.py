@@ -8,9 +8,18 @@ only this test notices when one is deleted or renamed.
 
 The file is read and executed into a fresh namespace, not imported, so no
 bytecode is written next to it; it imports only the standard library.
+
+The tracer wraps a function in the ``confal`` modules loaded when it is
+installed, and the CLI loads each stage only when a subcommand runs it.  The
+benchmark therefore runs every command once untraced before tracing it, and
+the last test here checks, in a fresh interpreter, that this order sees the
+stages.
 """
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +40,29 @@ def test_every_traced_name_exists(span, module_name, path):
     owner = getattr(module, cls_name) if cls_name else module
     # The tracer reads the defining namespace itself, not inherited names.
     assert callable(vars(owner).get(attr)), f"{span}: {module_name}.{path} is missing"
+
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+namespace = {"__name__": "perfbench_layers"}
+exec(compile(open(sys.argv[1], encoding="utf-8").read(), sys.argv[1], "exec"), namespace)
+import confal.cli
+argv = ["verify-algebra", "--alg", "block", "--p", "1", "--window", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert confal.cli.main(argv) == 0
+    tracer = namespace["Tracer"](keep_spans=True)
+    tracer.install(namespace["LAYER_SPANS"])
+    try:
+        assert confal.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+print(json.dumps(sorted(tracer.calls)))
+"""
+
+
+def test_a_traced_call_after_an_untraced_one_sees_the_stages():
+    # The same order as perfbench/run.py: untraced call, install, traced call.
+    run = subprocess.run([sys.executable, "-c", TRACED_RUN, str(LAYERS)],
+                         capture_output=True, text=True, check=True)
+    spans = set(json.loads(run.stdout))
+    assert {"cli.main", "conformal.check_jacobi", "certificates.table_hash"} <= spans

@@ -181,6 +181,10 @@ def test_verify_report_rejects_wrong_family_tag():
     assert not verify_report(tampered)
 
 
+def test_verify_report_rejects_an_irreducibility_disagreement(blind_submodule_search):
+    assert not verify_report(classify_rank_one(1))
+
+
 def test_verify_report_rejects_empty_families():
     import dataclasses
 

@@ -17,10 +17,16 @@ import time
 
 import pytest
 
-from confal.cli import main
+from confal.cli import MAX_SIZE_FLAG, main
 from confal.conformal import make_bn
 from confal.modules import rank_one_module
-from confal.serialize import MAX_FILE_BYTES, algebra_to_dict, module_to_dict, save_json
+from confal.serialize import (
+    MAX_FILE_BYTES,
+    MAX_FILE_WINDOW,
+    algebra_to_dict,
+    module_to_dict,
+    save_json,
+)
 
 
 def run_cli(capsys, argv):
@@ -292,6 +298,23 @@ def test_annihilation_window_certificate(capsys):
     assert lie["payload"]["triples_excluded"] == 4233
     assert lie["payload"]["antisymmetry_failures"] == []
     assert lie["payload"]["jacobi_failures"] == []
+
+
+def test_irreducibility_disagreement_is_a_fail_verdict(capsys, blind_submodule_search):
+    code, doc = run_json(capsys, ["verify-module", "--alg", "block", "--p", "1",
+                                  "--window", "2", "--mod", "M:0:1"])
+    assert code == 1
+    assert result_named(doc, "module_identity")["status"] == "PASS"
+    assert result_named(doc, "irreducibility") == {
+        "name": "irreducibility",
+        "status": "FAIL",
+        "payload": {
+            "verdict": "DISAGREED",
+            "criterion": False,
+            "search": True,
+            "candidates_checked": ["D + 1", "D^2 + 2*D + 1", "D^3 + 3*D^2 + 3*D + 1"],
+        },
+    }
 
 
 def test_closed_form_disagreement_is_a_fail_verdict(capsys, flipped_closed_form):
@@ -680,6 +703,35 @@ def test_degree_bound_below_one_exits_two(capsys, bound):
     assert "--degree-bound: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-algebra", "--alg", "block", "--p", "1", "--window", "65"],
+        ["verify-algebra", "--alg", "bn", "--n", "65"],
+        ["classify", "--bn", "65"],
+        ["classify", "--p", "1", "--K", "65"],
+        ["classify", "--bn", "2", "--D", "65"],
+        ["verify-module", "--alg", "block", "--p", "1", "--window", "2", "--mod", "M:0:1",
+         "--degree-bound", "65"],
+    ],
+    ids=["window", "n", "bn", "K", "D", "degree-bound"],
+)
+def test_size_flag_above_the_limit_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"confal {argv[0]}: error: argument {argv[-2]}: must be at most 64, got 65\n"
+
+
+def test_size_flag_at_the_limit_runs(capsys):
+    assert MAX_SIZE_FLAG == MAX_FILE_WINDOW
+    code, doc = run_json(capsys, ["classify", "--bn", "2", "--D", str(MAX_SIZE_FLAG)])
+    assert code == 0
+    assert doc["inputs"]["D"] == 64
+
+
 def test_unparseable_rational_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--p", "one"])
@@ -778,6 +830,35 @@ def test_module_entry_point_is_byte_deterministic():
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.endswith(b"\n")
+
+
+# -- what a launch loads ------------------------------------------------------------------
+
+
+def loaded_confal_modules(code):
+    """The ``confal`` modules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint(*(m for m in sys.modules if m.split('.')[0] == 'confal'))"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True)
+    return set(run.stdout.split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_confal_modules("import confal") == {"confal"}
+
+
+def test_importing_the_cli_loads_only_the_cli():
+    assert loaded_confal_modules("import confal.cli") == {"confal", "confal.cli"}
+
+
+def test_a_subcommand_loads_only_the_stages_it_runs():
+    loaded = loaded_confal_modules(
+        "import contextlib, io, confal.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert confal.cli.main(['verify-algebra', '--alg', 'vir']) == 0")
+    assert "confal.conformal" in loaded
+    for stage in ("annihilation", "classify", "modules", "serialize"):
+        assert f"confal.{stage}" not in loaded
 
 
 # -- the exit-code contract under fuzzed argv ------------------------------------------

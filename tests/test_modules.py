@@ -316,13 +316,16 @@ def test_invariance_candidate_solves_the_linear_condition():
 
 
 def test_irreducibility_cross_check_catches_mistagged_module():
-    # a module whose tag lies about delta must trip the hard disagreement
-    # error instead of silently trusting either answer.
+    # a module whose tag lies about delta must come back as a disagreement
+    # carrying both answers instead of silently trusting either one.
     alg = make_block(1, 3, TRUNC)
     mod = rank_one_module(alg, 0, 1)
     mod.family = FamilyTag(FAMILY_PLAIN, p=Fraction(1), delta=Fraction(1), alpha=Fraction(1))
-    with pytest.raises(RuntimeError):
-        is_irreducible_rank_one(mod)
+    verdict = is_irreducible_rank_one(mod)
+    assert verdict.irreducible is None
+    assert verdict.criterion_irreducible and not verdict.search_irreducible
+    assert verdict.witness == DEL + 1
+    assert verdict.to_payload()["verdict"] == "DISAGREED"
 
 
 def test_irreducibility_needs_recognised_table():

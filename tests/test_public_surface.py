@@ -1,12 +1,12 @@
 """The names ``confal`` exports from its package root, pinned.
 
 Adding or removing a public name means editing this list, so the public
-surface only changes on purpose.  The names are read from the import
-statements of ``confal/__init__.py``, then looked up on the package.
+surface only changes on purpose.  The package root resolves its names on
+first access, so the list is compared with ``confal.__all__`` and
+``dir(confal)``, and each name is looked up on the package.
 """
 
-import ast
-from pathlib import Path
+import importlib
 
 import confal
 
@@ -62,13 +62,14 @@ EXPORTS = [
 
 
 def test_package_root_exports_exactly_the_pinned_names():
-    tree = ast.parse(Path(confal.__file__).read_text(encoding="utf-8"))
-    exported = sorted(
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    )
-    assert exported == EXPORTS
+    assert confal.__all__ == EXPORTS
     assert len(EXPORTS) == 47
-    assert all(hasattr(confal, name) for name in EXPORTS)
+    assert set(EXPORTS) <= set(dir(confal))
+    for name in EXPORTS:
+        # The package hands out the object its defining module binds.
+        module = importlib.import_module(f"confal.{confal._EXPORTS[name]}")
+        assert getattr(confal, name) is module.__dict__[name], name
+
+
+def test_unknown_names_are_attribute_errors():
+    assert not hasattr(confal, "no_such_name")
