@@ -534,8 +534,7 @@ def verify_report(report: ClassificationReport) -> bool:
                     expected = _eval_condition(
                         fam.irreducible_iff, delta, mod.family.beta
                     )
-                    # A disagreement (``None``) never equals the expected answer.
-                    if verdict.irreducible != expected:
+                    if not verdict.agreed or verdict.irreducible != expected:
                         return False
 
     # Bolt-on fixture: the constant extension with beta != 0 must fail the

@@ -8,9 +8,10 @@ failed, 2 with one line on stderr on malformed input (usage errors
 included), on a table whose checked identities leave its
 ERROR_ON_OVERFLOW window, or when ``--out`` cannot be written.  A size
 flag (``--window``, ``--n``, ``--bn``, ``--K``, ``--D``, ``--degree-bound``)
-above :data:`MAX_SIZE_FLAG` is a usage error.  The environment variable
-``CONFAL_SEED`` (an integer, default 0) fixes the randomness of
-falsification batteries, so certificates are byte-stable run to run.
+above :data:`confal.poly.MAX_INPUT_SIZE` is a usage error.  The
+environment variable ``CONFAL_SEED`` (an integer, default 0) fixes the
+randomness of falsification batteries, so certificates are byte-stable run
+to run.
 
 This module imports only the standard library; each subcommand imports the
 stages it runs when it runs them, so a launch loads only its subcommand's
@@ -33,12 +34,6 @@ if TYPE_CHECKING:
     from .conformal import ConformalAlgebra
     from .modules import ConformalModule
 
-#: Largest value a size flag takes: the bound ``serialize.MAX_FILE_WINDOW``
-#: puts on an algebra file's window.  Each flag at this value runs in seconds;
-#: the checkers' cost grows as a power of it.
-MAX_SIZE_FLAG = 64
-
-
 class InputError(ValueError):
     """Invalid command-line input that argparse could not catch."""
 
@@ -53,12 +48,14 @@ def _rat_arg(text: str) -> Fraction:
 
 
 def _size_arg(text: str) -> int:
+    from .poly import MAX_INPUT_SIZE
+
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value > MAX_SIZE_FLAG:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SIZE_FLAG}, got {value}")
+    if value > MAX_INPUT_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_INPUT_SIZE}, got {value}")
     return value
 
 
@@ -93,6 +90,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .poly import MAX_INPUT_SIZE
+
     parser = _Parser(
         prog="confal",
         description="exact checks and certificates for windowed Lie "
@@ -133,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int_arg,
         default=3,
         help="degree bound for the invariant-span search, 1 to "
-        f"{MAX_SIZE_FLAG} (default 3)",
+        f"{MAX_INPUT_SIZE} (default 3)",
     )
     pm.add_argument("--out", help="write the certificate to this path")
 
@@ -323,8 +322,7 @@ def cmd_verify_module(args: argparse.Namespace) -> Certificate:
     except UnsupportedModuleError as exc:
         certificate.add("irreducibility", cert.UNDECIDED, {"reason": str(exc)})
     else:
-        agreed = verdict.irreducible is not None
-        certificate.check("irreducibility", agreed, verdict.to_payload())
+        certificate.check("irreducibility", verdict.agreed, verdict.to_payload())
     return certificate
 
 

@@ -329,16 +329,28 @@ class IrreducibilityVerdict:
     candidates_checked: list[Poly] = field(default_factory=list)
 
     @property
-    def irreducible(self) -> bool | None:
-        """The answer both ways agree on, or ``None`` when they disagree."""
-        if self.criterion_irreducible != self.search_irreducible:
-            return None
+    def agreed(self) -> bool:
+        """Whether the criterion and the submodule search give the same answer."""
+        return self.criterion_irreducible == self.search_irreducible
+
+    @property
+    def irreducible(self) -> bool:
+        """The answer both ways agree on.
+
+        Raises :class:`RuntimeError` when they disagree, so a disagreement
+        can never be read as either answer; test :attr:`agreed` first.
+        """
+        if not self.agreed:
+            raise RuntimeError("criterion and submodule search disagree")
         return self.criterion_irreducible
 
     def to_payload(self) -> dict[str, Any]:
-        verdict = {True: "IRREDUCIBLE", False: "REDUCIBLE", None: "DISAGREED"}
+        if not self.agreed:
+            verdict = "DISAGREED"
+        else:
+            verdict = "IRREDUCIBLE" if self.criterion_irreducible else "REDUCIBLE"
         payload: dict[str, Any] = {
-            "verdict": verdict[self.irreducible],
+            "verdict": verdict,
             "criterion": self.criterion_irreducible,
             "search": self.search_irreducible,
             "candidates_checked": [str(c) for c in self.candidates_checked],
@@ -370,8 +382,9 @@ def is_irreducible_rank_one(
     ``beta != 0``.  The search answer enumerates, for each degree up to the
     bound, the unique linear-condition candidate ``g`` and runs the full
     invariance test on it.  The verdict carries both answers; when they
-    disagree its :attr:`~IrreducibilityVerdict.irreducible` is ``None``,
-    never a silent preference for either.
+    disagree its :attr:`~IrreducibilityVerdict.agreed` is false and reading
+    :attr:`~IrreducibilityVerdict.irreducible` raises, never a silent
+    preference for either.
     """
     _require_rank_one_free(mod)
     tag = mod.family or infer_family(mod)

@@ -21,7 +21,8 @@ weighted heaviest.  All iteration and string rendering follow that order.
 
 :func:`parse_rat` reads one rational literal and raises :class:`ParseError`,
 the error of every text format (the polynomial grammar is in
-:mod:`confal.serialize`).
+:mod:`confal.serialize`); :data:`MAX_INPUT_SIZE` bounds every size the
+program reads.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ SPELLING_TO_VAR = {s: Var(i) for i, s in enumerate(_SPELLINGS)}
 
 class ParseError(ValueError):
     """Malformed textual input, annotated with a position where possible."""
+
+
+#: Largest size the program accepts from its input: an algebra file's
+#: ``window`` and each command-line size flag.  The Jacobi walk is cubic in
+#: the window: an empty table of window 64 verifies in under a second, one of
+#: window 128 in a few seconds.  Each size flag at this value runs in seconds,
+#: and the checkers' cost grows as a power of it.
+MAX_INPUT_SIZE = 64
 
 
 def parse_rat(text: str) -> Fraction:

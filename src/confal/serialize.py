@@ -44,7 +44,7 @@ from .modules import (
     trivial_module,
 )
 from .linalg import render_combo
-from .poly import SPELLING_TO_VAR, ParseError, Poly, Var, parse_rat
+from .poly import MAX_INPUT_SIZE, SPELLING_TO_VAR, ParseError, Poly, Var, parse_rat
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -249,8 +249,8 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
     raw_structure = _object(data.get("structure", {}), "algebra structure")
     if window < 0:
         raise ParseError("window must be nonnegative")
-    if window > MAX_FILE_WINDOW:
-        raise ParseError(f"algebra window={window} exceeds the limit {MAX_FILE_WINDOW}")
+    if window > MAX_INPUT_SIZE:
+        raise ParseError(f"algebra window={window} exceeds the limit {MAX_INPUT_SIZE}")
     if not generators:
         generators = [f"L_{i}" for i in range(window + 1)]
     if len(generators) != window + 1:
@@ -336,11 +336,6 @@ def module_from_dict(data: Any) -> ConformalModule:
 #: Largest input file :func:`load_json` accepts, in bytes.  A block table of
 #: window 24 written by :func:`save_json` takes about 15 KB.
 MAX_FILE_BYTES = 1 << 20
-
-#: Largest ``window`` an algebra file may declare.  The Jacobi walk is cubic
-#: in the window: an empty table of window 64 verifies in under a second,
-#: one of window 128 in a few seconds.
-MAX_FILE_WINDOW = 64
 
 #: Largest ``rank`` a module file may declare.  The module walk grows about
 #: as the cube of the rank: a dense action of rank 16 on a window-3 table

@@ -193,7 +193,7 @@ def test_criterion_7_submodule_structure():
             assert sub.remainder is None
             assert sub.module.action == rank_one_module(alg, 1, alpha).action
             verdict = is_irreducible_rank_one(bottom, degree_bound=3)
-            assert not verdict.irreducible
+            assert verdict.irreducible is False
             assert verdict.witness == shift
             assert verdict.candidates_checked == [
                 shift,

@@ -17,12 +17,12 @@ import time
 
 import pytest
 
-from confal.cli import MAX_SIZE_FLAG, main
+from confal.cli import main
 from confal.conformal import make_bn
 from confal.modules import rank_one_module
+from confal.poly import MAX_INPUT_SIZE
 from confal.serialize import (
     MAX_FILE_BYTES,
-    MAX_FILE_WINDOW,
     algebra_to_dict,
     module_to_dict,
     save_json,
@@ -726,8 +726,7 @@ def test_size_flag_above_the_limit_exits_two(capsys, argv):
 
 
 def test_size_flag_at_the_limit_runs(capsys):
-    assert MAX_SIZE_FLAG == MAX_FILE_WINDOW
-    code, doc = run_json(capsys, ["classify", "--bn", "2", "--D", str(MAX_SIZE_FLAG)])
+    code, doc = run_json(capsys, ["classify", "--bn", "2", "--D", str(MAX_INPUT_SIZE)])
     assert code == 0
     assert doc["inputs"]["D"] == 64
 

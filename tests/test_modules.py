@@ -273,20 +273,20 @@ def test_irreducibility_dichotomy_plain():
     alg = make_block(1, 3, TRUNC)
     for alpha in (Fraction(0), Fraction(1), Fraction(-2)):
         reducible = is_irreducible_rank_one(rank_one_module(alg, 0, alpha))
-        assert not reducible.irreducible
+        assert reducible.irreducible is False
         assert reducible.witness == DEL + alpha
         for delta in (Fraction(1), Fraction(-1), Fraction(1, 2)):
             verdict = is_irreducible_rank_one(rank_one_module(alg, delta, alpha))
-            assert verdict.irreducible
+            assert verdict.irreducible is True
             assert verdict.witness is None
             assert verdict.criterion_irreducible == verdict.search_irreducible
 
 
 def test_irreducibility_dichotomy_beta():
     alg = make_bn(1)
-    assert is_irreducible_rank_one(rank_one_beta_module(alg, 0, 1, 3)).irreducible
-    assert not is_irreducible_rank_one(rank_one_beta_module(alg, 0, 1, 0)).irreducible
-    assert is_irreducible_rank_one(rank_one_beta_module(alg, 2, 1, 0)).irreducible
+    assert is_irreducible_rank_one(rank_one_beta_module(alg, 0, 1, 3)).irreducible is True
+    assert is_irreducible_rank_one(rank_one_beta_module(alg, 0, 1, 0)).irreducible is False
+    assert is_irreducible_rank_one(rank_one_beta_module(alg, 2, 1, 0)).irreducible is True
 
 
 def test_irreducibility_candidates_are_binomial_powers():
@@ -322,7 +322,9 @@ def test_irreducibility_cross_check_catches_mistagged_module():
     mod = rank_one_module(alg, 0, 1)
     mod.family = FamilyTag(FAMILY_PLAIN, p=Fraction(1), delta=Fraction(1), alpha=Fraction(1))
     verdict = is_irreducible_rank_one(mod)
-    assert verdict.irreducible is None
+    assert not verdict.agreed
+    with pytest.raises(RuntimeError, match="disagree"):
+        verdict.irreducible
     assert verdict.criterion_irreducible and not verdict.search_irreducible
     assert verdict.witness == DEL + 1
     assert verdict.to_payload()["verdict"] == "DISAGREED"
@@ -339,6 +341,6 @@ def test_random_reducible_points_have_witnesses():
     for _ in range(20):
         alpha = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         verdict = is_irreducible_rank_one(rank_one_module(alg, 0, alpha))
-        assert not verdict.irreducible
+        assert verdict.irreducible is False
         assert verdict.witness == DEL + alpha
         assert submodule_action(rank_one_module(alg, 0, alpha), verdict.witness).invariant

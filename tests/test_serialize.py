@@ -29,10 +29,9 @@ from confal.modules import (
     rank_one_module,
     trivial_module,
 )
-from confal.poly import DEL, LAM, MU, Poly, Var
+from confal.poly import DEL, LAM, MAX_INPUT_SIZE, MU, Poly, Var
 from confal.serialize import (
     ENTRY_VARIABLES,
-    MAX_FILE_WINDOW,
     MAX_MODULE_RANK,
     MAX_POLY_DEGREE,
     ParseError,
@@ -287,9 +286,9 @@ def test_algebra_rejections():
 
 
 def test_algebra_window_is_bounded():
-    data = {"format": "confal-algebra", "window": MAX_FILE_WINDOW}
-    assert algebra_from_dict(data).window == MAX_FILE_WINDOW
-    for window in (MAX_FILE_WINDOW + 1, 10**9):
+    data = {"format": "confal-algebra", "window": MAX_INPUT_SIZE}
+    assert algebra_from_dict(data).window == MAX_INPUT_SIZE
+    for window in (MAX_INPUT_SIZE + 1, 10**9):
         with pytest.raises(ParseError, match=f"algebra window={window} exceeds the limit 64"):
             algebra_from_dict({**data, "window": window})
 
