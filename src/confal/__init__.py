@@ -30,7 +30,7 @@ _EXPORTS = {
         ("ClosedFormMismatchError", "FiniteLieAlgebra",
          "annihilation_subquotient", "build_annihilation", "characters",
          "check_central", "check_lie", "ideal_and_nilpotency", "k_products",
-         "lie_bracket", "resonance_analysis", "trace_certificate"),
+         "resonance_analysis", "trace_certificate"),
         "annihilation"),
     **dict.fromkeys(
         ("ConformalModule", "FamilyTag", "UnsupportedModuleError",

@@ -38,9 +38,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
-from . import linalg
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
 from .linalg import add_terms, render_combo
 from .poly import Poly, Var
@@ -71,6 +70,17 @@ def label_J(i: int, m: int) -> Label:
 
 
 T_LABEL: Label = "T"
+
+#: The largest basis a mode window or subquotient may have.  ``check_lie``
+#: walks ``n**3 / 6`` triples and the closed form holds up to ``n**2``
+#: pairs; ``G(1/2; 15, 31)``, with ``n = 512``, takes about 8 s on a 2-core
+#: machine with Python 3.11.
+MAX_BASIS_SIZE = 512
+
+
+def _check_basis_size(title: str, n: int) -> None:
+    if n > MAX_BASIS_SIZE:
+        raise ValueError(f"{title} has {n} basis elements, more than the limit {MAX_BASIS_SIZE}")
 
 
 @dataclass
@@ -115,16 +125,6 @@ class FiniteLieAlgebra:
     def bracket_basis(self, x: Label, y: Label) -> LinComb:
         entry = self.table.get((x, y))
         return {entry[0]: entry[1]} if entry else {}
-
-
-def lie_bracket(alg: FiniteLieAlgebra, u: Mapping[Label, Fraction],
-                v: Mapping[Label, Fraction]) -> LinComb:
-    return add_terms({}, (
-        (entry[0], cu * cv * entry[1])
-        for xu, cu in u.items()
-        for xv, cv in v.items()
-        if (entry := alg.table.get((xu, xv)))
-    ))
 
 
 # -- k-th products of a conformal algebra --------------------------------------
@@ -207,7 +207,8 @@ def build_annihilation(
     disagreeing pairs.  Products whose untruncated target
     falls outside the window are dropped.  The ordered pairs either route
     dropped something from are recorded in ``truncated_pairs``, so
-    downstream checks can exclude them honestly.
+    downstream checks can exclude them honestly.  A window of more than
+    :data:`MAX_BASIS_SIZE` labels raises ``ValueError`` before any work.
     """
     if alg.kind not in ("block", "bn"):
         raise UnsupportedAlgebraError(
@@ -221,12 +222,13 @@ def build_annihilation(
         )
     p = alg.param_p
     assert p is not None
+    title = f"A({alg.name};{idx_window},{mode_window})" + ("+T" if extended else "")
+    _check_basis_size(title, (idx_window + 1) * (mode_window + 2) + extended)
 
     closed, truncated = _closed_form_table(p, idx_window, -1, mode_window)
     cells = [(i, m) for i in range(idx_window + 1) for m in range(-1, mode_window + 1)]
     coords = {label_L(*c): c for c in cells}
     name = {c: lab for lab, c in coords.items()}
-    title = f"A({alg.name};{idx_window},{mode_window})" + ("+T" if extended else "")
 
     # Route one, the independent cross-check: the general mode-bracket formula
     # over every term (k, generator, D power, signed coefficient) of each
@@ -327,7 +329,6 @@ def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
     p = ext.param_p
     assert p is not None
     base = label_L(0, -1)
-    z: LinComb = {T_LABEL: Fraction(1), base: Fraction(-1) / p}
     report = CentralityReport(element=f"T - (1/{p})*{base}", checked=0)
     for x in ext.basis:
         touched = [(T_LABEL, x), (x, T_LABEL), (base, x), (x, base)]
@@ -335,7 +336,12 @@ def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
             report.excluded.append(x)
             continue
         report.checked += 1
-        residual = lie_bracket(ext, z, {x: Fraction(1)})
+        # [T, x] - (1/p) [L(0,-1), x], from the two table entries.
+        residual = add_terms({}, (
+            (entry[0], entry[1] * scale)
+            for y, scale in ((T_LABEL, Fraction(1)), (base, -1 / p))
+            if (entry := ext.table.get((y, x)))
+        ))
         if residual:
             report.failures.append((x, residual))
     return report
@@ -350,17 +356,20 @@ def annihilation_subquotient(p: Fraction | int, idx_cap: int, mode_cap: int) -> 
 
     The closed-form bracket when the target stays inside the caps, and zero
     otherwise; the zero rule is part of the algebra, not a lossy truncation,
-    so the escaping pairs are not recorded.
+    so the escaping pairs are not recorded.  Caps giving more than
+    :data:`MAX_BASIS_SIZE` labels raise ``ValueError``.
     """
     p = Fraction(p)
     if p == 0:
         raise ValueError("the family parameter p must be nonzero")
     if idx_cap < 0 or mode_cap < 0:
         raise ValueError("caps must be nonnegative")
+    title = f"G(p={p};{idx_cap},{mode_cap})"
+    _check_basis_size(title, (idx_cap + 1) * (mode_cap + 1))
     table, _ = _closed_form_table(p, idx_cap, 0, mode_cap)
     coords = {label_J(i, m): (i, m) for i in range(idx_cap + 1) for m in range(mode_cap + 1)}
     return FiniteLieAlgebra(
-        name=f"G(p={p};{idx_cap},{mode_cap})",
+        name=title,
         basis=tuple(coords),
         table=_labelled(table, {c: lab for lab, c in coords.items()}),
         param_p=p,
@@ -645,62 +654,39 @@ def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealR
     The span is given by basis labels.  Ideal-ness is verified witness by
     witness: ``[g, s]`` for every basis element ``g`` and span label ``s``
     must be supported inside the span.  The lower central series is then
-    computed with exact rank computations until it stabilises or dies.
+    computed on label sets, since every bracket is a multiple of one label:
+    each term is the set of targets of ``[s, t]`` for ``s`` in the span and
+    ``t`` in the previous term, and its dimension is the size of that set.
+    The series stops when a term repeats (stalled) or is empty (nilpotent).
     """
     span_set = set(span)
     unknown = span_set - set(alg.basis)
     if unknown:
         raise ValueError(f"labels not in the basis: {sorted(unknown)}")
-    is_ideal = True
-    witness = None
-    for g in alg.basis:
-        for s in span:
-            value = alg.bracket_basis(g, s)
-            if any(target not in span_set for target in value):
-                is_ideal = False
-                witness = (g, s, value)
-                break
-        if not is_ideal:
-            break
+    witness = next(((g, s, alg.bracket_basis(g, s)) for g in alg.basis for s in span
+                    if not alg.bracket_basis(g, s).keys() <= span_set), None)
 
-    # Lower central series of the span, S^{t+1} = [S, S^t], as sparse rows
-    # over the basis indices.
-    current = linalg.Echelon({alg.positions[lab]: Fraction(1)} for lab in span)
-    dims = [current.rank]
-    abelian: bool | None = None
-    nilpotent = False
+    # Lower central series of the span, S^{t+1} = [S, S^t], as label sets.
+    current = span_set
+    dims = [len(current)]
     nil_class: int | None = None
     for step in range(1, len(alg.basis) + 2):
-        nxt = linalg.Echelon()
-        for s in span:
-            for row in current.pivot_rows.values():
-                comb = {alg.basis[col]: c for col, c in row.items()}
-                out = lie_bracket(alg, {s: Fraction(1)}, comb)
-                nxt.add({alg.positions[lab]: c for lab, c in out.items()})
-        if abelian is None:
-            abelian = not nxt.rank
-        if not nxt.rank:
-            nilpotent = True
-            nil_class = step
+        nxt = {entry[0] for s in span_set for t in current
+               if (entry := alg.table.get((s, t)))}
+        if not nxt:
+            nil_class = step if span else 0
             break
-        dims.append(nxt.rank)
-        same_span = nxt.rank == current.rank and not any(
-            current.reduce(row) for row in nxt.pivot_rows.values()
-        )
-        if same_span:
+        dims.append(len(nxt))
+        if nxt == current:
             # Series stalled at a nonzero term.
             break
         current = nxt
-    if not span:
-        abelian = True
-        nilpotent = True
-        nil_class = 0
     return IdealReport(
         span=tuple(span),
-        is_ideal=is_ideal,
+        is_ideal=witness is None,
         ideal_witness=witness,
-        abelian=bool(abelian),
-        nilpotent=nilpotent,
+        abelian=nil_class is not None and nil_class <= 1,
+        nilpotent=nil_class is not None,
         nilpotency_class=nil_class,
         series_dims=dims,
     )
@@ -769,22 +755,20 @@ class CharacterReport:
 def characters(alg: FiniteLieAlgebra) -> CharacterReport:
     """All linear functionals vanishing on the derived subalgebra.
 
-    Computed as the exact nullspace of the matrix whose rows are the
-    nonzero brackets ``[g, h]`` of the table, from one elimination that also
-    gives the rank of the derived subalgebra; every returned functional is
-    then re-applied to every bracket as a final verification.
+    Every bracket is a nonzero multiple of one label, so the derived
+    subalgebra is the span of the labels that occur as targets, and its
+    dimension is their number.  The characters are the duals of the other
+    labels, in basis order.  Every returned functional is then re-applied to
+    every bracket as a final verification.
     """
-    echelon = linalg.Echelon({alg.positions[lab]: c} for lab, c in alg.table.values())
-    chars = [
-        {alg.basis[col]: c for col, c in vec.items()}
-        for vec in echelon.nullspace(len(alg.basis))
-    ]
+    targets = {target for target, _ in alg.table.values()}
+    chars = [{lab: Fraction(1)} for lab in alg.basis if lab not in targets]
     # Pairs absent from the table bracket to zero, which every functional
     # annihilates.
     verified = not any(
         phi.get(lab, 0) * co for phi in chars for lab, co in alg.table.values()
     )
-    derived_rank = echelon.rank
+    derived_rank = len(targets)
     return CharacterReport(
         dimension=len(alg.basis),
         derived_rank=derived_rank,

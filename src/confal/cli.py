@@ -7,8 +7,11 @@ the certificate.  Exit codes: 0 when every check passed, 1 when any check
 failed, 2 with one line on stderr on malformed input (usage errors
 included), on a table whose checked identities leave its
 ERROR_ON_OVERFLOW window, or when ``--out`` cannot be written.  A size
-flag (``--window``, ``--n``, ``--bn``, ``--K``, ``--D``, ``--degree-bound``)
-above :data:`confal.poly.MAX_INPUT_SIZE` is a usage error.  The
+flag (``--window``, ``--n``, ``--bn``, ``--K``, ``--D``, ``--degree-bound``,
+``--idx``, ``--mode``, ``--k``, ``--N``) above
+:data:`confal.poly.MAX_INPUT_SIZE` is a usage error, and so is an
+``annihilation`` window or subquotient of more than
+:data:`confal.annihilation.MAX_BASIS_SIZE` basis labels.  The
 environment variable ``CONFAL_SEED`` (an integer, default 0) fixes the
 randomness of falsification batteries, so certificates are byte-stable run
 to run.
@@ -148,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
         "annihilation", help="build mode algebras and their analyses"
     )
     pn.add_argument("--p", type=_rat_arg, required=True, help="family parameter")
-    pn.add_argument("--idx", type=int, help="index window (mode expansion)")
-    pn.add_argument("--mode", type=int, help="mode window (mode expansion)")
+    pn.add_argument("--idx", type=_size_arg, help="index window (mode expansion)")
+    pn.add_argument("--mode", type=_size_arg, help="mode window (mode expansion)")
     pn.add_argument(
         "--extended",
         action="store_true",
@@ -160,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="build the finite subquotient and run the resonance analysis",
     )
-    pn.add_argument("--k", type=int, help="index cap for --G")
-    pn.add_argument("--N", type=int, help="mode cap for --G")
+    pn.add_argument("--k", type=_size_arg, help="index cap for --G")
+    pn.add_argument("--N", type=_size_arg, help="mode cap for --G")
     pn.add_argument("--out", help="write the certificate to this path")
     return parser
 

@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
-One elimination serves every caller.  :class:`Echelon` keeps sparse rows
-(column index -> ``Fraction``) in reduced row echelon form and takes rows
-one at a time: each new row is reduced against the pivots found so far in
-one pass, and only a row that survives becomes a pivot.  The systems fed to
-it are sparse and redundant -- a bracket row of a mode algebra has one
-entry, and most rows reduce to zero -- so a row costs work in proportion to
-its nonzero entries, not to the width of the matrix.
+:func:`add_terms` is the one sparse-combination primitive, and
+:func:`render_combo` writes a combination out.  :class:`Echelon` keeps
+sparse rows (column index -> ``Fraction``) in reduced row echelon form and
+takes rows one at a time: each new row is reduced against the pivots found
+so far in one pass, and only a row that survives becomes a pivot.  It
+serves only the small dense systems of :mod:`confal.classify`; no
+mode-algebra row passes through it, since every bracket of a mode algebra
+is a multiple of one label and :mod:`confal.annihilation` works on label
+sets.
 
 :func:`rref`, :func:`rank`, :func:`nullspace` and :func:`solve` take and
 return dense rows for the callers that build small dense systems.
@@ -30,8 +32,9 @@ def add_terms(out: dict[K, V], terms: Iterable[tuple[K, V]]) -> dict[K, V]:
     """Add each ``(key, value)`` of ``terms`` into ``out``; return ``out``.
 
     A key whose sum cancels is removed, not stored as a zero.  This is the
-    one sparse-combination primitive: rows of :class:`Echelon`, Lie
-    combinations and bracket and module residuals all add through it.
+    one sparse-combination primitive: rows of :class:`Echelon`, the
+    centrality and Jacobi residuals of mode algebras and the bracket and
+    module residuals of conformal tables all add through it.
     Values are ``Fraction`` or ``Poly``, both falsy exactly at zero.
     """
     for key, value in terms:

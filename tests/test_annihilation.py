@@ -16,6 +16,7 @@ from confal.annihilation import (
     IDEAL_SCALING_COMPLEMENT,
     IDEAL_TOP_INDEX_SLICE,
     IDEAL_TOP_MODE_SLICE,
+    MAX_BASIS_SIZE,
     T_LABEL,
     ClosedFormMismatchError,
     FiniteLieAlgebra,
@@ -30,12 +31,11 @@ from confal.annihilation import (
     k_products,
     label_J,
     label_L,
-    lie_bracket,
     resonance_analysis,
     trace_certificate,
 )
 from confal.conformal import TruncationPolicy, UnsupportedAlgebraError, make_block, make_bn
-from confal.linalg import add_terms
+from confal.linalg import Echelon
 from confal.poly import DEL, Poly
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
@@ -120,6 +120,17 @@ def test_closed_form_disagreement_raises_naming_every_pair(flipped_closed_form):
     assert info.value.algebra == "A(B(1);2,2)"
     assert info.value.pairs == flipped
     assert str(flipped[:5]) in str(info.value)
+
+
+def test_basis_size_is_bounded():
+    assert MAX_BASIS_SIZE == 512
+    # (15 + 1)(31 + 1) = 512 labels is accepted; one more mode row is not.
+    assert len(annihilation_subquotient(Fraction(1, 2), 15, 31).basis) == 512
+    with pytest.raises(ValueError, match="528 basis elements"):
+        annihilation_subquotient(Fraction(1, 2), 15, 32)
+    # (15 + 1)(30 + 2) + T = 513; refused before the window is built.
+    with pytest.raises(ValueError, match="513 basis elements"):
+        window(1, idx=15, mode=30, extended=True)
 
 
 def test_table_names_only_basis_labels_and_nonzero_coefficients():
@@ -237,6 +248,14 @@ def comb_add(a, b):
     return out
 
 
+def bracket_with(alg, x, comb):
+    """``[x, comb]`` for a basis label ``x``, summed label by label."""
+    total = {}
+    for y, c in comb.items():
+        total = comb_add(total, {t: c * v for t, v in alg.bracket_basis(x, y).items()})
+    return total
+
+
 def reference_check_lie(alg):
     """``check_lie`` as first written: exact arithmetic on labels, triple by triple."""
     report = LieReport(algebra=alg.name)
@@ -267,9 +286,9 @@ def reference_check_lie(alg):
                     report.triples_excluded += 1
                     continue
                 report.triples_checked += 1
-                total = lie_bracket(alg, {x: Fraction(1)}, alg.bracket_basis(y, z))
-                total = comb_add(total, lie_bracket(alg, {y: Fraction(1)}, alg.bracket_basis(z, x)))
-                total = comb_add(total, lie_bracket(alg, {z: Fraction(1)}, alg.bracket_basis(x, y)))
+                total = bracket_with(alg, x, alg.bracket_basis(y, z))
+                total = comb_add(total, bracket_with(alg, y, alg.bracket_basis(z, x)))
+                total = comb_add(total, bracket_with(alg, z, alg.bracket_basis(x, y)))
                 if total:
                     report.jacobi_failures.append((x, y, z, total))
     return report
@@ -365,6 +384,17 @@ def test_centrality_of_adjusted_translation():
         assert rep.excluded == []
         assert rep.checked == len(ext.basis)
         assert rep.failures == []
+
+
+def test_centrality_failure_is_the_exact_residual():
+    # At p = 2, [T, L(1,1)] = -2 L(1,0) and [L(0,-1), L(1,1)] = -4 L(1,0).
+    ext = window(Fraction(2), extended=True)
+    x, base = label_L(1, 1), label_L(0, -1)
+    rep = check_central(tampered(ext, (T_LABEL, x), Fraction(3, 2)))
+    assert rep.failures == [(x, {label_L(1, 0): Fraction(-1)})]
+    rep = check_central(tampered(ext, (base, x), Fraction(1, 3)))
+    assert rep.failures == [(x, {label_L(1, 0): Fraction(-4, 3)})]
+    assert rep.checked == len(ext.basis)
 
 
 def test_centrality_requires_extended():
@@ -485,6 +515,17 @@ def test_non_ideal_span_reports_witness():
     assert any(target != label_J(0, 0) for target in value)
 
 
+def test_series_that_stalls_at_a_nonzero_term():
+    # J(0,0) is never a target, so [G, G] is G without it, and brackets of the
+    # whole basis with that keep all of it.  The duplicated label counts once.
+    G = annihilation_subquotient(Fraction(1, 2), 2, 4)
+    rep = ideal_and_nilpotency(G, list(G.basis) + [G.basis[0]])
+    assert rep.is_ideal
+    assert rep.series_dims == [15, 14, 14]
+    assert not rep.nilpotent and rep.nilpotency_class is None
+    assert not rep.abelian
+
+
 def test_empty_span_and_unknown_labels():
     G = annihilation_subquotient(1, 1, 1)
     rep = ideal_and_nilpotency(G, [])
@@ -550,14 +591,85 @@ def test_characters_vanish_on_brackets():
                 ) == 0
 
 
-def test_lie_bracket_is_bilinear():
-    rng = random.Random(909)
-    G = annihilation_subquotient(1, 2, 2)
-    labs = list(G.basis)
-    for _ in range(20):
-        u = {labs[rng.randrange(len(labs))]: Fraction(rng.randint(-4, 4)) for _ in range(2)}
-        v = {labs[rng.randrange(len(labs))]: Fraction(rng.randint(-4, 4)) for _ in range(2)}
-        w = {labs[rng.randrange(len(labs))]: Fraction(rng.randint(-4, 4)) for _ in range(2)}
-        left = lie_bracket(G, add_terms(dict(u), v.items()), w)
-        right = add_terms(lie_bracket(G, u, w), lie_bracket(G, v, w).items())
-        assert left == right
+# -- label sets against an elimination ------------------------------------------------
+
+
+def reference_characters(alg):
+    """``characters`` as first written: the nullspace of the bracket rows."""
+    echelon = Echelon({alg.positions[lab]: c} for lab, c in alg.table.values())
+    chars = [
+        {alg.basis[col]: c for col, c in vec.items()}
+        for vec in echelon.nullspace(len(alg.basis))
+    ]
+    return echelon.rank, chars
+
+
+def reference_series(alg, span):
+    """The lower central series as first written, by exact elimination.
+
+    Returns ``(abelian, nilpotent, nilpotency_class, series_dims)``.
+    """
+    current = Echelon({alg.positions[lab]: Fraction(1)} for lab in span)
+    dims = [current.rank]
+    abelian, nilpotent, nil_class = None, False, None
+    for step in range(1, len(alg.basis) + 2):
+        nxt = Echelon()
+        for s in span:
+            for row in current.pivot_rows.values():
+                comb = {alg.basis[col]: c for col, c in row.items()}
+                out = bracket_with(alg, s, comb)
+                nxt.add({alg.positions[lab]: c for lab, c in out.items()})
+        if abelian is None:
+            abelian = not nxt.rank
+        if not nxt.rank:
+            nilpotent, nil_class = True, step
+            break
+        dims.append(nxt.rank)
+        if nxt.rank == current.rank and not any(
+            current.reduce(row) for row in nxt.pivot_rows.values()
+        ):
+            break
+        current = nxt
+    if not span:
+        abelian, nilpotent, nil_class = True, True, 0
+    return bool(abelian), nilpotent, nil_class, dims
+
+
+ORACLE_PS = [Fraction(v) for v in (
+    1, 2, 3, -1, "1/2", "1/3", "2/3", "3/5", "-1/2", "3/7", "5/2", "-2/5")]
+ORACLE_CAPS = [(0, 0), (1, 1), (2, 2), (2, 4), (3, 3), (4, 2)]
+
+
+def oracle_algebras():
+    for p in ORACLE_PS:
+        for k, N in ORACLE_CAPS:
+            yield annihilation_subquotient(p, k, N)
+    for p in ORACLE_PS[::3]:
+        for idx, mode in ((1, 2), (2, 2), (3, 1)):
+            yield window(p, idx=idx, mode=mode, extended=True)
+
+
+def test_label_set_structure_matches_elimination():
+    rng = random.Random(1616)
+    algebras = list(oracle_algebras())
+    assert len(algebras) == 84
+    spans_checked = 0
+    for alg in algebras:
+        ch = characters(alg)
+        derived_rank, chars = reference_characters(alg)
+        assert ch.verified, alg.name
+        assert (ch.derived_rank, ch.characters) == (derived_rank, chars), alg.name
+        assert ch.character_dim == len(alg.basis) - derived_rank
+
+        basis = list(alg.basis)
+        spans = [[], basis, basis[: len(basis) // 2], basis + basis[:2]]
+        if alg.coords and label_J(0, 0) in alg.coords:
+            spans.append(list(resonance_analysis(alg).ideal))
+        for _ in range(8):
+            spans.append(rng.choices(basis, k=rng.randint(1, len(basis))))
+        for span in spans:
+            rep = ideal_and_nilpotency(alg, span)
+            got = (rep.abelian, rep.nilpotent, rep.nilpotency_class, rep.series_dims)
+            assert got == reference_series(alg, span), (alg.name, span)
+            spans_checked += 1
+    assert spans_checked > 900

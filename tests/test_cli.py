@@ -713,8 +713,12 @@ def test_degree_bound_below_one_exits_two(capsys, bound):
         ["classify", "--bn", "2", "--D", "65"],
         ["verify-module", "--alg", "block", "--p", "1", "--window", "2", "--mod", "M:0:1",
          "--degree-bound", "65"],
+        ["annihilation", "--p", "1", "--mode", "1", "--idx", "65"],
+        ["annihilation", "--p", "1", "--idx", "1", "--mode", "65"],
+        ["annihilation", "--p", "1", "--G", "--N", "1", "--k", "65"],
+        ["annihilation", "--p", "1", "--G", "--k", "1", "--N", "65"],
     ],
-    ids=["window", "n", "bn", "K", "D", "degree-bound"],
+    ids=["window", "n", "bn", "K", "D", "degree-bound", "idx", "mode", "k", "N"],
 )
 def test_size_flag_above_the_limit_exits_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -729,6 +733,23 @@ def test_size_flag_at_the_limit_runs(capsys):
     code, doc = run_json(capsys, ["classify", "--bn", "2", "--D", str(MAX_INPUT_SIZE)])
     assert code == 0
     assert doc["inputs"]["D"] == 64
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["annihilation", "--p", "1", "--idx", "15", "--mode", "30", "--extended"],
+         "A(B(1);15,30)+T has 513 basis elements, more than the limit 512"),
+        (["annihilation", "--p", "1/2", "--G", "--k", "15", "--N", "32"],
+         "G(p=1/2;15,32) has 528 basis elements, more than the limit 512"),
+    ],
+    ids=["window", "G"],
+)
+def test_annihilation_basis_above_the_limit_exits_two(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"confal: error: {message}\n")
 
 
 def test_unparseable_rational_flag_exits_two(capsys):
