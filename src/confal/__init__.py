@@ -39,7 +39,7 @@ _EXPORTS = {
          "trivial_module"), "modules"),
     **dict.fromkeys(
         ("ClassificationReport", "classify_bn", "classify_rank_one",
-         "shift_kernel", "symmetry_residual", "verify_report"), "classify"),
+         "symmetry_residual", "verify_report"), "classify"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -508,9 +508,6 @@ IDEAL_CORNER_HOOK = "corner_hook"
 
 @dataclass
 class ResonanceReport:
-    p: Fraction
-    idx_cap: int
-    mode_cap: int
     resonances: list[tuple[int, int]]
     top_resonance: tuple[int, int] | None
     case: ResonanceCase
@@ -571,56 +568,33 @@ def resonance_analysis(G: FiniteLieAlgebra) -> ResonanceReport:
     ]
     resonances.sort()
 
-    def span_complement() -> tuple[Label, ...]:
-        return tuple(lab for lab in G.basis if lab != label_J(0, 0))
-
-    if p <= 0:
-        case = ResonanceCase.P_NOT_POSITIVE_RATIONAL
-        return ResonanceReport(
-            p, idx_cap, mode_cap, resonances, None, case,
-            IDEAL_SCALING_COMPLEMENT, span_complement(),
-        )
-    if not resonances:
-        return ResonanceReport(
-            p, idx_cap, mode_cap, resonances, None,
-            ResonanceCase.NO_RESONANCE,
-            IDEAL_SCALING_COMPLEMENT, span_complement(),
-        )
-
-    i0, m0 = max(resonances)
-    if i0 < idx_cap:
-        ideal = tuple(label_J(idx_cap, m) for m in range(mode_cap + 1))
-        return ResonanceReport(
-            p, idx_cap, mode_cap, resonances, (i0, m0),
-            ResonanceCase.RESONANCE_BELOW_INDEX_CAP,
-            IDEAL_TOP_INDEX_SLICE, ideal,
-        )
-    if m0 < mode_cap:
-        ideal = tuple(label_J(i, mode_cap) for i in range(idx_cap + 1))
-        return ResonanceReport(
-            p, idx_cap, mode_cap, resonances, (i0, m0),
-            ResonanceCase.RESONANCE_BELOW_MODE_CAP,
-            IDEAL_TOP_MODE_SLICE, ideal,
-        )
-
-    hook = [label_J(idx_cap, m) for m in range(mode_cap + 1)]
-    hook += [label_J(i, mode_cap) for i in range(idx_cap)]
-    corner = label_J(i0, m0)
-    inside = [lab for lab in hook if lab != corner]
+    top = max(resonances) if p > 0 and resonances else None
+    index_slice = tuple(label_J(idx_cap, m) for m in range(mode_cap + 1))
+    mode_slice = tuple(label_J(i, mode_cap) for i in range(idx_cap + 1))
+    coeff: Fraction | None = None
     internal: list[tuple[Label, Label, LinComb]] = []
-    for a_idx, x in enumerate(inside):
-        for y in inside[a_idx:]:
-            value = G.bracket_basis(x, y)
-            if value:
-                internal.append((x, y, value))
-    coeff = G.bracket_basis(label_J(i0, 0), label_J(0, m0)).get(corner, Fraction(0))
-    return ResonanceReport(
-        p, idx_cap, mode_cap, resonances, (i0, m0),
-        ResonanceCase.RESONANCE_AT_CORNER,
-        IDEAL_CORNER_HOOK, tuple(hook),
-        corner_coefficient=coeff,
-        corner_internal_brackets=internal,
-    )
+    if top is None:
+        case = (ResonanceCase.P_NOT_POSITIVE_RATIONAL if p <= 0
+                else ResonanceCase.NO_RESONANCE)
+        name = IDEAL_SCALING_COMPLEMENT
+        ideal = tuple(lab for lab in G.basis if lab != label_J(0, 0))
+    elif top[0] < idx_cap:
+        case, name, ideal = (ResonanceCase.RESONANCE_BELOW_INDEX_CAP,
+                             IDEAL_TOP_INDEX_SLICE, index_slice)
+    elif top[1] < mode_cap:
+        case, name, ideal = (ResonanceCase.RESONANCE_BELOW_MODE_CAP,
+                             IDEAL_TOP_MODE_SLICE, mode_slice)
+    else:
+        # The hook: the index slice, then the mode slice without the corner.
+        case, name, ideal = (ResonanceCase.RESONANCE_AT_CORNER,
+                             IDEAL_CORNER_HOOK, index_slice + mode_slice[:-1])
+        i0, m0 = top
+        corner = label_J(i0, m0)
+        inside = [lab for lab in ideal if lab != corner]
+        internal = [(x, y, value) for a, x in enumerate(inside) for y in inside[a:]
+                    if (value := G.bracket_basis(x, y))]
+        coeff = G.bracket_basis(label_J(i0, 0), label_J(0, m0)).get(corner, Fraction(0))
+    return ResonanceReport(resonances, top, case, name, ideal, coeff, internal)
 
 
 # -- ideals, nilpotency, characters ------------------------------------------------------

@@ -16,12 +16,15 @@ to the unknown top action ``f`` and records every step:
 ``MU_ZERO_KILL``
     for ``k != -p``, instantiating the composed-action identity
     ``(p y - (k+p) x) f(x+y) = p y f(y)`` at ``y = 0`` leaves
-    ``-(k+p) x f(x) = 0``, whose coefficient system has only the zero
-    solution (checked by exact linear algebra, not by inspection);
+    ``-(k+p) x f(x) = 0``.  The step records that coefficient, and the
+    kernel of multiplication by the recorded polynomial on bounded-degree
+    ``f`` is computed from it by exact linear algebra: the kill holds only
+    when that kernel is zero;
 ``SHIFT_INVARIANCE_CONST``
     for ``k = -p``, the identity degenerates to ``f(x+y) = f(y)``, whose
-    kernel on bounded-degree polynomials is exactly the constants (again an
-    exact kernel computation), surviving as the constant action ``beta``;
+    kernel on bounded-degree polynomials is computed from the images
+    ``(x+y)^j - y^j`` and is exactly the constants, surviving as the
+    constant action ``beta``;
 ``CROSS_RELATION_KILL``
     for integer ``-p >= 2``, after the lower indices are killed the bracket
     relation between indices 1 and ``k - 1`` forces
@@ -245,43 +248,37 @@ def _composed_identity_coefficient(p: Fraction, index: int) -> Poly:
     return p * MU - (index + p) * LAM
 
 
-def _mu_zero_kernel_dim(p: Fraction, index: int, degree_bound: int) -> int:
-    """Exact kernel dimension of ``f(x) -> -(index+p) x f(x)`` on degree <= bound.
+def _kernel_dim(images: list[Poly]) -> int:
+    """Kernel dimension of the linear map sending ``x^j`` to ``images[j]``.
 
-    By rank-nullity it is the number of coefficients less the rank.
+    By rank-nullity it is the number of images less the rank of the
+    coefficient rows, one row for each monomial that occurs in an image.
     """
-    rows = []
-    # Coefficient of x^(e+1) in -(index+p) x f is -(index+p) f_e: one row per
-    # output degree, diagonal system.
-    scale = -(index + p)
-    for out_deg in range(degree_bound + 2):
-        row = []
-        for j in range(degree_bound + 1):
-            row.append(scale if out_deg == j + 1 else Fraction(0))
-        rows.append(row)
-    return degree_bound + 1 - linalg.rank(rows)
+    rows: dict[tuple[int, ...], list[Fraction]] = {}
+    for j, image in enumerate(images):
+        for exp, coeff in image.terms():
+            rows.setdefault(exp, [Fraction(0)] * len(images))[j] = coeff
+    return len(images) - linalg.rank(list(rows.values()))
 
 
-def shift_kernel(degree_bound: int) -> list[list[Fraction]]:
-    """Kernel of ``f(x) -> f(x+y) - f(y)`` on polynomials of degree <= bound.
+def _mu_zero_kill(
+    p: Fraction, index: int, degree_bound: int, conclusion: str
+) -> DerivationStep | None:
+    """The ``MU_ZERO_KILL`` step at ``index``, or None when it does not hold.
 
-    Returns coefficient vectors over the monomial basis ``1, x, ..., x^bound``.
-    The kernel is exactly the constants for every bound.
+    Its kernel is that of ``f -> killer * f`` on degree <= bound, computed
+    from the ``killer`` polynomial the step records.
     """
-    monomials: dict[tuple[int, ...], int] = {}
-    columns: list[Poly] = []
-    for j in range(degree_bound + 1):
-        shifted = (LAM + MU) ** j - MU**j
-        columns.append(shifted)
-        for exp, _ in shifted.terms():
-            monomials.setdefault(exp, len(monomials))
-    rows = [
-        [Fraction(0)] * (degree_bound + 1) for _ in range(len(monomials))
-    ]
-    for j, col in enumerate(columns):
-        for exp, coeff in col.terms():
-            rows[monomials[exp]][j] = coeff
-    return linalg.nullspace(rows, degree_bound + 1)
+    coeff = _composed_identity_coefficient(p, index)
+    killer = coeff.substitute(Var.MU, 0)
+    if _kernel_dim([killer * LAM**j for j in range(degree_bound + 1)]) != 0:
+        return None
+    return DerivationStep(
+        rule=RULE_MU_ZERO_KILL,
+        top_index=index,
+        polys={"composed_identity_coefficient": coeff, "mu_zero_coefficient": killer},
+        conclusion=conclusion,
+    )
 
 
 def classify_rank_one(
@@ -329,37 +326,26 @@ def classify_rank_one(
                 ),
             )
         )
-        coeff = _composed_identity_coefficient(p, k)
         if k + p != 0:
-            killer = coeff.substitute(Var.MU, 0)
-            kernel_dim = _mu_zero_kernel_dim(p, k, degree_bound)
-            if kernel_dim != 0:
-                undecided.append(k)
-                continue
-            steps.append(
-                DerivationStep(
-                    rule=RULE_MU_ZERO_KILL,
-                    top_index=k,
-                    polys={
-                        "composed_identity_coefficient": coeff,
-                        "mu_zero_coefficient": killer,
-                    },
-                    conclusion=(
-                        f"top action at index {k} is zero: the coefficient "
-                        "system of the y = 0 instance has trivial kernel"
-                    ),
-                )
+            kill = _mu_zero_kill(
+                p, k, degree_bound,
+                f"top action at index {k} is zero: the coefficient "
+                "system of the y = 0 instance has trivial kernel",
             )
+            if kill is None:
+                undecided.append(k)
+            else:
+                steps.append(kill)
             continue
 
-        # k == -p: the identity degenerates to shift invariance.
-        kernel = shift_kernel(degree_bound)
-        constants_only = len(kernel) == 1 and all(
-            v == 0 for v in kernel[0][1:]
-        )
-        if not constants_only:
+        # k == -p: the identity degenerates to shift invariance.  The image
+        # of 1 is zero, so the kernel holds the constants, and it is exactly
+        # the constants when its dimension is 1.
+        shifts = [(LAM + MU) ** j - MU**j for j in range(degree_bound + 1)]
+        if _kernel_dim(shifts) != 1:
             undecided.append(k)
             continue
+        coeff = _composed_identity_coefficient(p, k)
         steps.append(
             DerivationStep(
                 rule=RULE_SHIFT_INVARIANCE_CONST,
@@ -379,23 +365,13 @@ def classify_rank_one(
         # Constant survivor at index k >= 2: kill indices 1..k-1 first,
         # then play the bracket relation between indices 1 and k-1.
         for i in range(1, k):
-            coeff_i = _composed_identity_coefficient(p, i)
-            killer_i = coeff_i.substitute(Var.MU, 0)
-            kernel_dim = _mu_zero_kernel_dim(p, i, degree_bound)
-            if kernel_dim != 0:
+            kill = _mu_zero_kill(
+                p, i, degree_bound, f"index {i} action is zero below top index {k}"
+            )
+            if kill is None:
                 undecided.append(k)
                 break
-            steps.append(
-                DerivationStep(
-                    rule=RULE_MU_ZERO_KILL,
-                    top_index=i,
-                    polys={
-                        "composed_identity_coefficient": coeff_i,
-                        "mu_zero_coefficient": killer_i,
-                    },
-                    conclusion=f"index {i} action is zero below top index {k}",
-                )
-            )
+            steps.append(kill)
         else:
             source = make_block(
                 p, max(k, 2), TruncationPolicy.TRUNCATE_TO_ZERO

@@ -6,9 +6,10 @@ the checkers in order and adds each report's own payload (``to_payload``) to
 the certificate.  Exit codes: 0 when every check passed, 1 when any check
 failed, 2 with one line on stderr on malformed input (usage errors
 included), on a table whose checked identities leave its
-ERROR_ON_OVERFLOW window, or when ``--out`` cannot be written.  A size
-flag (``--window``, ``--n``, ``--bn``, ``--K``, ``--D``, ``--degree-bound``,
-``--idx``, ``--mode``, ``--k``, ``--N``) above
+ERROR_ON_OVERFLOW window, or when the certificate cannot be written (to
+stdout, or to an ``--out`` path that is not a regular file or cannot be
+replaced).  A size flag (``--window``, ``--n``, ``--bn``, ``--K``, ``--D``,
+``--degree-bound``, ``--idx``, ``--mode``, ``--k``, ``--N``) above
 :data:`confal.poly.MAX_INPUT_SIZE` is a usage error, and so is an
 ``annihilation`` window or subquotient of more than
 :data:`confal.annihilation.MAX_BASIS_SIZE` basis labels.  The
@@ -172,31 +173,38 @@ def build_parser() -> argparse.ArgumentParser:
 # -- builders -------------------------------------------------------------------
 
 
+#: The ``--alg`` selectors that take no flag, and the ``confal.conformal``
+#: function that makes each one.
+_FIXED_ALGEBRAS = {
+    "hv": "make_heisenberg_virasoro", "hv-misprint": "make_heisenberg_virasoro_misprint",
+    "sv": "make_schrodinger_virasoro", "vir": "make_virasoro",
+}
+
 #: The selector flags each ``--alg`` takes (``file:<path>`` takes none); any
 #: other one given is refused rather than ignored.
 _SELECTOR_FLAGS = {
     "block": ("p", "window", "policy"), "bn": ("n",), "file": ("file",),
-    "hv": (), "hv-misprint": (), "sv": (), "vir": (),
+    **dict.fromkeys(_FIXED_ALGEBRAS, ()),
 }
 
 
+def _refuse_stray(subject: str, given: dict[str, bool]) -> None:
+    """Refuse each flag in ``given`` that is present, rather than ignore it."""
+    stray = [flag for flag, present in given.items() if present]
+    if stray:
+        raise InputError(f"{subject} does not take {', '.join(stray)}")
+
+
 def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict]:
-    from .conformal import (
-        TruncationPolicy,
-        make_block,
-        make_bn,
-        make_heisenberg_virasoro,
-        make_heisenberg_virasoro_misprint,
-        make_schrodinger_virasoro,
-        make_virasoro,
-    )
+    from . import conformal
+    from .conformal import TruncationPolicy, make_block, make_bn
 
     selector = args.alg
-    stray = [f"--{flag}" for flag in ("p", "window", "n", "file", "policy")
-             if getattr(args, flag) is not None
-             and flag not in _SELECTOR_FLAGS.get(selector, ())]
-    if stray and (selector in _SELECTOR_FLAGS or selector.startswith("file:")):
-        raise InputError(f"--alg {selector} does not take {', '.join(stray)}")
+    if selector in _SELECTOR_FLAGS or selector.startswith("file:"):
+        takes = _SELECTOR_FLAGS.get(selector, ())
+        _refuse_stray(f"--alg {selector}", {
+            f"--{flag}": getattr(args, flag) is not None and flag not in takes
+            for flag in ("p", "window", "n", "file", "policy")})
     path = args.file
     if selector.startswith("file:"):
         selector, path = "file", selector.split(":", 1)[1]
@@ -218,14 +226,8 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict
         except ValueError as exc:
             raise InputError(str(exc)) from None
         inputs.update(n=args.n)
-    elif selector == "hv":
-        alg = make_heisenberg_virasoro()
-    elif selector == "hv-misprint":
-        alg = make_heisenberg_virasoro_misprint()
-    elif selector == "sv":
-        alg = make_schrodinger_virasoro()
-    elif selector == "vir":
-        alg = make_virasoro()
+    elif selector in _FIXED_ALGEBRAS:
+        alg = getattr(conformal, _FIXED_ALGEBRAS[selector])()
     elif selector == "file":
         if not path:
             raise InputError("--alg file needs --file <path>")
@@ -334,8 +336,8 @@ def cmd_classify(args: argparse.Namespace) -> Certificate:
     from .classify import SELF_CHECK_GRID, classify_bn, classify_rank_one, verify_report
 
     seed = _seed_from_env()
-    if args.bn is not None and args.K is not None:
-        raise InputError("--bn does not take --K")
+    if args.bn is not None:
+        _refuse_stray("--bn", {"--K": args.K is not None})
     try:
         if args.bn is not None:
             report = classify_bn(args.bn, degree_bound=args.D, seed=seed)
@@ -382,9 +384,7 @@ def cmd_annihilation(args: argparse.Namespace) -> Certificate:
         mode, needs = "mode expansion", "--idx and --mode"
         given = {"--k": args.k is not None, "--N": args.N is not None}
         missing = args.idx is None or args.mode is None
-    stray = [flag for flag, present in given.items() if present]
-    if stray:
-        raise InputError(f"{mode} does not take {', '.join(stray)}")
+    _refuse_stray(mode, given)
     if missing:
         raise InputError(f"{mode} needs {needs}")
     inputs = ({"G": True, "p": str(args.p), "k": args.k, "N": args.N} if args.G else
@@ -420,7 +420,13 @@ def cmd_annihilation(args: argparse.Namespace) -> Certificate:
 
 
 def _write_whole(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a sibling file, so no partial file stays."""
+    """Write ``text`` to ``path`` through a sibling file, so no partial file stays.
+
+    An existing ``path`` that is not a regular file (a directory, a FIFO, a
+    device) is refused, not replaced.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError("not a regular file")
     partial = f"{path}.partial"
     try:
         with open(partial, "w", encoding="utf-8") as fh:
@@ -451,14 +457,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = certificate.to_json()
     out = getattr(args, "out", None)
-    if not out:
-        sys.stdout.write(text)
-        return certificate.exit_code
     try:
-        _write_whole(out, text)
+        if out:
+            _write_whole(out, text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        reason = exc.strerror or exc
-        print(f"confal: error: cannot write {out}: {reason}", file=sys.stderr)
+        target = out or "the certificate"
+        print(f"confal: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return certificate.exit_code
 

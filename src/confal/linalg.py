@@ -11,9 +11,9 @@ is a multiple of one label and :mod:`confal.annihilation` works on label
 sets.
 
 :func:`rref`, :func:`rank`, :func:`nullspace` and :func:`solve` take and
-return dense rows for the callers that build small dense systems.
-:func:`solve` has no caller in this package; it stays because the
-benchmark's layer trace wraps it by name.
+return dense rows.  :mod:`confal.classify` reaches them only through
+:func:`rank`.  :func:`nullspace` and :func:`solve` have no caller in this
+package; they stay because the benchmark's layer trace wraps them by name.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from confal import classify
 from confal.classify import (
     RULE_CROSS_RELATION_KILL,
     RULE_DEL_INDEPENDENCE,
@@ -20,7 +21,6 @@ from confal.classify import (
     classify_bn,
     classify_rank_one,
     falsification_battery,
-    shift_kernel,
     symmetry_residual,
     verify_report,
 )
@@ -151,13 +151,29 @@ def test_battery_certificates_carry_nonzero_residuals():
 # -- exact kernels ------------------------------------------------------------------
 
 
-def test_shift_kernel_is_constants_only():
-    for bound in (1, 2, 4, 6):
-        kernel = shift_kernel(bound)
-        assert len(kernel) == 1
-        vec = kernel[0]
-        assert vec[0] != 0
-        assert all(v == 0 for v in vec[1:])
+def test_kernel_dim_of_the_shift_and_mu_zero_images():
+    for bound in (0, 1, 2, 4, 6, 64):
+        # f(x) -> f(x+y) - f(y): the image of 1 is zero, so the kernel holds
+        # the constants, and nothing else.
+        shifts = [(LAM + MU) ** j - MU**j for j in range(bound + 1)]
+        assert shifts[0].is_zero()
+        assert classify._kernel_dim(shifts) == 1, bound
+        # f(x) -> -(k+p) x f(x) with k + p != 0 has no kernel.
+        killer = -3 * LAM
+        assert classify._kernel_dim([killer * LAM**j for j in range(bound + 1)]) == 0
+    assert classify._kernel_dim([Poly.zero()] * 3) == 3
+
+
+def test_each_kill_is_computed_from_the_polynomial_it_records(monkeypatch):
+    # With the x term gone from the composed coefficient, the recorded y = 0
+    # instance is 0, which kills nothing: no index other than -p may be
+    # killed, whatever the degree bound.
+    monkeypatch.setattr(classify, "_composed_identity_coefficient", lambda p, index: p * MU)
+    for p in (Fraction(1), Fraction(1, 2), Fraction(-2), Fraction(-3)):
+        for degree_bound in (0, 2, 6):
+            report = classify_rank_one(p, top_index_bound=4, degree_bound=degree_bound)
+            assert not [s for s in report.steps if s.rule == RULE_MU_ZERO_KILL], p
+            assert {k for k in range(1, 5) if k != -p} <= set(report.undecided), p
 
 
 # -- report verification ----------------------------------------------------------------

@@ -8,9 +8,11 @@ the tool actually promises it.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -803,7 +805,7 @@ def test_unwritable_out_exits_two_and_leaves_no_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"confal: error: cannot write {missing}: No such file or directory\n"
-    # a directory in place of the file fails after the text is written out.
+    # a directory in place of the file is refused before anything is written.
     code, _, err = run_cli(
         capsys, ["verify-algebra", "--alg", "vir", "--out", str(tmp_path)]
     )
@@ -811,6 +813,31 @@ def test_unwritable_out_exits_two_and_leaves_no_file(capsys, tmp_path):
     assert err.startswith(f"confal: error: cannot write {tmp_path}: ")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_onto_a_fifo_is_refused_and_the_fifo_stays(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", "vir", "--out", str(fifo)])
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: cannot write {fifo}: not a regular file\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # No sibling .partial file was left either.
+    assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_a_failed_write_to_stdout_exits_two_with_one_line(capsys, monkeypatch):
+    class FullStdout(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    code = main(["verify-algebra", "--alg", "vir"])
+    assert code == 2
+    reason = os.strerror(errno.ENOSPC)
+    assert capsys.readouterr().err == f"confal: error: cannot write the certificate: {reason}\n"
 
 
 def test_certificate_is_sorted_indented_json_with_trailing_newline(capsys):
