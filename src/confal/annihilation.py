@@ -12,23 +12,25 @@ For the one-parameter bracket family the shifted labels ``L(i, m)`` with
 
     [L(i,m), L(j,n)] = ((j+p)(m+1) - (i+p)(n+1)) L(i+j, m+n),
 
-written once, in ``_closed_form_table``: it walks indices ``0..idx_cap`` and
-modes ``mode_lo..mode_cap`` in integer coordinates ``(i, m)`` and returns the
-table and the ordered pairs whose nonzero product escapes the window.  Every
-bracket is a multiple of one basis element, so a table stores one
-``(target, coefficient)`` per pair.
+written once, in ``_closed_form``: it walks indices ``0..idx_cap`` and modes
+``mode_lo..mode_cap`` in integer coordinates ``(i, m)`` and yields each
+nonzero bracket with its target, or with ``None`` where the target escapes
+the window.  Every bracket is a multiple of one basis element, so a table
+stores one ``(target, coefficient)`` per pair, and each table is built once,
+on labels, as the stream comes.
 
-:func:`build_annihilation` builds the window twice, from this closed form and
-by the general mode expansion, on coordinates, and compares them pair by
-pair; a disagreement raises :class:`ClosedFormMismatchError` naming the
-pairs.  Labels are attached once, after the comparison.  The extended variant
-adjoins a translation generator ``T`` with ``[T, L(i,m)] = -(m+1) L(i,m-1)``;
-``T - (1/p) L(0,-1)`` is then central, which :func:`check_central` verifies
-bracket by bracket.  :func:`annihilation_subquotient` takes the same closed
-form on modes ``0..mode_cap`` and discards the escaping pairs: there the
-zero rule is part of the algebra, not a lossy truncation.  The resonance
-analysis classifies the eigenvalue-zero locus of the diagonal element
-``J(0,0)`` and names the distinguished ideal each configuration produces.
+:func:`build_annihilation` writes each bracket of the stream either into the
+table or, where it escapes, into the one set of truncated label pairs; then
+it recomputes every pair by the general mode expansion and compares it with
+that table, and a disagreement raises :class:`ClosedFormMismatchError`
+naming the pairs.  The extended variant adjoins a translation generator
+``T`` with ``[T, L(i,m)] = -(m+1) L(i,m-1)``; ``T - (1/p) L(0,-1)`` is then
+central, which :func:`check_central` verifies bracket by bracket.
+:func:`annihilation_subquotient` keeps the in-window brackets of the same
+stream on modes ``0..mode_cap`` and records no escaping pair: there the zero
+rule is part of the algebra, not a lossy truncation.  The resonance analysis
+classifies the eigenvalue-zero locus of the diagonal element ``J(0,0)`` and
+names the distinguished ideal each configuration produces.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Sequence
+from typing import AbstractSet, Any, Iterator, Sequence
 
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError
 from .linalg import add_terms, render_combo
@@ -72,9 +74,9 @@ def label_J(i: int, m: int) -> Label:
 T_LABEL: Label = "T"
 
 #: The largest basis a mode window or subquotient may have.  ``check_lie``
-#: walks ``n**3 / 6`` triples and the closed form holds up to ``n**2``
-#: pairs; ``G(1/2; 15, 31)``, with ``n = 512``, takes about 8 s on a 2-core
-#: machine with Python 3.11.
+#: walks ``n**3 / 6`` triples, and the table and its truncated pairs hold up
+#: to ``n**2`` pairs, one copy of each; ``G(1/2; 15, 31)``, with ``n = 512``,
+#: takes about 8 s and 39 MB peak RSS on a 2-core machine with Python 3.11.
 MAX_BASIS_SIZE = 512
 
 
@@ -89,10 +91,10 @@ class FiniteLieAlgebra:
 
     ``table`` maps each ordered pair with a nonzero bracket to one
     ``(target, coefficient)``; missing pairs bracket to zero.  Every label
-    it names, and every label of ``truncated_pairs``, lies in ``basis``, and
-    no coefficient is zero; construction refuses anything else with a
-    ``ValueError``.  Antisymmetry must hold tablewise and is rechecked by
-    :func:`check_lie` rather than assumed.
+    it names, and every label of ``truncated_pairs``, lies in ``basis``, no
+    coefficient is zero, and no label contains ``|``; construction refuses
+    anything else with a ``ValueError``.  Antisymmetry must hold tablewise
+    and is rechecked by :func:`check_lie` rather than assumed.
 
     ``coords`` maps each mode label to its ``(index, mode)``.
     ``truncated_pairs`` holds the ordered pairs whose product lost a term to
@@ -105,10 +107,13 @@ class FiniteLieAlgebra:
     table: dict[tuple[Label, Label], Bracket]
     param_p: Fraction | None
     coords: dict[Label, tuple[int, int]] = field(default_factory=dict)
-    truncated_pairs: frozenset[tuple[Label, Label]] = frozenset()
+    truncated_pairs: AbstractSet[tuple[Label, Label]] = frozenset()
 
     def __post_init__(self) -> None:
         known = self.positions
+        if any("|" in label for label in known):
+            raise ValueError("a basis label contains '|', which the table hash puts between "
+                             "the labels of a pair")
         for (x, y), (target, coeff) in self.table.items():
             if not (x in known and y in known and target in known and coeff):
                 raise ValueError(f"table entry [{x}, {y}] = {coeff} {target} is not a nonzero "
@@ -151,23 +156,21 @@ def k_products(alg: ConformalAlgebra, i: int, j: int) -> list[tuple[int, dict[in
 
 Coord = tuple[int, int]
 
-#: Mode table on integer coordinates: ``((i, m), (j, n)) -> ((i', m'), c)``.
-CoordTable = dict[tuple[Coord, Coord], tuple[Coord, Fraction]]
 
-
-def _closed_form_table(
+def _closed_form(
     p: Fraction, idx_cap: int, mode_lo: int, mode_cap: int
-) -> tuple[CoordTable, set[tuple[Coord, Coord]]]:
-    """The closed form on indices ``0..idx_cap`` and modes ``mode_lo..mode_cap``.
+) -> Iterator[tuple[Coord, Coord, Coord | None, Fraction]]:
+    """Every nonzero closed-form bracket on indices ``0..idx_cap`` and modes
+    ``mode_lo..mode_cap``, in row-major order of the pair.
 
-    ``[L(i,m), L(j,n)] = ((j+p)(m+1) - (i+p)(n+1)) L(i+j, m+n)``.  Returns the
-    products whose target stays inside the window, and the ordered pairs
-    whose nonzero product escapes it.
+    ``[L(i,m), L(j,n)] = ((j+p)(m+1) - (i+p)(n+1)) L(i+j, m+n)``.  Yields
+    ``(x, y, target, c)`` on coordinates for ``[x, y] = c target``, with
+    ``target`` ``None`` where it escapes the window.  Equal coefficients are
+    one shared ``Fraction``.
     """
     a, b = p.numerator, p.denominator
     cells = [(i, m) for i in range(idx_cap + 1) for m in range(mode_lo, mode_cap + 1)]
-    table: CoordTable = {}
-    escaping: set[tuple[Coord, Coord]] = set()
+    shared: dict[int, Fraction] = {}
     for x in cells:
         i, m = x
         for y in cells:
@@ -176,16 +179,11 @@ def _closed_form_table(
             num = (j * b + a) * (m + 1) - (i * b + a) * (n + 1)
             if not num:
                 continue
+            c = shared.get(num) or shared.setdefault(num, Fraction(num, b))
             if i + j > idx_cap or m + n > mode_cap:
-                escaping.add((x, y))
+                yield x, y, None, c
             else:
-                table[(x, y)] = ((i + j, m + n), Fraction(num, b))
-    return table, escaping
-
-
-def _labelled(table: CoordTable, name: dict[Coord, Label]) -> dict[tuple[Label, Label], Bracket]:
-    """``table`` on labels; every entry shares the one string of each label."""
-    return {(name[x], name[y]): (name[t], c) for (x, y), (t, c) in table.items()}
+                yield x, y, (i + j, m + n), c
 
 
 # -- the annihilation window ----------------------------------------------------
@@ -201,14 +199,14 @@ def build_annihilation(
 
     Basis labels are ``L(i,m)`` for ``0 <= i <= idx_window`` and
     ``-1 <= m <= mode_window`` (plus ``T`` when ``extended``).  The table is
-    computed from the k-th products via the general mode-bracket formula and
-    independently from the closed form, and the two are compared pair by
-    pair; any disagreement raises :class:`ClosedFormMismatchError` with the
-    disagreeing pairs.  Products whose untruncated target
-    falls outside the window are dropped.  The ordered pairs either route
-    dropped something from are recorded in ``truncated_pairs``, so
-    downstream checks can exclude them honestly.  A window of more than
-    :data:`MAX_BASIS_SIZE` labels raises ``ValueError`` before any work.
+    written from the closed form, then recomputed pair by pair from the k-th
+    products via the general mode-bracket formula and compared; any
+    disagreement raises :class:`ClosedFormMismatchError` with the
+    disagreeing pairs.  Products whose untruncated target falls outside the
+    window are dropped.  The ordered pairs either route dropped something
+    from are recorded in ``truncated_pairs``, so downstream checks can
+    exclude them honestly.  A window of more than :data:`MAX_BASIS_SIZE`
+    labels raises ``ValueError`` before any work.
     """
     if alg.kind not in ("block", "bn"):
         raise UnsupportedAlgebraError(
@@ -225,16 +223,24 @@ def build_annihilation(
     title = f"A({alg.name};{idx_window},{mode_window})" + ("+T" if extended else "")
     _check_basis_size(title, (idx_window + 1) * (mode_window + 2) + extended)
 
-    closed, truncated = _closed_form_table(p, idx_window, -1, mode_window)
     cells = [(i, m) for i in range(idx_window + 1) for m in range(-1, mode_window + 1)]
     coords = {label_L(*c): c for c in cells}
     name = {c: lab for lab, c in coords.items()}
+    table: dict[tuple[Label, Label], Bracket] = {}
+    truncated: set[tuple[Label, Label]] = set()
+    for x, y, target, c in _closed_form(p, idx_window, -1, mode_window):
+        if target is None:
+            truncated.add((name[x], name[y]))
+        else:
+            table[(name[x], name[y])] = (name[target], c)
 
     # Route one, the independent cross-check: the general mode-bracket formula
     # over every term (k, generator, D power, signed coefficient) of each
-    # pair's k-th products.  A pair of which any term lands above the mode
-    # window joins ``truncated``, even where its terms sum to zero.  Each
-    # pair's value is compared with the closed form as soon as it is summed.
+    # pair's k-th products, in integers: every coefficient of either route is
+    # multiplied by ``scale``, the lcm of their denominators.  A pair of which
+    # any term lands above the mode window joins ``truncated``, even where its
+    # terms sum to zero.  Each pair's value is compared with the table as
+    # soon as it is summed.
     indices = range(idx_window + 1)
     terms = {
         (i, j): [
@@ -247,12 +253,17 @@ def build_annihilation(
         for j in indices
         if i + j <= idx_window
     }
+    scale = math.lcm(*(c.denominator for pair_terms in terms.values() for *_, c in pair_terms),
+                     *(c.denominator for _, c in table.values()))
+    terms = {ij: [(k, gen, d, int(c * scale)) for k, gen, d, c in pair_terms]
+             for ij, pair_terms in terms.items()}
     mismatched: list[tuple[Label, Label]] = []
     for x in cells:
         i, s = x[0], x[1] + 1
         for y in cells:
             t = y[1] + 1
-            value: dict[Coord, Fraction] = {}
+            pair = (name[x], name[y])
+            value: dict[Coord, int] = {}
             for k, gen, d_power, coeff in terms.get((i, y[0]), ()):
                 if k > s:
                     continue
@@ -263,18 +274,17 @@ def build_annihilation(
                     continue
                 shifted = mode_out - d_power - 1
                 if shifted > mode_window:
-                    truncated.add((x, y))
+                    truncated.add(pair)
                     continue
                 key = (gen, shifted)
                 value[key] = value.get(key, 0) + math.comb(s, k) * fall * coeff
-            value = {key: c for key, c in value.items() if c}
-            entry = closed.get((x, y))
-            if value != ({entry[0]: entry[1]} if entry else {}):
-                mismatched.append((name[x], name[y]))
+            entry = table.get(pair)
+            expected = {coords[entry[0]]: int(entry[1] * scale)} if entry else {}
+            if {key: v for key, v in value.items() if v} != expected:
+                mismatched.append(pair)
     if mismatched:
         raise ClosedFormMismatchError(title, sorted(mismatched))
 
-    table = _labelled(closed, name)
     basis = list(coords)
     if extended:
         # [T, L(i,m)] = -(m+1) L(i,m-1); the mode -1 elements commute with T.
@@ -290,7 +300,7 @@ def build_annihilation(
         table=table,
         param_p=p,
         coords=coords,
-        truncated_pairs=frozenset((name[x], name[y]) for x, y in truncated),
+        truncated_pairs=truncated,
     )
 
 
@@ -366,12 +376,13 @@ def annihilation_subquotient(p: Fraction | int, idx_cap: int, mode_cap: int) -> 
         raise ValueError("caps must be nonnegative")
     title = f"G(p={p};{idx_cap},{mode_cap})"
     _check_basis_size(title, (idx_cap + 1) * (mode_cap + 1))
-    table, _ = _closed_form_table(p, idx_cap, 0, mode_cap)
     coords = {label_J(i, m): (i, m) for i in range(idx_cap + 1) for m in range(mode_cap + 1)}
+    name = {c: lab for lab, c in coords.items()}
     return FiniteLieAlgebra(
         name=title,
         basis=tuple(coords),
-        table=_labelled(table, {c: lab for lab, c in coords.items()}),
+        table={(name[x], name[y]): (name[target], c)
+               for x, y, target, c in _closed_form(p, idx_cap, 0, mode_cap) if target},
         param_p=p,
         coords=coords,
     )

@@ -8,7 +8,11 @@ order, and collections are sorted before rendering, so byte-identical runs
 produce byte-identical certificates.
 
 Each checker's report renders its own payload (``to_payload``); the two
-table blocks, which identify a table by its hash, are rendered here.
+table blocks, which identify a table by its hash, are rendered here.  A
+table hash is the SHA-256 of the table as ``json.dumps(data,
+sort_keys=True)`` would write it, rows in the string order of their keys;
+the rows are rendered and fed to the digest a chunk at a time, so no copy
+of the table and no whole JSON blob is ever built.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterable
 
 from . import __version__
 
@@ -72,21 +77,56 @@ class Certificate:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+#: What ``json.dumps`` writes for a string: the string quoted and escaped.
+_quote = json.encoder.encode_basestring_ascii
+
+#: Rows hashed per digest update.
+_CHUNK = 2048
+
+
+def _table_hash(rows: Iterable[str]) -> str:
+    """SHA-256 of a JSON object given as its rows ``"key": value``, streamed.
+
+    ``rows`` are rendered as ``json.dumps`` renders them and come in the
+    string order of their keys, so the bytes hashed are those of
+    ``json.dumps(obj, sort_keys=True)``.  They are fed a joined chunk at a
+    time: neither the object nor the blob is ever whole.
+    """
+    digest = hashlib.sha256()
+    rows = iter(rows)
+    opening = "{"
+    while chunk := list(islice(rows, _CHUNK)):
+        digest.update(f"{opening}{', '.join(chunk)}".encode())
+        opening = ", "
+    digest.update(b"}" if opening == ", " else b"{}")
+    return digest.hexdigest()
+
+
 def conformal_table_hash(alg: ConformalAlgebra) -> str:
-    data = {
-        f"{i},{j}": {str(k): str(v) for k, v in sorted(entry.items())}
-        for (i, j), entry in sorted(alg.structure.items())
-    }
-    blob = json.dumps(data, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """Hash of the rows ``"i,j": {"k": "poly", ...}``, each object in key order."""
+    def row(key: str, entry: dict[int, Any]) -> str:
+        pairs = sorted((str(k), str(v)) for k, v in entry.items())
+        return f"{_quote(key)}: {{{', '.join(f'{_quote(k)}: {_quote(v)}' for k, v in pairs)}}}"
+
+    return _table_hash(row(key, entry) for key, entry in sorted(
+        (f"{i},{j}", entry) for (i, j), entry in alg.structure.items()))
 
 
 def lie_table_hash(alg: FiniteLieAlgebra) -> str:
-    data = {
-        f"{x}|{y}": {label: str(c)} for (x, y), (label, c) in sorted(alg.table.items())
-    }
-    blob = json.dumps(data, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    """Hash of the rows ``"x|y": {"target": "c"}``, in the string order of ``x|y``.
+
+    No label contains ``|``, so that order is the order of ``x|`` and then
+    of ``y``: the rows come from a walk of the basis in those two orders, and
+    no key is built for a pair the table lacks.
+    """
+    table = alg.table
+    inner = sorted(alg.basis)
+    return _table_hash(
+        f"{_quote(f'{x}|{y}')}: {{{_quote(entry[0])}: {_quote(str(entry[1]))}}}"
+        for x in sorted(alg.basis, key=lambda label: f"{label}|")
+        for y in inner
+        if (entry := table.get((x, y)))
+    )
 
 
 def structure_table(alg: ConformalAlgebra) -> dict[str, Any]:

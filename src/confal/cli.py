@@ -8,8 +8,9 @@ failed, 2 with one line on stderr on malformed input (usage errors
 included), on a table whose checked identities leave its
 ERROR_ON_OVERFLOW window, or when the certificate cannot be written (to
 stdout, or to an ``--out`` path that is not a regular file or cannot be
-replaced).  A size flag (``--window``, ``--n``, ``--bn``, ``--K``, ``--D``,
-``--degree-bound``, ``--idx``, ``--mode``, ``--k``, ``--N``) above
+replaced; a symbolic link is written through to its target).  A size flag
+(``--window``, ``--n``, ``--bn``, ``--K``, ``--D``, ``--degree-bound``,
+``--idx``, ``--mode``, ``--k``, ``--N``) above
 :data:`confal.poly.MAX_INPUT_SIZE` is a usage error, and so is an
 ``annihilation`` window or subquotient of more than
 :data:`confal.annihilation.MAX_BASIS_SIZE` basis labels.  The
@@ -422,9 +423,11 @@ def cmd_annihilation(args: argparse.Namespace) -> Certificate:
 def _write_whole(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a sibling file, so no partial file stays.
 
-    An existing ``path`` that is not a regular file (a directory, a FIFO, a
-    device) is refused, not replaced.
+    A symbolic link is written through: its target is replaced and the link
+    stays.  An existing ``path`` that is not a regular file (a directory, a
+    FIFO, a device) is refused, not replaced.
     """
+    path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError("not a regular file")
     partial = f"{path}.partial"

@@ -21,10 +21,11 @@ Module files::
      "action": {"0,0": {"0": "-D - x"}}}
     {"format": "confal-module", "kind": "scalar_del", "alpha": "1/2"}
 
-Missing structure or action entries mean zero.  Entries use only ``D`` and
-``x``; any other name is refused when the entry is parsed, before anything
-is expanded.  Loaded tables are data, not trusted facts: run the axiom
-checkers on them before relying on anything.
+Missing structure or action entries mean zero; a pair or a target named
+twice, in one spelling or two (``"0,1"`` and ``"00,1"``), is refused.
+Entries use only ``D`` and ``x``; any other name is refused when the entry
+is parsed, before anything is expanded.  Loaded tables are data, not
+trusted facts: run the axiom checkers on them before relying on anything.
 """
 
 from __future__ import annotations
@@ -182,10 +183,12 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
     """One structure or action entry of a file: target index -> polynomial.
 
     Targets must lie in ``range(size)``; ``bound`` names that range in the
-    message.  Entries are polynomials in :data:`ENTRY_VARIABLES`, and zero
-    polynomials are left out.
+    message.  A target named twice, under two spellings such as ``"0"`` and
+    ``"00"``, is refused.  Entries are polynomials in
+    :data:`ENTRY_VARIABLES`, and zero polynomials are left out.
     """
     parsed: dict[int, Poly] = {}
+    seen: set[int] = set()
     for target, text in _object(entry, f"{what} entry {entry!r}").items():
         try:
             k = int(target)
@@ -193,6 +196,7 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
             raise ParseError(f"bad {what} target {target!r}") from None
         if not 0 <= k < size:
             raise ParseError(f"{what} target {target!r} outside {bound}")
+        _refuse_repeat(seen, k, f"{what} target {target!r} names target {k} twice")
         if not isinstance(text, str):
             raise ParseError(f"{what} target {target!r} is not a polynomial string")
         poly = parse_poly(text, ENTRY_VARIABLES)
@@ -221,6 +225,13 @@ def algebra_to_dict(alg: ConformalAlgebra) -> dict[str, Any]:
         "generators": list(alg.gen_names),
         "structure": _render_table(alg.structure),
     }
+
+
+def _refuse_repeat(seen: set[Any], key: Any, message: str) -> None:
+    """Add ``key`` to ``seen``; ParseError with ``message`` if it is there already."""
+    if key in seen:
+        raise ParseError(message)
+    seen.add(key)
 
 
 def _parse_pair_key(key: str, what: str) -> tuple[int, int]:
@@ -260,10 +271,12 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
     p_raw = data.get("p")
     p = _rational(p_raw, "algebra parameter p") if p_raw is not None else None
     structure: dict[tuple[int, int], LambdaValue] = {}
+    seen: set[tuple[int, int]] = set()
     for key, entry in raw_structure.items():
         i, j = _parse_pair_key(key, "structure")
         if not (0 <= i <= window and 0 <= j <= window):
             raise ParseError(f"structure pair {key!r} outside window {window}")
+        _refuse_repeat(seen, (i, j), f"structure key {key!r} names the pair {i},{j} twice")
         parsed = _parse_entry(entry, "structure", window + 1, f"window {window}")
         if parsed:
             structure[(i, j)] = parsed
@@ -316,12 +329,14 @@ def module_from_dict(data: Any) -> ConformalModule:
     if rank > MAX_MODULE_RANK:
         raise ParseError(f"module rank={rank} exceeds the limit {MAX_MODULE_RANK}")
     action: dict[tuple[int, int], dict[int, Poly]] = {}
+    seen: set[tuple[int, int]] = set()
     for key, entry in _object(data.get("action", {}), "module action").items():
         i, b = _parse_pair_key(key, "action")
         if i < 0:
             raise ParseError(f"action key {key!r} names a negative generator index")
         if not 0 <= b < rank:
             raise ParseError(f"action key {key!r} hits basis index outside rank {rank}")
+        _refuse_repeat(seen, (i, b), f"action key {key!r} names the pair {i},{b} twice")
         parsed = _parse_entry(entry, "action", rank, f"rank {rank}")
         if parsed:
             action[(i, b)] = parsed
@@ -348,7 +363,8 @@ def load_json(path: str) -> dict[str, Any]:
 
     The size is checked before the file is read, and no more than one byte
     past the limit is ever read, so a pipe or device whose size is unknown
-    is bounded too.
+    is bounded too.  An object that repeats a key is refused, since JSON
+    would keep only the last value.
     """
     try:
         with open(path, "rb") as fh:
@@ -359,7 +375,7 @@ def load_json(path: str) -> dict[str, Any]:
     if max(size, len(data)) > MAX_FILE_BYTES:
         raise ParseError(f"{path}: file exceeds the limit of {MAX_FILE_BYTES} bytes")
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
@@ -367,6 +383,18 @@ def load_json(path: str) -> dict[str, Any]:
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from None
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object as a dict; ParseError if it names one key twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            _refuse_repeat(seen, key, f"an object names the key {key!r} twice")
+    return obj
 
 
 def save_json(path: str, data: dict[str, Any]) -> None:

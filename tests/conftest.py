@@ -10,18 +10,16 @@ def flipped_closed_form(monkeypatch):
     """Flip the sign of every closed-form bracket ``[L(1,0), y]``.
 
     The mode expansion then disagrees with the closed form on each of those
-    pairs.  Returns the unpatched closed form.
+    pairs whose target lies inside the window.  Returns the unpatched closed
+    form.
     """
-    original = annihilation._closed_form_table
+    original = annihilation._closed_form
 
     def flipped(*args):
-        table, escaping = original(*args)
-        for (x, y), (target, c) in list(table.items()):
-            if x == (1, 0):
-                table[(x, y)] = (target, -c)
-        return table, escaping
+        for x, y, target, c in original(*args):
+            yield x, y, target, -c if x == (1, 0) else c
 
-    monkeypatch.setattr(annihilation, "_closed_form_table", flipped)
+    monkeypatch.setattr(annihilation, "_closed_form", flipped)
     return original
 
 

@@ -6,7 +6,9 @@ route one (k-th products fed through the general mode formula) must agree
 with route two (the closed form) on every pair, or construction aborts.
 """
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,7 @@ from confal.annihilation import (
     resonance_analysis,
     trace_certificate,
 )
+from confal.certificates import lie_table_hash
 from confal.conformal import TruncationPolicy, UnsupportedAlgebraError, make_block, make_bn
 from confal.linalg import Echelon
 from confal.poly import DEL, Poly
@@ -110,9 +113,10 @@ def test_window_validation():
 
 
 def test_closed_form_disagreement_raises_naming_every_pair(flipped_closed_form):
-    closed, _ = flipped_closed_form(Fraction(1), 2, -1, 2)
     flipped = sorted(
-        (label_L(*x), label_L(*y)) for x, y in closed if x == (1, 0)
+        (label_L(*x), label_L(*y))
+        for x, y, target, _ in flipped_closed_form(Fraction(1), 2, -1, 2)
+        if x == (1, 0) and target is not None
     )
     assert len(flipped) > 5
     with pytest.raises(ClosedFormMismatchError) as info:
@@ -120,6 +124,29 @@ def test_closed_form_disagreement_raises_naming_every_pair(flipped_closed_form):
     assert info.value.algebra == "A(B(1);2,2)"
     assert info.value.pairs == flipped
     assert str(flipped[:5]) in str(info.value)
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["G(1/2;12,24)", "extended(10,10)"])
+def test_a_mode_table_is_built_and_hashed_in_at_most_twice_its_size(extended):
+    # tracemalloc counts Python allocations the same on every platform.  A
+    # table built once and hashed row by row peaks near the size it keeps;
+    # a second copy of the table, or the whole JSON blob, would not fit.
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    half = Fraction(1, 2)
+    base = make_block(half, 10, TRUNC)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        alg = (build_annihilation(base, 10, 10, extended=True) if extended
+               else annihilation_subquotient(half, 12, 24))
+        retained = tracemalloc.get_traced_memory()[0] - start
+        lie_table_hash(alg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * retained, (peak, retained)
 
 
 def test_basis_size_is_bounded():
@@ -152,6 +179,9 @@ def test_table_names_only_basis_labels_and_nonzero_coefficients():
             build(table)
     with pytest.raises(ValueError, match=r"truncated pair \(a, z\) names a label outside"):
         build({}, [("a", "z")])
+    # The table hash keys a pair as "x|y", so no label may contain "|".
+    with pytest.raises(ValueError, match=r"contains '\|'"):
+        FiniteLieAlgebra(name="t", basis=("a|b", "c"), table={}, param_p=None)
 
 
 def test_truncated_pairs_are_recorded():

@@ -611,6 +611,41 @@ def test_file_of_the_wrong_json_shape_exits_two(capsys, tmp_path, argv, data, me
     assert err.endswith(f"{message}\n")
 
 
+ALGEBRA_HEAD = '{"format": "confal-algebra", "window": 1, "structure": '
+MODULE_HEAD = '{"format": "confal-module", "kind": "free", "rank": 2, "action": '
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["verify-algebra", "--alg"],
+         ALGEBRA_HEAD + '{"0,1": {"1": "D"}, "00,1": {"1": "x"}}}',
+         "structure key '00,1' names the pair 0,1 twice"),
+        (["verify-algebra", "--alg"],
+         ALGEBRA_HEAD + '{"0,0": {"0": "D", "00": "0"}}}',
+         "structure target '00' names target 0 twice"),
+        (["verify-module", "--alg", "vir", "--mod"],
+         MODULE_HEAD + '{"0,1": {"1": "D"}, "0, 1": {"1": "x"}}}',
+         "action key '0, 1' names the pair 0,1 twice"),
+        (["verify-module", "--alg", "vir", "--mod"],
+         MODULE_HEAD + '{"0,0": {"1": "D", "+1": "x"}}}',
+         "action target '+1' names target 1 twice"),
+        (["verify-algebra", "--alg"],
+         ALGEBRA_HEAD + '{"0,1": {"1": "D"}, "0,1": {"1": "x"}}}',
+         "an object names the key '0,1' twice"),
+    ],
+    ids=["structure-key", "structure-target", "action-key", "action-target", "same-spelling"],
+)
+def test_file_that_names_a_key_twice_exits_two(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, argv + [f"file:{path}"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.endswith(f"{message}\n")
+
+
 STRAY_ACTION = {"0,0": {"0": "D + x"}, "3,0": {"0": "D^5"}}
 
 
@@ -826,6 +861,29 @@ def test_out_onto_a_fifo_is_refused_and_the_fifo_stays(capsys, tmp_path):
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     # No sibling .partial file was left either.
     assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_out_through_a_link_writes_the_target_and_the_link_stays(capsys, tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old")
+    link.symlink_to(real)
+    code, out, _ = run_cli(capsys, ["verify-algebra", "--alg", "vir", "--out", str(link)])
+    assert code == 0
+    assert out == ""
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert json.loads(real.read_text())["command"] == "verify-algebra"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_out_through_a_link_to_a_directory_is_refused(capsys, tmp_path):
+    target, link = tmp_path / "dir", tmp_path / "link"
+    target.mkdir()
+    link.symlink_to(target)
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", "vir", "--out", str(link)])
+    assert code == 2
+    assert out == ""
+    assert err == f"confal: error: cannot write {link}: not a regular file\n"
+    assert link.is_symlink() and list(target.iterdir()) == []
 
 
 def test_a_failed_write_to_stdout_exits_two_with_one_line(capsys, monkeypatch):
