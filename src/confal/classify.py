@@ -75,6 +75,12 @@ CAVEAT_PER_INDEX = (
     "reduction per index"
 )
 
+#: The falsification battery's fixed seed, sample count and largest degree
+#: in each of ``D`` and ``x``; certificates record the first two.
+BATTERY_SEED = 0
+BATTERY_SAMPLES = 50
+BATTERY_DEGREE = 3
+
 
 @dataclass
 class DerivationStep:
@@ -100,20 +106,17 @@ class ViolationCertificate:
 
 @dataclass
 class BatteryResult:
-    seed: int
-    samples: int
-    violations: int
     certificates: list[ViolationCertificate] = field(default_factory=list)
 
     @property
     def all_violated(self) -> bool:
-        return self.samples == self.violations
+        return len(self.certificates) == BATTERY_SAMPLES
 
     def to_payload(self) -> dict[str, Any]:
         return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "violations": self.violations,
+            "seed": BATTERY_SEED,
+            "samples": BATTERY_SAMPLES,
+            "violations": len(self.certificates),
             "certificates": [
                 {
                     "candidate": str(c.candidate),
@@ -174,12 +177,12 @@ def symmetry_residual(f: Poly) -> Poly:
     return f * f_xy - f_y * f_yx
 
 
-def _random_del_dependent(rng: random.Random, max_degree: int = 3) -> Poly:
+def _random_del_dependent(rng: random.Random) -> Poly:
     """A random polynomial in D and x with genuine D dependence."""
     while True:
         poly = Poly.zero()
-        for dd in range(max_degree + 1):
-            for dx in range(max_degree + 1):
+        for dd in range(BATTERY_DEGREE + 1):
+            for dx in range(BATTERY_DEGREE + 1):
                 if rng.random() < 0.4:
                     coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                     poly = poly + coeff * DEL**dd * LAM**dx
@@ -187,22 +190,23 @@ def _random_del_dependent(rng: random.Random, max_degree: int = 3) -> Poly:
             return poly
 
 
-def falsification_battery(seed: int, samples: int = 50) -> BatteryResult:
+def falsification_battery() -> BatteryResult:
     """Sample translation-dependent candidates and certify each violation.
 
-    Every candidate is expected to break the symmetry identity; the stored
-    certificate carries the candidate, the full residual, and one rational
-    witness point where the residual is nonzero.
+    The :data:`BATTERY_SAMPLES` candidates are drawn from
+    :data:`BATTERY_SEED`, so every run draws the same ones.  Every candidate
+    is expected to break the symmetry identity; the stored certificate
+    carries the candidate, the full residual, and one rational witness point
+    where the residual is nonzero.
     """
-    rng = random.Random(seed)
-    result = BatteryResult(seed=seed, samples=samples, violations=0)
-    for _ in range(samples):
+    rng = random.Random(BATTERY_SEED)
+    result = BatteryResult()
+    for _ in range(BATTERY_SAMPLES):
         candidate = _random_del_dependent(rng)
         residual = symmetry_residual(candidate)
         if residual.is_zero():
             continue
         witness = _nonzero_point(residual)
-        result.violations += 1
         result.certificates.append(
             ViolationCertificate(
                 candidate=candidate, residual=residual, witness_point=witness
@@ -285,7 +289,6 @@ def classify_rank_one(
     p: Fraction | int,
     top_index_bound: int = 6,
     degree_bound: int = 6,
-    seed: int = 0,
 ) -> ClassificationReport:
     """Classify free rank-one modules over the bracket family at parameter ``p``."""
     p = Fraction(p)
@@ -295,7 +298,7 @@ def classify_rank_one(
         raise ValueError(f"top index bound K must be >= 1, got {top_index_bound}")
     if degree_bound < 0:
         raise ValueError(f"degree bound D must be >= 0, got {degree_bound}")
-    battery = falsification_battery(seed)
+    battery = falsification_battery()
     steps: list[DerivationStep] = []
     undecided: list[int] = []
     beta_survives = False
@@ -439,13 +442,11 @@ def classify_rank_one(
     )
 
 
-def classify_bn(n: int, degree_bound: int = 6, seed: int = 0) -> ClassificationReport:
+def classify_bn(n: int, degree_bound: int = 6) -> ClassificationReport:
     """Classification over the windowed quotient: parameter ``-n``, top index ``n``."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    report = classify_rank_one(
-        Fraction(-n), top_index_bound=n, degree_bound=degree_bound, seed=seed
-    )
+    report = classify_rank_one(Fraction(-n), top_index_bound=n, degree_bound=degree_bound)
     report.algebra = f"b({n})"
     report.kind = "bn"
     report.n = n

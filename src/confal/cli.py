@@ -14,9 +14,9 @@ replaced; a symbolic link is written through to its target).  A size flag
 :data:`confal.poly.MAX_INPUT_SIZE` is a usage error, and so is an
 ``annihilation`` window or subquotient of more than
 :data:`confal.annihilation.MAX_BASIS_SIZE` basis labels.  The
-environment variable ``CONFAL_SEED`` (an integer, default 0) fixes the
-randomness of falsification batteries, so certificates are byte-stable run
-to run.
+falsification battery of ``classify`` draws from the fixed seed
+:data:`confal.classify.BATTERY_SEED`, so a certificate's bytes depend on
+the arguments and the input files alone.
 
 This module imports only the standard library; each subcommand imports the
 stages it runs when it runs them, so a launch loads only its subcommand's
@@ -69,14 +69,6 @@ def _positive_int_arg(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _seed_from_env() -> int:
-    raw = os.environ.get("CONFAL_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"CONFAL_SEED must be an integer, got {raw!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,21 +326,24 @@ def cmd_verify_module(args: argparse.Namespace) -> Certificate:
 
 def cmd_classify(args: argparse.Namespace) -> Certificate:
     from . import certificates as cert
-    from .classify import SELF_CHECK_GRID, classify_bn, classify_rank_one, verify_report
+    from .classify import (
+        BATTERY_SEED,
+        SELF_CHECK_GRID,
+        classify_bn,
+        classify_rank_one,
+        verify_report,
+    )
 
-    seed = _seed_from_env()
     if args.bn is not None:
         _refuse_stray("--bn", {"--K": args.K is not None})
     try:
         if args.bn is not None:
-            report = classify_bn(args.bn, degree_bound=args.D, seed=seed)
-            inputs = {"bn": args.bn, "D": args.D, "seed": seed}
+            report = classify_bn(args.bn, degree_bound=args.D)
+            inputs = {"bn": args.bn, "D": args.D, "seed": BATTERY_SEED}
         else:
             top = 6 if args.K is None else args.K
-            report = classify_rank_one(
-                args.p, top_index_bound=top, degree_bound=args.D, seed=seed
-            )
-            inputs = {"p": str(args.p), "K": top, "D": args.D, "seed": seed}
+            report = classify_rank_one(args.p, top_index_bound=top, degree_bound=args.D)
+            inputs = {"p": str(args.p), "K": top, "D": args.D, "seed": BATTERY_SEED}
     except ValueError as exc:
         raise InputError(str(exc)) from None
     certificate = cert.Certificate(command="classify", inputs=inputs)

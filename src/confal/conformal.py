@@ -440,24 +440,25 @@ class _PackedTable(dict):
 
 def _factor_pairs(
     table: _PackedTable, a: GenId, b: GenId, c: GenId
-) -> Iterator[tuple[GenId, _Packed, _Packed]]:
-    """The products ``inner * outer`` that make up the residual on ``L_target``.
+) -> Iterator[tuple[_Packed, _Packed]]:
+    """The products ``inner * outer`` that make up the residual.
 
-    Yields ``(target, inner, outer)`` for every term of
-    ``[a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]]``.
+    Yields ``(inner, outer)`` for every term of
+    ``[a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]]``; each outer form
+    carries the target of its term in its keys.
     """
     # [a_x [b_y c]]
     for f in table[b, c]:
         for g in table[a, f.k]:
-            yield g.k, f.lift_x, g.s
+            yield f.lift_x, g.s
     # - [[a_x b]_{x+y} c]
     for f in table[a, b]:
         for g in table[f.k, c]:
-            yield g.k, f.neg_out, g.at_sum
+            yield f.neg_out, g.at_sum
     # - [b_y [a_x c]]
     for f in table[a, c]:
         for g in table[b, f.k]:
-            yield g.k, f.neg_lift_y, g.at_y
+            yield f.neg_lift_y, g.at_y
 
 
 def _packed_residual(table: _PackedTable, a: GenId, b: GenId, c: GenId) -> dict[int, int]:
@@ -468,7 +469,7 @@ def _packed_residual(table: _PackedTable, a: GenId, b: GenId, c: GenId) -> dict[
     """
     total: dict[int, int] = {}
     get = total.get
-    for _, inner, outer in _factor_pairs(table, a, b, c):
+    for inner, outer in _factor_pairs(table, a, b, c):
         for e, v in inner:
             for key, w in outer:
                 key += e

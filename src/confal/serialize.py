@@ -1,10 +1,10 @@
 """Text and JSON formats for polynomials, algebras, and modules.
 
-Polynomial strings use the variables ``D`` (translation), ``x`` (bracket
-variable), ``y`` (second bracket variable) with ``+ - * ^`` and integer or
-rational literals, e.g. ``"(1/2)*D^2*x - 3"``.  Rendering always emits the
-canonical term order, so parse(render(p)) == p and rendered strings are
-byte-stable.
+Polynomial strings use the variables ``D`` (translation) and ``x``
+(bracket variable) with ``+ - * ^`` and integer or rational literals, e.g.
+``"(1/2)*D^2*x - 3"``.  Rendering always emits the canonical term order, so
+parse(render(p)) == p for every polynomial in ``D`` and ``x``, and rendered
+strings are byte-stable.
 
 Algebra files::
 
@@ -23,8 +23,8 @@ Module files::
 
 Missing structure or action entries mean zero; a pair or a target named
 twice, in one spelling or two (``"0,1"`` and ``"00,1"``), is refused.
-Entries use only ``D`` and ``x``; any other name is refused when the entry
-is parsed, before anything is expanded.  Loaded tables are data, not
+Any name other than ``D`` and ``x``, ``y`` included, is refused when the
+entry is parsed, before anything is expanded.  Loaded tables are data, not
 trusted facts: run the axiom checkers on them before relying on anything.
 """
 
@@ -34,7 +34,7 @@ import ast
 import json
 import os
 from fractions import Fraction
-from typing import Any, Collection
+from typing import Any
 
 from .conformal import ConformalAlgebra, LambdaValue, TruncationPolicy
 from .modules import (
@@ -56,17 +56,20 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 #: a few seconds, one of degree 128 runs for minutes.
 MAX_POLY_DEGREE = 32
 
+#: The variables a polynomial string may use: ``D`` and ``x``.
+ENTRY_VARIABLES = (Var.PARTIAL, Var.LAMBDA)
 
-def parse_poly(text: str, variables: Collection[Var] = tuple(Var)) -> Poly:
+
+def parse_poly(text: str) -> Poly:
     """Parse the polynomial grammar exactly.
 
-    ``^`` is the power operator.  Only ``variables`` (by default the whole
-    registry), rational literals, parentheses, and ``+ - * / ^`` are
-    accepted; ``/`` requires a constant divisor.  Every name is checked
-    before anything is expanded.  No exponent, and no product formed on the
-    way, may exceed total degree :data:`MAX_POLY_DEGREE`; the bound is
-    checked before the product is expanded.  Errors carry the source
-    position.
+    ``^`` is the power operator.  Only :data:`ENTRY_VARIABLES`, rational
+    literals, parentheses, and ``+ - * / ^`` are accepted; ``/`` requires a
+    constant divisor.  Every name is checked before anything is expanded,
+    so ``y`` is refused like any other name.  No exponent, and no product
+    formed on the way, may exceed total degree :data:`MAX_POLY_DEGREE`; the
+    bound is checked before the product is expanded.  Errors carry the
+    source position.
     """
     prepared = text.replace("^", "**")
     try:
@@ -77,11 +80,10 @@ def parse_poly(text: str, variables: Collection[Var] = tuple(Var)) -> Poly:
         ) from None
     names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
     for node in sorted(names, key=lambda node: node.col_offset):
-        if SPELLING_TO_VAR.get(node.id) not in variables:
-            allowed = ", ".join(v.spelling for v in sorted(variables))
+        if SPELLING_TO_VAR.get(node.id) not in ENTRY_VARIABLES:
             raise ParseError(
                 f"column {node.col_offset}: variable {node.id!r} is not one of "
-                f"{allowed} in {text!r}"
+                f"{', '.join(v.spelling for v in ENTRY_VARIABLES)} in {text!r}"
             )
     return _eval_node(tree.body, text)
 
@@ -151,10 +153,6 @@ def _check_degree(what: str, value: Fraction | int, node: ast.AST, source: str) 
         )
 
 
-#: The variables a table entry in a file may use: ``D`` and ``x``.
-ENTRY_VARIABLES = (Var.PARTIAL, Var.LAMBDA)
-
-
 def _object(value: Any, what: str) -> dict[str, Any]:
     """``value`` itself, if it is a JSON object; ParseError otherwise."""
     if not isinstance(value, dict):
@@ -184,8 +182,7 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
 
     Targets must lie in ``range(size)``; ``bound`` names that range in the
     message.  A target named twice, under two spellings such as ``"0"`` and
-    ``"00"``, is refused.  Entries are polynomials in
-    :data:`ENTRY_VARIABLES`, and zero polynomials are left out.
+    ``"00"``, is refused.  Zero polynomials are left out.
     """
     parsed: dict[int, Poly] = {}
     seen: set[int] = set()
@@ -199,7 +196,7 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
         _refuse_repeat(seen, k, f"{what} target {target!r} names target {k} twice")
         if not isinstance(text, str):
             raise ParseError(f"{what} target {target!r} is not a polynomial string")
-        poly = parse_poly(text, ENTRY_VARIABLES)
+        poly = parse_poly(text)
         if poly:
             parsed[k] = poly
     return parsed

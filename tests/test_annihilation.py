@@ -427,6 +427,23 @@ def test_centrality_failure_is_the_exact_residual():
     assert rep.checked == len(ext.basis)
 
 
+def test_centrality_excludes_labels_with_a_truncated_pair():
+    # Each table entry below would leave a nonzero residual on its label,
+    # but that label lost a product to truncation against T or L(0,-1).
+    base, x, y = label_L(0, -1), label_L(1, 0), label_L(1, 1)
+    ext = FiniteLieAlgebra(
+        name="hand-made", basis=(T_LABEL, base, x, y),
+        table={(T_LABEL, x): (x, Fraction(1)), (base, y): (x, Fraction(1))},
+        param_p=Fraction(2), truncated_pairs=frozenset({(T_LABEL, x), (base, y)}),
+    )
+    rep = check_central(ext)
+    assert rep.excluded == [x, y]
+    assert rep.checked == 2
+    assert rep.failures == []
+    assert rep.ok
+    assert rep.to_payload()["excluded"] == [x, y]
+
+
 def test_centrality_requires_extended():
     with pytest.raises(UnsupportedAlgebraError):
         check_central(window(1))

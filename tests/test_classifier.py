@@ -126,22 +126,17 @@ def test_symmetry_residual_oracle():
 
 
 def test_falsification_battery_all_violated_and_deterministic():
-    a = falsification_battery(0)
-    b = falsification_battery(0)
-    assert a.samples == 50 and a.all_violated
+    a = falsification_battery()
+    b = falsification_battery()
+    assert len(a.certificates) == 50 and a.all_violated
     assert [c.candidate for c in a.certificates] == [c.candidate for c in b.certificates]
     assert [c.witness_point for c in a.certificates] == [
         c.witness_point for c in b.certificates
     ]
-    other = falsification_battery(12345)
-    assert other.all_violated
-    assert [c.candidate for c in other.certificates] != [
-        c.candidate for c in a.certificates
-    ]
 
 
 def test_battery_certificates_carry_nonzero_residuals():
-    battery = falsification_battery(3, samples=10)
+    battery = falsification_battery()
     for cert in battery.certificates:
         assert not cert.residual.is_zero()
         assert cert.candidate.degree_in(Var.PARTIAL) >= 1

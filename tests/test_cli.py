@@ -2,9 +2,10 @@
 
 Most tests drive main() in process and inspect the exit code together with
 the JSON certificate written to stdout (or to the --out file).  One test
-shells out to ``python3 -m confal`` twice under a fixed CONFAL_SEED and
-compares raw bytes, which pins down certificate determinism at the level
-the tool actually promises it.
+shells out to ``python3 -m confal`` twice, once with ``CONFAL_SEED`` set in
+the environment and once without, and compares raw bytes: the program reads
+no environment variable, and that pins down certificate determinism at the
+level the tool actually promises it.
 """
 
 import contextlib
@@ -243,8 +244,7 @@ def test_verify_module_from_file(capsys, tmp_path):
 # -- classify ---------------------------------------------------------------------
 
 
-def test_classify_plain_family_certificate(capsys, monkeypatch):
-    monkeypatch.delenv("CONFAL_SEED", raising=False)
+def test_classify_plain_family_certificate(capsys):
     code, doc = run_json(capsys, ["classify", "--p", "2"])
     assert code == 0
     assert doc["inputs"] == {"D": 6, "K": 6, "p": "2", "seed": 0}
@@ -265,16 +265,14 @@ def test_classify_plain_family_certificate(capsys, monkeypatch):
     assert doc["caveats"], "the imported independence step must leave a caveat"
 
 
-def test_classify_beta_family_for_p_minus_one(capsys, monkeypatch):
-    monkeypatch.delenv("CONFAL_SEED", raising=False)
+def test_classify_beta_family_for_p_minus_one(capsys):
     code, doc = run_json(capsys, ["classify", "--p", "-1", "--K", "4"])
     assert code == 0
     cls = result_named(doc, "classification")
     assert [f["tag"] for f in cls["payload"]["families"]] == ["M_delta_alpha_beta"]
 
 
-def test_classify_bn_quotient(capsys, monkeypatch):
-    monkeypatch.delenv("CONFAL_SEED", raising=False)
+def test_classify_bn_quotient(capsys):
     code, doc = run_json(capsys, ["classify", "--bn", "2"])
     assert code == 0
     assert doc["inputs"] == {"D": 6, "bn": 2, "seed": 0}
@@ -394,10 +392,31 @@ def test_unknown_selector_is_an_input_error(capsys):
     assert "unknown algebra selector 'nope'" in err
 
 
-def test_block_without_parameters_is_an_input_error(capsys):
-    code, _, err = run_cli(capsys, ["verify-algebra", "--alg", "block"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["verify-algebra", "--alg", "block"],
+                     "--alg block needs --p and --window", id="block-without-parameters"),
+        pytest.param(["verify-algebra", "--alg", "block", "--p", "0", "--window", "3"],
+                     "the family parameter p must be nonzero", id="block-p-zero"),
+        pytest.param(["verify-algebra", "--alg", "bn"], "--alg bn needs --n", id="bn-without-n"),
+        pytest.param(["verify-algebra", "--alg", "bn", "--n", "0"],
+                     "n must be a positive integer", id="bn-n-zero"),
+        pytest.param(["verify-algebra", "--alg", "file"],
+                     "--alg file needs --file <path>", id="file-without-path"),
+        pytest.param(["annihilation", "--p", "1", "--idx", "2", "--mode", "-3"],
+                     "windows out of range", id="mode-window-below-minus-one"),
+        pytest.param(["annihilation", "--p", "0", "--G", "--k", "2", "--N", "2"],
+                     "the family parameter p must be nonzero", id="G-p-zero"),
+        pytest.param(["annihilation", "--p", "1", "--G", "--k", "-1", "--N", "2"],
+                     "caps must be nonnegative", id="G-negative-cap"),
+    ],
+)
+def test_input_the_stages_refuse_exits_two_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
     assert code == 2
-    assert "--alg block needs --p and --window" in err
+    assert out == ""
+    assert err == f"confal: error: {message}\n"
 
 
 def test_missing_algebra_file_is_an_input_error(capsys, tmp_path):
@@ -506,13 +525,6 @@ def test_classify_bounds_errors_name_the_bound(capsys, flags, message):
     assert code == 2
     assert out == ""
     assert err == f"confal: error: {message}\n"
-
-
-def test_bad_seed_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("CONFAL_SEED", "abc")
-    code, _, err = run_cli(capsys, ["classify", "--p", "1"])
-    assert code == 2
-    assert "CONFAL_SEED must be an integer, got 'abc'" in err
 
 
 def test_leaky_error_policy_file_exits_two_naming_the_pair(capsys, tmp_path):
@@ -913,24 +925,27 @@ def test_certificate_is_sorted_indented_json_with_trailing_newline(capsys):
 
 
 def test_in_process_runs_are_deterministic_under_fixed_seed(capsys, monkeypatch):
+    # The battery's seed is fixed, so a CONFAL_SEED in the environment changes
+    # nothing.
+    monkeypatch.delenv("CONFAL_SEED", raising=False)
+    code1, out1, _ = run_cli(capsys, ["classify", "--p", "1", "--K", "4"])
     monkeypatch.setenv("CONFAL_SEED", "7")
-    code1, out1, _ = run_cli(capsys, ["classify", "--p", "1"])
-    code2, out2, _ = run_cli(capsys, ["classify", "--p", "1"])
+    code2, out2, _ = run_cli(capsys, ["classify", "--p", "1", "--K", "4"])
     assert (code1, code2) == (0, 0)
     assert out1 == out2
-    assert json.loads(out1)["inputs"]["seed"] == 7
+    assert json.loads(out1)["inputs"]["seed"] == 0
 
 
 def test_module_entry_point_is_byte_deterministic():
-    """Two fresh interpreter runs with the same seed emit identical bytes."""
-    env = dict(os.environ, CONFAL_SEED="7")
+    """Two fresh interpreter runs emit identical bytes, CONFAL_SEED set or not."""
+    env = {key: value for key, value in os.environ.items() if key != "CONFAL_SEED"}
     runs = [
         subprocess.run(
             [sys.executable, "-m", "confal", "classify", "--p", "1", "--K", "4"],
             capture_output=True,
-            env=env,
+            env=run_env,
         )
-        for _ in range(2)
+        for run_env in (env, {**env, "CONFAL_SEED": "7"})
     ]
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout

@@ -12,7 +12,6 @@ must say why and rewrite the files with::
 
 import contextlib
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -42,18 +41,10 @@ CASES = {
 
 
 def render(argv: list[str]) -> tuple[int, str]:
-    """Exit code and standard output of one in-process run under seed 0."""
-    saved = os.environ.get("CONFAL_SEED")
-    os.environ["CONFAL_SEED"] = "0"
+    """Exit code and standard output of one in-process run."""
     out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-    finally:
-        if saved is None:
-            del os.environ["CONFAL_SEED"]
-        else:
-            os.environ["CONFAL_SEED"] = saved
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
     return code, out.getvalue()
 
 

@@ -29,9 +29,8 @@ from confal.modules import (
     rank_one_module,
     trivial_module,
 )
-from confal.poly import DEL, LAM, MAX_INPUT_SIZE, MU, Poly, Var
+from confal.poly import DEL, LAM, MAX_INPUT_SIZE, SPELLING_TO_VAR, Poly, Var
 from confal.serialize import (
-    ENTRY_VARIABLES,
     MAX_MODULE_RANK,
     MAX_POLY_DEGREE,
     ParseError,
@@ -70,7 +69,7 @@ def test_poly_grammar_round_trip_oracle():
         Poly.const(Fraction(-3, 4)),
         DEL,
         DEL**2 - 2 * LAM + Poly.const(Fraction(1, 2)),
-        -DEL * LAM + 3 * MU**2,
+        -DEL * LAM + 3 * LAM**2,
     ]
     for p in cases:
         assert parse_poly(str(p)) == p
@@ -81,8 +80,8 @@ def test_poly_grammar_accepts_standard_forms():
     assert parse_poly("(D + x)^2") == (DEL + LAM) ** 2
     assert parse_poly("-D") == -DEL
     assert parse_poly("+3") == Poly.const(3)
-    assert parse_poly("(D + x)^16*(D + y)^16").total_degree() == MAX_POLY_DEGREE
-    assert parse_poly("2*(x - y)/4") == (LAM - MU) * Fraction(1, 2)
+    assert parse_poly("(D + x)^16*(D - x)^16").total_degree() == MAX_POLY_DEGREE
+    assert parse_poly("2*(x - D)/4") == (LAM - DEL) * Fraction(1, 2)
 
 
 def test_poly_grammar_rejections():
@@ -98,7 +97,7 @@ def test_poly_grammar_rejections():
         "1.5",          # floats are not exact
         "D^99999",      # exponent above MAX_POLY_DEGREE
         "2^33",         # even on a constant
-        "(D + x)^17*(D + y)^16",  # product above MAX_POLY_DEGREE
+        "(D + x)^17*(D - x)^16",  # product above MAX_POLY_DEGREE
         "((D + x)^8)^5",          # power of a power above it
     ]
     for text in bad:
@@ -107,17 +106,19 @@ def test_poly_grammar_rejections():
 
 
 def test_poly_grammar_admits_only_the_given_variables():
-    assert parse_poly("D*x", (Var.PARTIAL, Var.LAMBDA)) == DEL * LAM
-    with pytest.raises(ParseError, match="column 4: variable 'x' is not one of D in 'D \\+ x'"):
-        parse_poly("D + x", (Var.PARTIAL,))
+    assert parse_poly("D*x") == DEL * LAM
+    with pytest.raises(ParseError, match="column 4: variable 'y' is not one of D, x in 'D \\+ y'"):
+        parse_poly("D + y")
     # The leftmost offending name is the one reported.
     with pytest.raises(ParseError, match="column 4: variable 'y' is not one of D, x in"):
-        parse_poly("D + y*u", (Var.PARTIAL, Var.LAMBDA))
+        parse_poly("D + y*u")
 
 
 def test_default_registry_is_d_x_y():
+    # The ring spells its variables D, x, y; names outside it are refused too.
+    assert SPELLING_TO_VAR == {"D": Var.PARTIAL, "x": Var.LAMBDA, "y": Var.MU}
     for text in ("D + u", "w"):
-        with pytest.raises(ParseError, match="is not one of D, x, y in"):
+        with pytest.raises(ParseError, match="is not one of D, x in"):
             parse_poly(text)
 
 
@@ -163,13 +164,12 @@ def test_poly_grammar_hypothesis_round_trip():
     @hypothesis.given(polys)
     def check(p):
         text = str(p)
-        assert parse_poly(text) == p
-        # File entries admit D and x only: refused exactly when y occurs.
+        # The grammar admits D and x only: refused exactly when y occurs.
         if Var.MU in p.variables():
             with pytest.raises(ParseError, match="variable 'y' is not one of D, x"):
-                parse_poly(text, ENTRY_VARIABLES)
+                parse_poly(text)
         else:
-            assert parse_poly(text, ENTRY_VARIABLES) == p
+            assert parse_poly(text) == p
 
     check()
 
