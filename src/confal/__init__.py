@@ -35,8 +35,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("ConformalModule", "FamilyTag", "UnsupportedModuleError",
          "check_module", "infer_family", "is_irreducible_rank_one",
-         "rank_one_beta_module", "rank_one_module", "submodule_action",
-         "trivial_module"), "modules"),
+         "rank_one_module", "submodule_action", "trivial_module"), "modules"),
     **dict.fromkeys(
         ("ClassificationReport", "classify_bn", "classify_rank_one",
          "symmetry_residual", "verify_report"), "classify"),

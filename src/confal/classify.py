@@ -51,7 +51,6 @@ from .modules import (
     FAMILY_PLAIN,
     check_module,
     is_irreducible_rank_one,
-    rank_one_beta_module,
     rank_one_module,
 )
 from .poly import DEL, LAM, MU, Poly, Var
@@ -460,11 +459,11 @@ _BETA_GRID = [Fraction(0), Fraction(1), Fraction(-2)]
 SELF_CHECK_GRID = "delta, alpha in {0, 1, -2, 1/2}; beta in {0, 1, -2}"
 
 
-def _eval_condition(condition: str, delta: Fraction, beta: Fraction | None) -> bool:
+def _eval_condition(condition: str, delta: Fraction, beta: Fraction) -> bool:
     if condition == "delta != 0":
         return delta != 0
     if condition == "delta != 0 or beta != 0":
-        return delta != 0 or (beta is not None and beta != 0)
+        return delta != 0 or beta != 0
     raise ValueError(f"unknown irreducibility condition {condition!r}")
 
 
@@ -492,31 +491,23 @@ def verify_report(report: ClassificationReport) -> bool:
         return False
 
     for fam in report.families:
+        if fam.tag not in (FAMILY_PLAIN, FAMILY_BETA):
+            return False
+        betas = _BETA_GRID if fam.tag == FAMILY_BETA else [Fraction(0)]
         for delta in _GRID:
             for alpha in _GRID:
-                if fam.tag == FAMILY_PLAIN:
-                    mods = [rank_one_module(alg, delta, alpha)]
-                elif fam.tag == FAMILY_BETA:
-                    mods = [
-                        rank_one_beta_module(alg, delta, alpha, beta)
-                        for beta in _BETA_GRID
-                    ]
-                else:
-                    return False
-                for mod in mods:
+                for beta in betas:
+                    mod = rank_one_module(alg, delta, alpha, beta)
                     if not check_module(alg, mod).ok:
                         return False
-                    assert mod.family is not None
                     verdict = is_irreducible_rank_one(mod)
-                    expected = _eval_condition(
-                        fam.irreducible_iff, delta, mod.family.beta
-                    )
+                    expected = _eval_condition(fam.irreducible_iff, delta, beta)
                     if not verdict.agreed or verdict.irreducible != expected:
                         return False
 
     # Bolt-on fixture: the constant extension with beta != 0 must fail the
     # axioms exactly when the parameter is not -1.
-    probe = rank_one_beta_module(alg, 1, 0, 5)
+    probe = rank_one_module(alg, 1, 0, 5)
     probe_ok = check_module(alg, probe).ok
     if probe_ok != (report.p == -1):
         return False

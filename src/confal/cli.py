@@ -13,7 +13,9 @@ replaced; a symbolic link is written through to its target).  A size flag
 ``--idx``, ``--mode``, ``--k``, ``--N``) above
 :data:`confal.poly.MAX_INPUT_SIZE` is a usage error, and so is an
 ``annihilation`` window or subquotient of more than
-:data:`confal.annihilation.MAX_BASIS_SIZE` basis labels.  The
+:data:`confal.annihilation.MAX_BASIS_SIZE` basis labels.  So is an empty
+``--out``, and a number longer than :data:`confal.poly.MAX_LITERAL_DIGITS`,
+on the command line or in a file.  The
 falsification battery of ``classify`` draws from the fixed seed
 :data:`confal.classify.BATTERY_SEED`, so a certificate's bytes depend on
 the arguments and the input files alone.
@@ -30,7 +32,7 @@ import contextlib
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, Iterator, NoReturn
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -69,6 +71,12 @@ def _positive_int_arg(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _out_arg(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must be a path, got ''")
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("verify-algebra", help="run the bracket axiom checkers")
     add_algebra_flags(pa)
-    pa.add_argument("--out", help="write the certificate to this path")
+    pa.add_argument("--out", type=_out_arg, help="write the certificate to this path")
 
     pm = sub.add_parser("verify-module", help="run the module identity checker")
     add_algebra_flags(pm)
@@ -131,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="degree bound for the invariant-span search, 1 to "
         f"{MAX_INPUT_SIZE} (default 3)",
     )
-    pm.add_argument("--out", help="write the certificate to this path")
+    pm.add_argument("--out", type=_out_arg, help="write the certificate to this path")
 
     pc = sub.add_parser("classify", help="replay the rank-one classification")
     group = pc.add_mutually_exclusive_group(required=True)
@@ -139,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--bn", type=_size_arg, help="classify over the quotient b(n)")
     pc.add_argument("--K", type=_size_arg, help="top index bound for --p (default 6)")
     pc.add_argument("--D", type=_size_arg, default=6, help="degree bound (default 6)")
-    pc.add_argument("--out", help="write the certificate to this path")
+    pc.add_argument("--out", type=_out_arg, help="write the certificate to this path")
 
     pn = sub.add_parser(
         "annihilation", help="build mode algebras and their analyses"
@@ -159,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pn.add_argument("--k", type=_size_arg, help="index cap for --G")
     pn.add_argument("--N", type=_size_arg, help="mode cap for --G")
-    pn.add_argument("--out", help="write the certificate to this path")
+    pn.add_argument("--out", type=_out_arg, help="write the certificate to this path")
     return parser
 
 
@@ -236,27 +244,14 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict
 def _module_from_args(
     args: argparse.Namespace, alg: ConformalAlgebra
 ) -> tuple[ConformalModule, dict]:
-    from .modules import (
-        UnsupportedModuleError,
-        rank_one_beta_module,
-        rank_one_module,
-        trivial_module,
-    )
+    from .modules import UnsupportedModuleError, rank_one_module, trivial_module
     from .poly import ParseError, parse_rat
 
     selector = args.mod
     parts = selector.split(":")
     try:
-        if parts[0] == "M" and len(parts) == 3:
-            mod = rank_one_module(alg, parse_rat(parts[1]), parse_rat(parts[2]))
-            return mod, {"mod": selector}
-        if parts[0] == "Mb" and len(parts) == 4:
-            mod = rank_one_beta_module(
-                alg,
-                parse_rat(parts[1]),
-                parse_rat(parts[2]),
-                parse_rat(parts[3]),
-            )
+        if (parts[0], len(parts)) in (("M", 3), ("Mb", 4)):
+            mod = rank_one_module(alg, *map(parse_rat, parts[1:]))
             return mod, {"mod": selector}
         if parts[0] == "trivial" and len(parts) == 2:
             return trivial_module(parse_rat(parts[1])), {"mod": selector}
@@ -436,6 +431,28 @@ def _write_whole(path: str, text: str) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's limit on ``int``/``str`` conversion inside the block.
+
+    Every reader checks each number it converts against
+    :data:`confal.poly.MAX_LITERAL_DIGITS` on the text, so the limit guards
+    no input.  It would only refuse output: a residual's denominator is an
+    lcm over many coefficients, which no bound on the inputs keeps under
+    4,300 digits, and a certificate records it exactly.  Python 3.10 before
+    3.10.7 has no limit to lift.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -449,14 +466,15 @@ def main(argv: list[str] | None = None) -> int:
         "annihilation": cmd_annihilation,
     }
     try:
-        certificate = handlers[args.command](args)
+        with _unlimited_int_digits():
+            certificate = handlers[args.command](args)
+            text = certificate.to_json()
     except (InputError, ParseError, WindowOverflowError) as exc:
         print(f"confal: error: {exc}", file=sys.stderr)
         return 2
-    text = certificate.to_json()
     out = getattr(args, "out", None)
     try:
-        if out:
+        if out is not None:
             _write_whole(out, text)
         else:
             sys.stdout.write(text)

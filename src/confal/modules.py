@@ -8,14 +8,16 @@ the zero action.  The one-dimensional non-free modules ("scalar_del") carry
 ``D`` acting by a fixed rational ``alpha`` and, for the trivial module, the
 zero action of every generator.
 
-Rank-one families over the bracket family at parameter ``p``:
-
-* ``rank_one_module``:  ``L_0 -> p (D + delta x + alpha)``, higher
-  generators act by zero;
-* ``rank_one_beta_module``: additionally ``L_1 -> beta``; this satisfies the
-  module identity only at ``p = -1``.  The constructor builds it at any
-  parameter, and :func:`check_module` reports the failing pairs elsewhere;
-* ``trivial_module``: the scalar_del module with zero action.
+The free rank-one modules over the bracket family at parameter ``p`` come
+from one constructor, ``rank_one_module(alg, delta, alpha, beta=0)``:
+``L_0 -> p (D + delta x + alpha)``, ``L_1 -> beta`` when ``beta != 0``, and
+higher generators act by zero.  With ``beta = 0`` this is the plain family,
+a module at every ``p``; the constant ``beta != 0`` satisfies the module
+identity only at ``p = -1``, and :func:`check_module` reports the failing
+pairs elsewhere (Cheng and Kac, "Conformal modules", 1997).  A module is its
+action table alone: :func:`infer_family` reads the family and its parameters
+back from the table.  ``trivial_module`` is the scalar_del module with zero
+action.
 
 The module identity checked by :func:`check_module` is
 
@@ -46,7 +48,6 @@ KIND_SCALAR_DEL = "scalar_del"
 
 FAMILY_PLAIN = "M_delta_alpha"
 FAMILY_BETA = "M_delta_alpha_beta"
-FAMILY_TRIVIAL = "trivial"
 
 
 class UnsupportedModuleError(ValueError):
@@ -55,7 +56,7 @@ class UnsupportedModuleError(ValueError):
 
 @dataclass(frozen=True)
 class FamilyTag:
-    """Which constructed family a module belongs to, with its parameters."""
+    """Which rank-one family an action table belongs to, with its parameters."""
 
     family: str
     p: Fraction | None = None
@@ -70,7 +71,6 @@ class ConformalModule:
     rank: int
     alpha: Fraction | None
     action: dict[tuple[int, int], dict[int, Poly]]
-    family: FamilyTag | None = None
 
     def action_of(self, gen: int, basis: int) -> dict[int, Poly]:
         return self.action.get((gen, basis), {})
@@ -88,59 +88,28 @@ def _family_parameter(alg: ConformalAlgebra) -> Fraction:
     return alg.param_p
 
 
-def rank_one_module(alg: ConformalAlgebra, delta: Fraction | int, alpha: Fraction | int) -> ConformalModule:
-    """Free rank one: index-zero generator acts by ``p (D + delta x + alpha)``."""
-    p = _family_parameter(alg)
-    delta = Fraction(delta)
-    alpha = Fraction(alpha)
-    action = {(0, 0): {0: p * (DEL + delta * LAM + alpha)}}
-    return ConformalModule(
-        kind=KIND_FREE,
-        rank=1,
-        alpha=None,
-        action=action,
-        family=FamilyTag(FAMILY_PLAIN, p=p, delta=delta, alpha=alpha),
-    )
-
-
-def rank_one_beta_module(
+def rank_one_module(
     alg: ConformalAlgebra,
     delta: Fraction | int,
     alpha: Fraction | int,
-    beta: Fraction | int,
+    beta: Fraction | int = 0,
 ) -> ConformalModule:
-    """Free rank one with the index-one generator acting by the constant ``beta``.
+    """Free rank one: ``L_0`` acts by ``p (D + delta x + alpha)``, ``L_1`` by ``beta``.
 
-    Only parameter ``p = -1`` admits this family as a module; at any other
-    parameter :func:`check_module` reports the pairs where it fails.
+    ``beta = 0`` leaves no ``L_1`` row.  Only parameter ``p = -1`` admits a
+    nonzero ``beta``; at any other parameter :func:`check_module` reports
+    the pairs where it fails.
     """
     p = _family_parameter(alg)
-    delta = Fraction(delta)
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    action: dict[tuple[int, int], dict[int, Poly]] = {
-        (0, 0): {0: p * (DEL + delta * LAM + alpha)}
-    }
+    action = {(0, 0): {0: p * (DEL + Fraction(delta) * LAM + Fraction(alpha))}}
     if beta:
-        action[(1, 0)] = {0: Poly.const(beta)}
-    return ConformalModule(
-        kind=KIND_FREE,
-        rank=1,
-        alpha=None,
-        action=action,
-        family=FamilyTag(FAMILY_BETA, p=p, delta=delta, alpha=alpha, beta=beta),
-    )
+        action[(1, 0)] = {0: Poly.const(Fraction(beta))}
+    return ConformalModule(kind=KIND_FREE, rank=1, alpha=None, action=action)
 
 
 def trivial_module(alpha: Fraction | int) -> ConformalModule:
     """One-dimensional module with zero action and ``D`` acting by ``alpha``."""
-    return ConformalModule(
-        kind=KIND_SCALAR_DEL,
-        rank=1,
-        alpha=Fraction(alpha),
-        action={},
-        family=FamilyTag(FAMILY_TRIVIAL, alpha=Fraction(alpha)),
-    )
+    return ConformalModule(kind=KIND_SCALAR_DEL, rank=1, alpha=Fraction(alpha), action={})
 
 
 # -- the module identity -------------------------------------------------------------
@@ -277,10 +246,7 @@ def submodule_action(mod: ConformalModule, g: Poly) -> SubmoduleResult:
                 invariant=False, module=None, offending_generator=i, remainder=r
             )
         new_action[(i, b)] = {0: q}
-    new_mod = ConformalModule(
-        kind=KIND_FREE, rank=1, alpha=None, action=new_action, family=None
-    )
-    new_mod.family = infer_family(new_mod)
+    new_mod = ConformalModule(kind=KIND_FREE, rank=1, alpha=None, action=new_action)
     return SubmoduleResult(
         invariant=True, module=new_mod, offending_generator=None, remainder=None
     )
@@ -377,25 +343,23 @@ def is_irreducible_rank_one(
 ) -> IrreducibilityVerdict:
     """Decide irreducibility of a rank-one free module two independent ways.
 
-    The criterion answer reads the family tag: the plain family is
-    irreducible iff ``delta != 0``; the beta family iff ``delta != 0`` or
-    ``beta != 0``.  The search answer enumerates, for each degree up to the
-    bound, the unique linear-condition candidate ``g`` and runs the full
-    invariance test on it.  The verdict carries both answers; when they
-    disagree its :attr:`~IrreducibilityVerdict.agreed` is false and reading
+    The criterion answer reads ``delta`` and ``beta`` off the action table
+    (:func:`infer_family`): the module is irreducible iff ``delta != 0`` or
+    ``beta != 0``, a plain table having no ``beta``.  The search answer
+    enumerates, for each degree up to the bound, the unique linear-condition
+    candidate ``g`` and runs the full invariance test on it.  The verdict
+    carries both answers; when they disagree its
+    :attr:`~IrreducibilityVerdict.agreed` is false and reading
     :attr:`~IrreducibilityVerdict.irreducible` raises, never a silent
     preference for either.
     """
     _require_rank_one_free(mod)
-    tag = mod.family or infer_family(mod)
-    if tag is None or tag.family == FAMILY_TRIVIAL:
+    tag = infer_family(mod)
+    if tag is None:
         raise UnsupportedModuleError(
             "irreducibility needs a recognised rank-one family table"
         )
-    if tag.family == FAMILY_PLAIN:
-        criterion = tag.delta != 0
-    else:
-        criterion = tag.delta != 0 or tag.beta != 0
+    criterion = tag.delta != 0 or bool(tag.beta)
     witness: Poly | None = None
     candidates: list[Poly] = []
     for degree in range(1, degree_bound + 1):

@@ -22,7 +22,7 @@ weighted heaviest.  All iteration and string rendering follow that order.
 :func:`parse_rat` reads one rational literal and raises :class:`ParseError`,
 the error of every text format (the polynomial grammar is in
 :mod:`confal.serialize`); :data:`MAX_INPUT_SIZE` bounds every size the
-program reads.
+program reads, and :data:`MAX_LITERAL_DIGITS` every number.
 """
 
 from __future__ import annotations
@@ -66,10 +66,32 @@ class ParseError(ValueError):
 #: and the checkers' cost grows as a power of it.
 MAX_INPUT_SIZE = 64
 
+#: Longest number the program reads, in characters: a rational literal, with
+#: a decimal exponent counted as the digits it adds, and each integer of an
+#: input file.  The readers check it on the text, before anything converts
+#: or expands it.  Products of two numbers at the bound pass Python's
+#: 4,300-digit limit on ``int``-to-``str`` conversion, which
+#: :func:`confal.cli.main` lifts while it renders a certificate.
+MAX_LITERAL_DIGITS = 3000
+
 
 def parse_rat(text: str) -> Fraction:
+    literal = text.strip()
+    size = len(literal)
+    if size <= MAX_LITERAL_DIGITS:
+        # An exponent counts as the digits it adds.
+        mantissa, _, exponent = literal.lower().partition("e")
+        try:
+            size = len(mantissa) + abs(int(exponent or 0))
+        except ValueError:
+            pass  # not an exponent, so Fraction refuses the literal below
+    if size > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"rational literal {literal[:40]!r} runs past the limit of "
+            f"{MAX_LITERAL_DIGITS} digits"
+        )
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}: {exc}") from None
 
@@ -150,6 +172,13 @@ class Poly:
         """Yield ``(exponent_vector, coefficient)`` in canonical order."""
         for exp in sorted(self._terms, key=_order_key, reverse=True):
             yield exp, self._terms[exp]
+
+    def coefficient_bits(self) -> int:
+        """Bits of the longest numerator or denominator among the coefficients."""
+        return max(
+            (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in self._terms.values()),
+            default=0,
+        )
 
     def constant(self) -> Fraction:
         """Coefficient of the monomial 1."""

@@ -32,20 +32,24 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
+import re
 from fractions import Fraction
 from typing import Any
 
 from .conformal import ConformalAlgebra, LambdaValue, TruncationPolicy
-from .modules import (
-    KIND_FREE,
-    KIND_SCALAR_DEL,
-    ConformalModule,
-    infer_family,
-    trivial_module,
-)
+from .modules import KIND_FREE, KIND_SCALAR_DEL, ConformalModule, trivial_module
 from .linalg import render_combo
-from .poly import MAX_INPUT_SIZE, SPELLING_TO_VAR, ParseError, Poly, Var, parse_rat
+from .poly import (
+    MAX_INPUT_SIZE,
+    MAX_LITERAL_DIGITS,
+    SPELLING_TO_VAR,
+    ParseError,
+    Poly,
+    Var,
+    parse_rat,
+)
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -55,6 +59,14 @@ _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 #: the entry degree: a two-generator table of degree-32 entries verifies in
 #: a few seconds, one of degree 128 runs for minutes.
 MAX_POLY_DEGREE = 32
+
+#: Most bits the numerator or the denominator of a coefficient may take in
+#: any polynomial :func:`parse_poly` forms: as many as an integer of
+#: :data:`~confal.poly.MAX_LITERAL_DIGITS` digits.
+MAX_COEFFICIENT_BITS = math.ceil(MAX_LITERAL_DIGITS * math.log2(10))
+
+#: An integer literal longer than :data:`~confal.poly.MAX_LITERAL_DIGITS`.
+_LONG_LITERAL = re.compile(rf"\d[\d_]{{{MAX_LITERAL_DIGITS},}}")
 
 #: The variables a polynomial string may use: ``D`` and ``x``.
 ENTRY_VARIABLES = (Var.PARTIAL, Var.LAMBDA)
@@ -67,66 +79,44 @@ def parse_poly(text: str) -> Poly:
     literals, parentheses, and ``+ - * / ^`` are accepted; ``/`` requires a
     constant divisor.  Every name is checked before anything is expanded,
     so ``y`` is refused like any other name.  No exponent, and no product
-    formed on the way, may exceed total degree :data:`MAX_POLY_DEGREE`; the
-    bound is checked before the product is expanded.  Errors carry the
-    source position.
+    formed on the way, may exceed total degree :data:`MAX_POLY_DEGREE`, no
+    integer literal may have more than :data:`~confal.poly.MAX_LITERAL_DIGITS`
+    characters, and no coefficient formed on the way may take more than
+    :data:`MAX_COEFFICIENT_BITS` bits.  Each bound is checked before the
+    literal is converted, or the product or power is expanded.  Errors carry
+    the source position.
     """
-    prepared = text.replace("^", "**")
+    literal = _LONG_LITERAL.search(text)
+    if literal:
+        raise ParseError(
+            f"column {literal.start()}: integer literal of {len(literal[0])} "
+            f"characters exceeds the limit {MAX_LITERAL_DIGITS}"
+        )
     try:
-        tree = ast.parse(prepared, mode="eval")
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+        names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        for node in sorted(names, key=lambda node: node.col_offset):
+            if SPELLING_TO_VAR.get(node.id) not in ENTRY_VARIABLES:
+                raise ParseError(
+                    f"column {node.col_offset}: variable {node.id!r} is not one of "
+                    f"{', '.join(v.spelling for v in ENTRY_VARIABLES)} in {text!r}"
+                )
+        return _eval_node(tree.body, text)
     except SyntaxError as exc:
         raise ParseError(
             f"syntax error in polynomial at column {exc.offset}: {text!r}"
         ) from None
-    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
-    for node in sorted(names, key=lambda node: node.col_offset):
-        if SPELLING_TO_VAR.get(node.id) not in ENTRY_VARIABLES:
-            raise ParseError(
-                f"column {node.col_offset}: variable {node.id!r} is not one of "
-                f"{', '.join(v.spelling for v in ENTRY_VARIABLES)} in {text!r}"
-            )
-    return _eval_node(tree.body, text)
+    except RecursionError:
+        raise ParseError(f"polynomial nested too deeply to parse: {text!r}") from None
 
 
 def _eval_node(node: ast.AST, source: str) -> Poly:
     if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
         left = _eval_node(node.left, source)
         right = _eval_node(node.right, source)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            _check_degree("degree", left.total_degree() + right.total_degree(), node, source)
-            return left * right
-        if isinstance(node.op, ast.Div):
-            try:
-                divisor = right.as_constant()
-            except ValueError:
-                raise ParseError(
-                    f"column {node.col_offset}: division by a non-constant "
-                    f"in {source!r}"
-                ) from None
-            if divisor == 0:
-                raise ParseError(
-                    f"column {node.col_offset}: division by zero in {source!r}"
-                )
-            return left * (Fraction(1) / divisor)
-        # Pow
-        try:
-            exponent = right.as_constant()
-        except ValueError:
-            raise ParseError(
-                f"column {node.col_offset}: non-constant exponent in {source!r}"
-            ) from None
-        if exponent.denominator != 1 or exponent < 0:
-            raise ParseError(
-                f"column {node.col_offset}: exponent must be a nonnegative "
-                f"integer in {source!r}"
-            )
-        _check_degree("exponent", exponent, node, source)
-        _check_degree("degree", left.total_degree() * exponent, node, source)
-        return left ** int(exponent)
+        result = _eval_binop(node, left, right, source)
+        _check_bits(result.coefficient_bits(), node, source)
+        return result
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         operand = _eval_node(node.operand, source)
         return operand if isinstance(node.op, ast.UAdd) else -operand
@@ -143,6 +133,58 @@ def _eval_node(node: ast.AST, source: str) -> Poly:
         f"column {getattr(node, 'col_offset', 0)}: unsupported syntax "
         f"in {source!r}"
     )
+
+
+def _eval_binop(node: ast.BinOp, left: Poly, right: Poly, source: str) -> Poly:
+    if isinstance(node.op, ast.Add):
+        return left + right
+    if isinstance(node.op, ast.Sub):
+        return left - right
+    if isinstance(node.op, ast.Mult):
+        _check_degree("degree", left.total_degree() + right.total_degree(), node, source)
+        # A product of integers of a and b bits has at least a + b - 1.
+        bits = left.coefficient_bits() + right.coefficient_bits() - 1
+        _check_bits(bits, node, source, "at least ")
+        return left * right
+    if isinstance(node.op, ast.Div):
+        try:
+            divisor = right.as_constant()
+        except ValueError:
+            raise ParseError(
+                f"column {node.col_offset}: division by a non-constant "
+                f"in {source!r}"
+            ) from None
+        if divisor == 0:
+            raise ParseError(
+                f"column {node.col_offset}: division by zero in {source!r}"
+            )
+        return left * (Fraction(1) / divisor)
+    # Pow
+    try:
+        exponent = right.as_constant()
+    except ValueError:
+        raise ParseError(
+            f"column {node.col_offset}: non-constant exponent in {source!r}"
+        ) from None
+    if exponent.denominator != 1 or exponent < 0:
+        raise ParseError(
+            f"column {node.col_offset}: exponent must be a nonnegative "
+            f"integer in {source!r}"
+        )
+    _check_degree("exponent", exponent, node, source)
+    _check_degree("degree", left.total_degree() * exponent, node, source)
+    # The power a^e of an integer of a bits has at least e (a - 1) + 1.
+    bits = int(exponent) * (left.coefficient_bits() - 1) + 1
+    _check_bits(bits, node, source, "at least ")
+    return left ** int(exponent)
+
+
+def _check_bits(bits: int, node: ast.AST, source: str, at_least: str = "") -> None:
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ParseError(
+            f"column {node.col_offset}: a coefficient of {at_least}{bits} bits exceeds "
+            f"the limit {MAX_COEFFICIENT_BITS} in {source!r}"
+        )
 
 
 def _check_degree(what: str, value: Fraction | int, node: ast.AST, source: str) -> None:
@@ -170,6 +212,15 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
+def _int_literal(text: str) -> int:
+    """``int(text)``; ParseError, before any conversion, past the digit bound."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        raise ParseError(
+            f"an integer of {len(text)} characters exceeds the limit {MAX_LITERAL_DIGITS}"
+        )
+    return int(text)
+
+
 def _rational(value: Any, what: str) -> Fraction:
     """``value`` parsed, if it is a rational string; ParseError otherwise."""
     if not isinstance(value, str):
@@ -188,7 +239,7 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
     seen: set[int] = set()
     for target, text in _object(entry, f"{what} entry {entry!r}").items():
         try:
-            k = int(target)
+            k = _int_literal(target)
         except ValueError:
             raise ParseError(f"bad {what} target {target!r}") from None
         if not 0 <= k < size:
@@ -236,7 +287,7 @@ def _parse_pair_key(key: str, what: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ParseError(f"bad {what} key {key!r}: expected 'i,j'")
     try:
-        return int(parts[0]), int(parts[1])
+        return _int_literal(parts[0]), _int_literal(parts[1])
     except ValueError:
         raise ParseError(f"bad {what} key {key!r}: expected integers") from None
 
@@ -337,12 +388,7 @@ def module_from_dict(data: Any) -> ConformalModule:
         parsed = _parse_entry(entry, "action", rank, f"rank {rank}")
         if parsed:
             action[(i, b)] = parsed
-    mod = ConformalModule(
-        kind=KIND_FREE, rank=rank, alpha=None, action=action, family=None
-    )
-    if rank == 1:
-        mod.family = infer_family(mod)
-    return mod
+    return ConformalModule(kind=KIND_FREE, rank=rank, alpha=None, action=action)
 
 
 #: Largest input file :func:`load_json` accepts, in bytes.  A block table of
@@ -361,7 +407,8 @@ def load_json(path: str) -> dict[str, Any]:
     The size is checked before the file is read, and no more than one byte
     past the limit is ever read, so a pipe or device whose size is unknown
     is bounded too.  An object that repeats a key is refused, since JSON
-    would keep only the last value.
+    would keep only the last value, and so is an integer longer than
+    :data:`~confal.poly.MAX_LITERAL_DIGITS`.
     """
     try:
         with open(path, "rb") as fh:
@@ -372,7 +419,9 @@ def load_json(path: str) -> dict[str, Any]:
     if max(size, len(data)) > MAX_FILE_BYTES:
         raise ParseError(f"{path}: file exceeds the limit of {MAX_FILE_BYTES} bytes")
     try:
-        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
+        return json.loads(
+            data.decode("utf-8"), object_pairs_hook=_unique_keys, parse_int=_int_literal
+        )
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:

@@ -41,7 +41,6 @@ from confal.conformal import (
 from confal.modules import (
     check_module,
     is_irreducible_rank_one,
-    rank_one_beta_module,
     rank_one_module,
     submodule_action,
 )
@@ -138,13 +137,13 @@ def test_criterion_5_module_dichotomy():
     for delta in GRID:
         for alpha in GRID:
             for beta in BETA_GRID:
-                mod = rank_one_beta_module(special, delta, alpha, beta)
+                mod = rank_one_module(special, delta, alpha, beta)
                 report = check_module(special, mod)
                 assert report.ok, (delta, alpha, beta)
 
     for p in (1, 2, -2, Fraction(1, 2)):
         alg = make_block(p, 3)
-        mod = rank_one_beta_module(alg, 1, 0, 5)
+        mod = rank_one_module(alg, 1, 0, 5)
         report = check_module(alg, mod)
         assert not report.ok, p
         by_pair = {(f.i, f.j): f.residual for f in report.failures}
@@ -227,7 +226,7 @@ def test_criterion_7_submodule_structure():
         if beta is None:
             mod = rank_one_module(alg, delta, alpha)
         else:
-            mod = rank_one_beta_module(alg, delta, alpha, beta)
+            mod = rank_one_module(alg, delta, alpha, beta)
         verdict = is_irreducible_rank_one(mod, degree_bound=3)
         assert verdict.criterion_irreducible == verdict.search_irreducible, (
             p,

@@ -23,7 +23,7 @@ import pytest
 from confal.cli import main
 from confal.conformal import make_bn
 from confal.modules import rank_one_module
-from confal.poly import MAX_INPUT_SIZE
+from confal.poly import MAX_INPUT_SIZE, MAX_LITERAL_DIGITS
 from confal.serialize import (
     MAX_FILE_BYTES,
     algebra_to_dict,
@@ -825,6 +825,83 @@ def test_option_where_a_value_belongs_stays_a_usage_error(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err == "confal classify: error: argument --p: expected one argument\n"
+
+
+SEVENS = "7" * 4000
+NESTED_POWER = "(((10^32)^32)^32)^32*D"
+
+
+def algebra_file(entry):
+    return json.dumps({"format": "confal-algebra", "window": 1,
+                       "structure": {"0,0": {"0": entry}}})
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["verify-module", "--alg", "block", "--p", SEVENS, "--window", "2",
+          "--mod", f"Mb:1:1:{SEVENS}"], None,
+         "argument --p: rational literal '7777777777777777777777777777777777777777' runs past the limit of 3000 digits"),
+        (["verify-module", "--alg", "block", "--p", "1", "--window", "2",
+          "--mod", f"Mb:1:1:{SEVENS}"], None,
+         "bad module selector 'Mb:1:1:7777777777777777777777777777777777777777"),
+        (["verify-algebra", "--alg", "block", "--p", "1e30000000", "--window", "1"], None,
+         "rational literal '1e30000000' runs past the limit of 3000 digits"),
+        (["verify-algebra", "--alg", "block", "--p", "1e10000000", "--window", "1"], None,
+         "rational literal '1e10000000' runs past the limit of 3000 digits"),
+        (["verify-algebra", "--alg", "file"], algebra_file(NESTED_POWER),
+         "a coefficient of at least 108833 bits exceeds the limit 9966"),
+        (["verify-algebra", "--alg", "file"], algebra_file(f"({NESTED_POWER[:-2]})^32*D"),
+         "a coefficient of at least 108833 bits exceeds the limit 9966"),
+        (["verify-algebra", "--alg", "file"], algebra_file(f"{SEVENS}*D"),
+         "integer literal of 4000 characters exceeds the limit 3000"),
+        (["verify-algebra", "--alg", "file"],
+         '{"format": "confal-algebra", "window": %s}' % SEVENS,
+         "an integer of 4000 characters exceeds the limit 3000"),
+    ],
+    ids=["p", "mod", "exponent-3e7", "exponent-1e7", "nested-power", "nested-power-5",
+         "file-literal", "json-integer"],
+)
+def test_numbers_past_the_digit_bound_exit_two_with_one_line(capsys, tmp_path, argv, text, message):
+    if text is not None:
+        path = tmp_path / "alg.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [*argv, "--file", str(path)]
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and message in err
+
+
+def test_a_residual_past_the_int_digit_limit_renders(capsys):
+    # beta (1 + p) x on the pair (0, 1) has twice the digits of its inputs,
+    # more than Python converts to text by default.
+    big = "7" * MAX_LITERAL_DIGITS
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, doc = run_json(capsys, ["verify-module", "--alg", "block", "--p", big,
+                                  "--window", "2", "--mod", f"Mb:1:1:{big}"])
+    assert code == 1
+    failures = result_named(doc, "module_identity")["payload"]["failures"]
+    assert [f["pair"] for f in failures] == [[0, 1], [1, 0]]
+    digits, _, variable = failures[0]["residual"]["0"].partition("*")
+    assert (len(digits), variable) == (2 * MAX_LITERAL_DIGITS, "x")
+    assert int(digits[-12:]) == int(big) * (1 + int(big)) % 10**12
+    # main restores the limit it lifted.
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_an_empty_out_path_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-algebra", "--alg", "vir", "--out", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "confal verify-algebra: error: argument --out: must be a path, got ''\n"
 
 
 # -- output channel and determinism -------------------------------------------------

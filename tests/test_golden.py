@@ -33,6 +33,8 @@ CASES = {
     "classify_bn_3": (["classify", "--bn", "3"], 0),
     "verify_module_M": (["verify-module", "--alg", "block", "--p", "1", "--window", "4", "--mod", "M:1/2:1"], 0),
     "verify_module_Mb_fails": (["verify-module", "--alg", "block", "--p", "2", "--window", "3", "--mod", "Mb:1:1:1"], 1),
+    "verify_module_Mb_beta_zero": (["verify-module", "--alg", "block", "--p=-1", "--window", "3", "--mod", "Mb:0:1:0"], 0),
+    "verify_module_Mb_minus_one": (["verify-module", "--alg", "block", "--p=-1", "--window", "3", "--mod", "Mb:1:0:2"], 0),
     "verify_module_M_reducible": (["verify-module", "--alg", "block", "--p", "1", "--window", "3", "--mod", "M:0:1"], 0),
     "verify_module_trivial": (["verify-module", "--alg", "block", "--p", "1", "--window", "3", "--mod", "trivial:1/2"], 0),
     "verify_algebra_hv_misprint": (["verify-algebra", "--alg", "hv-misprint"], 1),

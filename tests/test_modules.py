@@ -25,7 +25,6 @@ from confal.modules import (
     infer_family,
     is_irreducible_rank_one,
     module_residual,
-    rank_one_beta_module,
     rank_one_module,
     submodule_action,
     trivial_module,
@@ -43,18 +42,16 @@ def test_rank_one_action_oracle():
     alg = make_block(2, 3, TRUNC)
     mod = rank_one_module(alg, 3, Fraction(1, 2))
     assert mod.action == {(0, 0): {0: 2 * DEL + 6 * LAM + 1}}
-    assert mod.family == FamilyTag(
-        FAMILY_PLAIN, p=Fraction(2), delta=Fraction(3), alpha=Fraction(1, 2)
-    )
 
 
 def test_beta_action_oracle():
     alg = make_bn(1)
-    mod = rank_one_beta_module(alg, 1, 0, 7)
+    mod = rank_one_module(alg, 1, 0, 7)
     assert mod.action[(0, 0)] == {0: -(DEL + LAM)}
     assert mod.action[(1, 0)] == {0: Poly.const(7)}
     # beta = 0 leaves no index-one row at all.
-    assert (1, 0) not in rank_one_beta_module(alg, 1, 0, 0).action
+    assert rank_one_module(alg, 1, 0, 0) == rank_one_module(alg, 1, 0)
+    assert (1, 0) not in rank_one_module(alg, 1, 0).action
 
 
 def test_module_needs_bracket_family():
@@ -79,7 +76,7 @@ def test_beta_family_identity_at_minus_one():
     for delta in GRID:
         for alpha in GRID:
             for beta in (Fraction(0), Fraction(1), Fraction(-2)):
-                rep = check_module(alg, rank_one_beta_module(alg, delta, alpha, beta))
+                rep = check_module(alg, rank_one_module(alg, delta, alpha, beta))
                 assert rep.ok, (delta, alpha, beta)
 
 
@@ -88,7 +85,7 @@ def test_beta_bolt_on_fails_at_exact_pairs():
     # (0,1) and (1,0) with residual beta (1+p) x (resp. its mirror), and
     # nowhere else.
     alg = make_block(1, 3, TRUNC)
-    mod = rank_one_beta_module(alg, 1, 0, 5)
+    mod = rank_one_module(alg, 1, 0, 5)
     rep = check_module(alg, mod)
     assert not rep.ok
     assert sorted((f.i, f.j) for f in rep.failures) == [(0, 1), (1, 0)]
@@ -100,7 +97,7 @@ def test_beta_bolt_on_fails_at_exact_pairs():
 def test_beta_bolt_on_failure_scales_with_parameter():
     for p in (Fraction(2), Fraction(-2), Fraction(1, 2)):
         alg = make_block(p, 3, TRUNC)
-        mod = rank_one_beta_module(alg, 1, 0, 5)
+        mod = rank_one_module(alg, 1, 0, 5)
         rep = check_module(alg, mod)
         by_pair = {(f.i, f.j): f.residual for f in rep.failures}
         assert by_pair[(0, 1)] == {0: 5 * (1 + p) * LAM}
@@ -138,8 +135,8 @@ def test_action_rows_of_generators_the_algebra_lacks_are_refused():
     # The beta family acts by L_1, which the window-0 table lacks.
     alg = make_block(1, 0, TRUNC)
     with pytest.raises(UnsupportedModuleError, match="action key '1,0' names generator 1"):
-        check_module(alg, rank_one_beta_module(alg, 0, 0, 1))
-    assert check_module(alg, rank_one_beta_module(alg, 0, 0, 0)).ok
+        check_module(alg, rank_one_module(alg, 0, 0, 1))
+    assert check_module(alg, rank_one_module(alg, 0, 0, 0)).ok
 
 
 def test_module_residual_zero_spot_checks():
@@ -190,7 +187,7 @@ def test_module_residual_matches_sympy():
     for p in (Fraction(-1), Fraction(1, 2), Fraction(2)):
         alg = make_block(p, 3, TRUNC)
         mods = [rank_one_module(alg, draw(), draw()) for _ in range(2)]
-        mods += [rank_one_beta_module(alg, draw(), draw(), draw() or 1)
+        mods += [rank_one_module(alg, draw(), draw(), draw() or 1)
                  for _ in range(2)]
         for mod in mods:
             for i in alg.generators():
@@ -214,8 +211,8 @@ def test_submodule_generator_shifts_delta_by_one():
             assert result.invariant
             target = rank_one_module(alg, 1, alpha)
             assert result.module.action == target.action
-            assert result.module.family.delta == 1
-            assert result.module.family.alpha == alpha
+            tag = infer_family(result.module)
+            assert (tag.delta, tag.alpha) == (1, alpha)
 
 
 def test_submodule_rejects_non_invariant_generator():
@@ -242,14 +239,24 @@ def test_submodule_input_validation():
 
 
 def test_infer_family_round_trip():
-    alg = make_bn(1)
-    plain = rank_one_module(alg, 2, 3)
-    beta = rank_one_beta_module(alg, 2, 3, 4)
-    for mod in (plain, beta):
-        fresh = mod.__class__(
-            kind=mod.kind, rank=mod.rank, alpha=mod.alpha, action=mod.action
-        )
-        assert infer_family(fresh) == mod.family
+    # The table is the only record of the parameters that built it: reading
+    # it back recovers each of them, and beta = 0 reads as the plain family.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(max_denominator=50).filter(lambda q: abs(q) <= 100)
+    algebras = [make_bn(1), make_bn(3)] + [
+        make_block(p, 2, TRUNC) for p in (Fraction(1), Fraction(-1), Fraction(2, 7))
+    ]
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(algebras), rationals, rationals, rationals)
+    def round_trip(alg, delta, alpha, beta):
+        tag = infer_family(rank_one_module(alg, delta, alpha, beta))
+        expected = FamilyTag(FAMILY_BETA if beta else FAMILY_PLAIN, p=alg.param_p,
+                             delta=delta, alpha=alpha, beta=beta or None)
+        assert tag == expected
+
+    round_trip()
 
 
 def test_infer_family_rejects_foreign_tables():
@@ -284,9 +291,9 @@ def test_irreducibility_dichotomy_plain():
 
 def test_irreducibility_dichotomy_beta():
     alg = make_bn(1)
-    assert is_irreducible_rank_one(rank_one_beta_module(alg, 0, 1, 3)).irreducible is True
-    assert is_irreducible_rank_one(rank_one_beta_module(alg, 0, 1, 0)).irreducible is False
-    assert is_irreducible_rank_one(rank_one_beta_module(alg, 2, 1, 0)).irreducible is True
+    assert is_irreducible_rank_one(rank_one_module(alg, 0, 1, 3)).irreducible is True
+    assert is_irreducible_rank_one(rank_one_module(alg, 0, 1, 0)).irreducible is False
+    assert is_irreducible_rank_one(rank_one_module(alg, 2, 1, 0)).irreducible is True
 
 
 def test_irreducibility_candidates_are_binomial_powers():
@@ -315,19 +322,21 @@ def test_invariance_candidate_solves_the_linear_condition():
                 assert condition(DEL**j, alpha, d) == (j - d) * DEL**j + lower
 
 
-def test_irreducibility_cross_check_catches_mistagged_module():
-    # a module whose tag lies about delta must come back as a disagreement
-    # carrying both answers instead of silently trusting either one.
+def test_irreducibility_cross_check_reports_a_disagreement(blind_submodule_search):
+    # With a search that finds no invariant span, a reducible module must come
+    # back as a disagreement carrying both answers instead of silently
+    # trusting either one.
     alg = make_block(1, 3, TRUNC)
-    mod = rank_one_module(alg, 0, 1)
-    mod.family = FamilyTag(FAMILY_PLAIN, p=Fraction(1), delta=Fraction(1), alpha=Fraction(1))
-    verdict = is_irreducible_rank_one(mod)
+    verdict = is_irreducible_rank_one(rank_one_module(alg, 0, 1))
     assert not verdict.agreed
     with pytest.raises(RuntimeError, match="disagree"):
         verdict.irreducible
-    assert verdict.criterion_irreducible and not verdict.search_irreducible
-    assert verdict.witness == DEL + 1
-    assert verdict.to_payload()["verdict"] == "DISAGREED"
+    assert not verdict.criterion_irreducible and verdict.search_irreducible
+    assert verdict.witness is None
+    assert verdict.candidates_checked == [DEL + 1, (DEL + 1) ** 2, (DEL + 1) ** 3]
+    payload = verdict.to_payload()
+    assert (payload["verdict"], payload["criterion"], payload["search"]) == (
+        "DISAGREED", False, True)
 
 
 def test_irreducibility_needs_recognised_table():

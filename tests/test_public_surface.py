@@ -48,7 +48,6 @@ EXPORTS = [
     "make_heisenberg_virasoro_misprint",
     "make_schrodinger_virasoro",
     "make_virasoro",
-    "rank_one_beta_module",
     "rank_one_module",
     "resonance_analysis",
     "submodule_action",
@@ -61,7 +60,7 @@ EXPORTS = [
 
 def test_package_root_exports_exactly_the_pinned_names():
     assert confal.__all__ == EXPORTS
-    assert len(EXPORTS) == 45
+    assert len(EXPORTS) == 44
     assert set(EXPORTS) <= set(dir(confal))
     for name in EXPORTS:
         # The package hands out the object its defining module binds.

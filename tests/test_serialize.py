@@ -24,13 +24,13 @@ from confal.conformal import (
     make_schrodinger_virasoro,
 )
 from confal.modules import (
-    FAMILY_TRIVIAL,
-    rank_one_beta_module,
+    infer_family,
     rank_one_module,
     trivial_module,
 )
-from confal.poly import DEL, LAM, MAX_INPUT_SIZE, SPELLING_TO_VAR, Poly, Var
+from confal.poly import DEL, LAM, MAX_INPUT_SIZE, MAX_LITERAL_DIGITS, SPELLING_TO_VAR, Poly, Var
 from confal.serialize import (
+    MAX_COEFFICIENT_BITS,
     MAX_MODULE_RANK,
     MAX_POLY_DEGREE,
     ParseError,
@@ -58,6 +58,19 @@ def test_rational_round_trip():
         parse_rat("3/0")
     with pytest.raises(ParseError):
         parse_rat("pi")
+
+
+def test_rational_literals_are_bounded_on_their_text():
+    # The bound counts characters, and an exponent as the digits it adds;
+    # both are checked before Fraction expands anything.
+    big = "7" * MAX_LITERAL_DIGITS
+    assert parse_rat(big) == int(big)
+    assert parse_rat(f"-1/{big[3:]}") == Fraction(-1, int(big[3:]))
+    assert parse_rat(f"1e{MAX_LITERAL_DIGITS - 1}") == 10 ** (MAX_LITERAL_DIGITS - 1)
+    assert parse_rat(f"1e-{MAX_LITERAL_DIGITS - 1}") == Fraction(1, 10 ** (MAX_LITERAL_DIGITS - 1))
+    for text in (big + "7", f"1e{MAX_LITERAL_DIGITS}", "2.5E-2999", "1e30000000", "1e" + "9" * 2000):
+        with pytest.raises(ParseError, match="runs past the limit of 3000 digits"):
+            parse_rat(text)
 
 
 # -- polynomial grammar ---------------------------------------------------------
@@ -99,9 +112,43 @@ def test_poly_grammar_rejections():
         "2^33",         # even on a constant
         "(D + x)^17*(D - x)^16",  # product above MAX_POLY_DEGREE
         "((D + x)^8)^5",          # power of a power above it
+        "+".join(["x"] * 1500),   # a sum nested past the recursion limit
+        "+".join(["x"] * 3000),   # too deep for ast.parse itself
     ]
     for text in bad:
         with pytest.raises(ParseError):
+            parse_poly(text)
+
+
+def test_file_integers_are_bounded_before_they_are_converted(tmp_path):
+    long = "7" * (MAX_LITERAL_DIGITS + 1)
+    data = {"format": "confal-algebra", "window": 1}
+    with pytest.raises(ParseError, match="bad structure key"):
+        algebra_from_dict({**data, "structure": {f"{long},0": {}}})
+    with pytest.raises(ParseError, match="bad structure target"):
+        algebra_from_dict({**data, "structure": {"0,0": {long: "D"}}})
+    path = tmp_path / "alg.json"
+    path.write_text('{"window": %s}' % long, encoding="utf-8")
+    with pytest.raises(ParseError, match="an integer of 3001 characters exceeds the limit 3000"):
+        load_json(str(path))
+
+
+def test_poly_numbers_are_bounded_before_they_are_expanded():
+    big = "9" * MAX_LITERAL_DIGITS  # the largest integer literal, MAX_COEFFICIENT_BITS bits
+    assert parse_poly(f"{big}*D").coefficient_bits() == MAX_COEFFICIENT_BITS
+    assert parse_poly(f"D/{big} + x*{big}").coefficient_bits() == MAX_COEFFICIENT_BITS
+    assert parse_poly("(10^32)^32*D") == 10**1024 * DEL
+    refused = {
+        f"{big}9*D": "column 0: integer literal of 3001 characters exceeds the limit 3000",
+        f"D + 1_{big}": "column 4: integer literal of 3002 characters",
+        "(((10^32)^32)^32)^32*D": "column 1: a coefficient of at least 108833 bits exceeds the limit 9966",
+        f"{big}*{big}": "a coefficient of at least 19931 bits",            # a product
+        f"D/{big}/{big}": "column 0: a coefficient of 19932 bits",         # a quotient, after the fact
+        f"(x + {big[:200]})^32": "a coefficient of at least 21249 bits",   # a power
+        f"1/{big[1:]} + 1/{big[2:]}": "a coefficient of 19917 bits",  # a sum, after the fact
+    }
+    for text, message in refused.items():
+        with pytest.raises(ParseError, match=message):
             parse_poly(text)
 
 
@@ -300,7 +347,7 @@ def test_module_round_trip_with_family_recovery():
     alg = make_bn(1)
     mods = [
         rank_one_module(alg, Fraction(1), Fraction(2)),
-        rank_one_beta_module(alg, Fraction(0), Fraction(1), Fraction(3)),
+        rank_one_module(alg, Fraction(0), Fraction(1), Fraction(3)),
         trivial_module(Fraction(5)),
     ]
     for mod in mods:
@@ -308,7 +355,7 @@ def test_module_round_trip_with_family_recovery():
         assert back.kind == mod.kind
         assert back.action == mod.action
         assert back.alpha == mod.alpha
-        assert back.family == mod.family
+        assert infer_family(back) == infer_family(mod)
 
 
 def test_trivial_module_dict_shape():
@@ -319,8 +366,7 @@ def test_trivial_module_dict_shape():
         "rank": 1,
         "alpha": "-1/2",
     }
-    back = module_from_dict(d)
-    assert back.family is not None and back.family.family == FAMILY_TRIVIAL
+    assert module_from_dict(d) == trivial_module(Fraction(-1, 2))
 
 
 def test_module_rejections():
