@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import AbstractSet, Any, Iterator, Sequence
 
-from .conformal import ConformalAlgebra, UnsupportedAlgebraError
+from .conformal import ConformalAlgebra, UnsupportedAlgebraError, family_parameter
 from .linalg import add_terms, render_combo
 from .poly import Poly, Var
 
@@ -197,6 +197,9 @@ def build_annihilation(
 ) -> FiniteLieAlgebra:
     """Mode-expand a bracket-family algebra on a finite label window.
 
+    ``p`` is :func:`~confal.conformal.family_parameter` of ``alg``, and the
+    cross-check below holds the rest of the table to the closed form at ``p``.
+
     Basis labels are ``L(i,m)`` for ``0 <= i <= idx_window`` and
     ``-1 <= m <= mode_window`` (plus ``T`` when ``extended``).  The table is
     written from the closed form, then recomputed pair by pair from the k-th
@@ -208,18 +211,13 @@ def build_annihilation(
     exclude them honestly.  A window of more than :data:`MAX_BASIS_SIZE`
     labels raises ``ValueError`` before any work.
     """
-    if alg.kind not in ("block", "bn"):
-        raise UnsupportedAlgebraError(
-            f"mode expansion needs the one-parameter bracket family, got {alg.kind}"
-        )
+    p = family_parameter(alg)
     if idx_window < 0 or mode_window < -1:
         raise ValueError("windows out of range")
     if idx_window > alg.window:
         raise ValueError(
             f"index window {idx_window} exceeds the algebra window {alg.window}"
         )
-    p = alg.param_p
-    assert p is not None
     title = f"A({alg.name};{idx_window},{mode_window})" + ("+T" if extended else "")
     _check_basis_size(title, (idx_window + 1) * (mode_window + 2) + extended)
 

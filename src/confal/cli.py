@@ -55,12 +55,12 @@ def _rat_arg(text: str) -> Fraction:
 
 
 def _size_arg(text: str) -> int:
-    from .poly import MAX_INPUT_SIZE
+    from .poly import MAX_INPUT_SIZE, quote
 
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}") from None
     if value > MAX_INPUT_SIZE:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_INPUT_SIZE}, got {value}")
     return value
@@ -199,6 +199,7 @@ def _refuse_stray(subject: str, given: dict[str, bool]) -> None:
 def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict]:
     from . import conformal
     from .conformal import TruncationPolicy, make_block, make_bn
+    from .poly import quote
 
     selector = args.alg
     if selector in _SELECTOR_FLAGS or selector.startswith("file:"):
@@ -237,7 +238,7 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict
         alg = algebra_from_dict(load_json(path))
         inputs.update(file=path)
     else:
-        raise InputError(f"unknown algebra selector {selector!r}")
+        raise InputError(f"unknown algebra selector {quote(selector)}")
     return alg, inputs
 
 
@@ -245,7 +246,7 @@ def _module_from_args(
     args: argparse.Namespace, alg: ConformalAlgebra
 ) -> tuple[ConformalModule, dict]:
     from .modules import UnsupportedModuleError, rank_one_module, trivial_module
-    from .poly import ParseError, parse_rat
+    from .poly import ParseError, parse_rat, quote
 
     selector = args.mod
     parts = selector.split(":")
@@ -261,8 +262,8 @@ def _module_from_args(
             path = selector.split(":", 1)[1]
             return module_from_dict(load_json(path)), {"mod": "file", "file": path}
     except (ParseError, UnsupportedModuleError, ValueError) as exc:
-        raise InputError(f"bad module selector {selector!r}: {exc}") from None
-    raise InputError(f"bad module selector {selector!r}")
+        raise InputError(f"bad module selector {quote(selector)}: {exc}") from None
+    raise InputError(f"bad module selector {quote(selector)}")
 
 
 # -- subcommands ------------------------------------------------------------------

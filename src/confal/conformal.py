@@ -27,6 +27,8 @@ truncated quotients :func:`make_bn` (parameter ``p = -n``, window ``n``)
 reproduce, after a diagonal rescaling ``e_i = c_i Lbar_i`` of the generators,
 the Heisenberg-Virasoro table at ``n = 1`` and the Schrodinger-Virasoro table
 at ``n = 2``; ``test_bn_rescales_to_hv_and_sv`` in the tests checks both.
+An algebra is its table and its generator names; :func:`family_parameter`
+reads ``p`` back from ``[L_0  L_0] = p (D + 2x) L_0`` where a stage needs it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class WindowOverflowError(RuntimeError):
 
 
 class UnsupportedAlgebraError(ValueError):
-    """The operation needs structural data this algebra kind does not carry."""
+    """The operation needs structural data this algebra's table does not carry."""
 
 
 # -- the algebra type ---------------------------------------------------------
@@ -68,18 +70,19 @@ class ConformalAlgebra:
     """A finitely windowed Lie conformal algebra presentation.
 
     ``structure`` holds the bracket table on generator pairs; a missing pair
-    inside the window means the zero bracket.  ``param_p`` carries the family
-    parameter when the algebra belongs to the one-parameter bracket family
-    (kinds ``block`` and ``bn``) and is None otherwise.
+    inside the window means the zero bracket.  ``gen_names`` names the
+    generators ``L_0, ..., L_W``, so it fixes the window ``W``.
     """
 
     name: str
-    kind: str
-    window: int
     policy: TruncationPolicy
-    param_p: Fraction | None
     structure: dict[tuple[GenId, GenId], LambdaValue]
     gen_names: tuple[str, ...]
+
+    @property
+    def window(self) -> int:
+        """The largest generator index ``W``."""
+        return len(self.gen_names) - 1
 
     def generators(self) -> range:
         return range(self.window + 1)
@@ -144,10 +147,7 @@ def make_block(
                 structure[(i, j)] = {i + j: entry}
     return ConformalAlgebra(
         name=f"B({p})",
-        kind="block",
-        window=window,
         policy=policy,
-        param_p=p,
         structure=structure,
         gen_names=tuple(f"L_{i}" for i in range(window + 1)),
     )
@@ -159,7 +159,6 @@ def make_bn(n: int) -> ConformalAlgebra:
         raise ValueError("n must be a positive integer")
     alg = make_block(Fraction(-n), n, TruncationPolicy.TRUNCATE_TO_ZERO)
     alg.name = f"b({n})"
-    alg.kind = "bn"
     alg.gen_names = tuple(f"Lbar_{i}" for i in range(n + 1))
     return alg
 
@@ -168,10 +167,7 @@ def make_virasoro() -> ConformalAlgebra:
     """Single generator L with ``[L L] = (D + 2x) L``."""
     return ConformalAlgebra(
         name="Vir",
-        kind="virasoro",
-        window=0,
         policy=TruncationPolicy.TRUNCATE_TO_ZERO,
-        param_p=None,
         structure={(0, 0): {0: DEL + 2 * LAM}},
         gen_names=("L",),
     )
@@ -187,10 +183,7 @@ def make_heisenberg_virasoro() -> ConformalAlgebra:
     """
     return ConformalAlgebra(
         name="HV",
-        kind="hv",
-        window=1,
         policy=TruncationPolicy.TRUNCATE_TO_ZERO,
-        param_p=None,
         structure={
             (0, 0): {0: DEL + 2 * LAM},
             (0, 1): {1: DEL + LAM},
@@ -218,10 +211,7 @@ def make_schrodinger_virasoro() -> ConformalAlgebra:
     half = Fraction(1, 2)
     return ConformalAlgebra(
         name="SV",
-        kind="sv",
-        window=2,
         policy=TruncationPolicy.TRUNCATE_TO_ZERO,
-        param_p=None,
         structure={
             (0, 0): {0: DEL + 2 * LAM},
             (0, 1): {1: DEL + 3 * half * LAM},
@@ -232,6 +222,19 @@ def make_schrodinger_virasoro() -> ConformalAlgebra:
         },
         gen_names=("L", "Y", "M"),
     )
+
+
+def family_parameter(alg: ConformalAlgebra) -> Fraction:
+    """``p``, the ``D`` coefficient of the ``L_0`` part of ``[L_0  L_0] = p (D + 2x) L_0``.
+
+    Vir, HV and SV give ``p = 1``.  Nothing else of the table is read: the
+    checks that use ``p`` decide whether the rest fits.  A table with no
+    such term raises :class:`UnsupportedAlgebraError`.
+    """
+    p = alg.structure.get((0, 0), {}).get(0, Poly.zero()).coeff_in(Var.PARTIAL, 1).constant()
+    if not p:
+        raise UnsupportedAlgebraError("the L_0 part of [L_0 L_0] has no D term to read p from")
+    return p
 
 
 # -- axiom checkers ------------------------------------------------------------

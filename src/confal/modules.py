@@ -8,16 +8,18 @@ the zero action.  The one-dimensional non-free modules ("scalar_del") carry
 ``D`` acting by a fixed rational ``alpha`` and, for the trivial module, the
 zero action of every generator.
 
-The free rank-one modules over the bracket family at parameter ``p`` come
+The free rank-one modules of Cheng and Kac ("Conformal modules", 1997) come
 from one constructor, ``rank_one_module(alg, delta, alpha, beta=0)``:
 ``L_0 -> p (D + delta x + alpha)``, ``L_1 -> beta`` when ``beta != 0``, and
-higher generators act by zero.  With ``beta = 0`` this is the plain family,
-a module at every ``p``; the constant ``beta != 0`` satisfies the module
-identity only at ``p = -1``, and :func:`check_module` reports the failing
-pairs elsewhere (Cheng and Kac, "Conformal modules", 1997).  A module is its
-action table alone: :func:`infer_family` reads the family and its parameters
-back from the table.  ``trivial_module`` is the scalar_del module with zero
-action.
+higher generators act by zero.  ``p`` is read from the table, as the ``D``
+coefficient of ``[L_0  L_0]`` (:func:`~confal.conformal.family_parameter`),
+so any such table takes them, Vir, HV and SV included.  Over the bracket
+family ``B(p)`` the plain family (``beta = 0``) is a module at every ``p``;
+the constant ``beta != 0`` satisfies the module identity only at ``p = -1``.
+Wherever the table does not fit, :func:`check_module` reports the failing
+pairs.  A module is its action table alone: :func:`infer_family` reads the
+family and its parameters back from the table.  ``trivial_module`` is the
+scalar_del module with zero action.
 
 The module identity checked by :func:`check_module` is
 
@@ -37,7 +39,7 @@ from typing import Any, Iterable, Iterator
 from .conformal import (
     ConformalAlgebra,
     TruncationPolicy,
-    UnsupportedAlgebraError,
+    family_parameter,
     jacobi_failures,
 )
 from .linalg import render_combo
@@ -79,15 +81,6 @@ class ConformalModule:
 # -- constructors ---------------------------------------------------------------
 
 
-def _family_parameter(alg: ConformalAlgebra) -> Fraction:
-    if alg.kind not in ("block", "bn") or alg.param_p is None:
-        raise UnsupportedAlgebraError(
-            "rank-one module families are defined over the one-parameter "
-            f"bracket family, got kind {alg.kind!r}"
-        )
-    return alg.param_p
-
-
 def rank_one_module(
     alg: ConformalAlgebra,
     delta: Fraction | int,
@@ -96,11 +89,12 @@ def rank_one_module(
 ) -> ConformalModule:
     """Free rank one: ``L_0`` acts by ``p (D + delta x + alpha)``, ``L_1`` by ``beta``.
 
-    ``beta = 0`` leaves no ``L_1`` row.  Only parameter ``p = -1`` admits a
+    ``p`` is :func:`~confal.conformal.family_parameter` of ``alg``.
+    ``beta = 0`` leaves no ``L_1`` row.  Over ``B(p)`` only ``p = -1`` admits a
     nonzero ``beta``; at any other parameter :func:`check_module` reports
     the pairs where it fails.
     """
-    p = _family_parameter(alg)
+    p = family_parameter(alg)
     action = {(0, 0): {0: p * (DEL + Fraction(delta) * LAM + Fraction(alpha))}}
     if beta:
         action[(1, 0)] = {0: Poly.const(Fraction(beta))}
@@ -177,10 +171,7 @@ def _module_failures(
     }
     product = ConformalAlgebra(
         name=f"{alg.name} semidirect M",
-        kind="semidirect",
-        window=alg.window + mod.rank,
         policy=TruncationPolicy.TRUNCATE_TO_ZERO,
-        param_p=None,
         structure={**alg.structure, **action},
         gen_names=alg.gen_names + tuple(f"v_{b}" for b in range(mod.rank)),
     )

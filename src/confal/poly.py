@@ -22,7 +22,8 @@ weighted heaviest.  All iteration and string rendering follow that order.
 :func:`parse_rat` reads one rational literal and raises :class:`ParseError`,
 the error of every text format (the polynomial grammar is in
 :mod:`confal.serialize`); :data:`MAX_INPUT_SIZE` bounds every size the
-program reads, and :data:`MAX_LITERAL_DIGITS` every number.
+program reads, and :data:`MAX_LITERAL_DIGITS` every number; :func:`quote`
+bounds what a message quotes of its input.
 """
 
 from __future__ import annotations
@@ -74,6 +75,21 @@ MAX_INPUT_SIZE = 64
 #: :func:`confal.cli.main` lifts while it renders a certificate.
 MAX_LITERAL_DIGITS = 3000
 
+#: Longest quotation of input that a message carries, in characters.
+MAX_QUOTE = 80
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` for a message, its middle elided past :data:`MAX_QUOTE`.
+
+    A longer quotation keeps its first 56 and last 21 characters, so a
+    message that quotes input stays one short line whatever the input.
+    """
+    text = repr(value)
+    if len(text) <= MAX_QUOTE:
+        return text
+    return f"{text[:56]}...{text[-21:]}"
+
 
 def parse_rat(text: str) -> Fraction:
     literal = text.strip()
@@ -93,7 +109,7 @@ def parse_rat(text: str) -> Fraction:
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+        raise ParseError(f"bad rational literal {quote(text)}: {exc}") from None
 
 
 def _as_rat(value: Scalar) -> Fraction:
@@ -173,10 +189,15 @@ class Poly:
         for exp in sorted(self._terms, key=_order_key, reverse=True):
             yield exp, self._terms[exp]
 
-    def coefficient_bits(self) -> int:
-        """Bits of the longest numerator or denominator among the coefficients."""
+    def coefficient_bits(self, at: Poly | None = None) -> int:
+        """Bits of the longest numerator or denominator among the coefficients.
+
+        With ``at``, only the coefficients at the monomials of ``at`` count.
+        """
+        terms = self._terms
+        coeffs = terms.values() if at is None else (terms[e] for e in at._terms if e in terms)
         return max(
-            (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in self._terms.values()),
+            (max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs),
             default=0,
         )
 

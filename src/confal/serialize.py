@@ -9,8 +9,8 @@ strings are byte-stable.
 Algebra files::
 
     {
-      "format": "confal-algebra", "name": "...", "kind": "custom",
-      "window": 1, "p": "-1" | null, "policy": "truncate" | "error",
+      "format": "confal-algebra", "name": "...",
+      "window": 1, "policy": "truncate" | "error",
       "generators": ["L", "M"],
       "structure": {"0,1": {"1": "D + x"}, ...}
     }
@@ -22,7 +22,10 @@ Module files::
     {"format": "confal-module", "kind": "scalar_del", "alpha": "1/2"}
 
 Missing structure or action entries mean zero; a pair or a target named
-twice, in one spelling or two (``"0,1"`` and ``"00,1"``), is refused.
+twice, in one spelling or two (``"0,1"`` and ``"00,1"``), is refused.  An
+algebra is its table: a key the reader does not know, ``kind`` included, is
+ignored.  An algebra file may state ``"p"``, which must then equal the
+parameter the table gives (:func:`~confal.conformal.family_parameter`).
 Any name other than ``D`` and ``x``, ``y`` included, is refused when the
 entry is parsed, before anything is expanded.  Loaded tables are data, not
 trusted facts: run the axiom checkers on them before relying on anything.
@@ -38,7 +41,13 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .conformal import ConformalAlgebra, LambdaValue, TruncationPolicy
+from .conformal import (
+    ConformalAlgebra,
+    LambdaValue,
+    TruncationPolicy,
+    UnsupportedAlgebraError,
+    family_parameter,
+)
 from .modules import KIND_FREE, KIND_SCALAR_DEL, ConformalModule, trivial_module
 from .linalg import render_combo
 from .poly import (
@@ -49,6 +58,7 @@ from .poly import (
     Poly,
     Var,
     parse_rat,
+    quote,
 )
 
 
@@ -98,16 +108,16 @@ def parse_poly(text: str) -> Poly:
         for node in sorted(names, key=lambda node: node.col_offset):
             if SPELLING_TO_VAR.get(node.id) not in ENTRY_VARIABLES:
                 raise ParseError(
-                    f"column {node.col_offset}: variable {node.id!r} is not one of "
-                    f"{', '.join(v.spelling for v in ENTRY_VARIABLES)} in {text!r}"
+                    f"column {node.col_offset}: variable {quote(node.id)} is not one of "
+                    f"{', '.join(v.spelling for v in ENTRY_VARIABLES)} in {quote(text)}"
                 )
         return _eval_node(tree.body, text)
     except SyntaxError as exc:
         raise ParseError(
-            f"syntax error in polynomial at column {exc.offset}: {text!r}"
+            f"syntax error in polynomial at column {exc.offset}: {quote(text)}"
         ) from None
     except RecursionError:
-        raise ParseError(f"polynomial nested too deeply to parse: {text!r}") from None
+        raise ParseError(f"polynomial nested too deeply to parse: {quote(text)}") from None
 
 
 def _eval_node(node: ast.AST, source: str) -> Poly:
@@ -115,7 +125,10 @@ def _eval_node(node: ast.AST, source: str) -> Poly:
         left = _eval_node(node.left, source)
         right = _eval_node(node.right, source)
         result = _eval_binop(node, left, right, source)
-        _check_bits(result.coefficient_bits(), node, source)
+        # Both operands are within the bound already, so a sum can break it only
+        # at the right operand's monomials; a flat sum is checked in linear time.
+        at = right if isinstance(node.op, (ast.Add, ast.Sub)) else None
+        _check_bits(result.coefficient_bits(at), node, source)
         return result
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         operand = _eval_node(node.operand, source)
@@ -126,12 +139,12 @@ def _eval_node(node: ast.AST, source: str) -> Poly:
         if isinstance(node.value, int):
             return Poly.const(node.value)
         raise ParseError(
-            f"column {node.col_offset}: unsupported literal {node.value!r} "
-            f"in {source!r}"
+            f"column {node.col_offset}: unsupported literal {quote(node.value)} "
+            f"in {quote(source)}"
         )
     raise ParseError(
         f"column {getattr(node, 'col_offset', 0)}: unsupported syntax "
-        f"in {source!r}"
+        f"in {quote(source)}"
     )
 
 
@@ -152,11 +165,11 @@ def _eval_binop(node: ast.BinOp, left: Poly, right: Poly, source: str) -> Poly:
         except ValueError:
             raise ParseError(
                 f"column {node.col_offset}: division by a non-constant "
-                f"in {source!r}"
+                f"in {quote(source)}"
             ) from None
         if divisor == 0:
             raise ParseError(
-                f"column {node.col_offset}: division by zero in {source!r}"
+                f"column {node.col_offset}: division by zero in {quote(source)}"
             )
         return left * (Fraction(1) / divisor)
     # Pow
@@ -164,12 +177,12 @@ def _eval_binop(node: ast.BinOp, left: Poly, right: Poly, source: str) -> Poly:
         exponent = right.as_constant()
     except ValueError:
         raise ParseError(
-            f"column {node.col_offset}: non-constant exponent in {source!r}"
+            f"column {node.col_offset}: non-constant exponent in {quote(source)}"
         ) from None
     if exponent.denominator != 1 or exponent < 0:
         raise ParseError(
             f"column {node.col_offset}: exponent must be a nonnegative "
-            f"integer in {source!r}"
+            f"integer in {quote(source)}"
         )
     _check_degree("exponent", exponent, node, source)
     _check_degree("degree", left.total_degree() * exponent, node, source)
@@ -183,7 +196,7 @@ def _check_bits(bits: int, node: ast.AST, source: str, at_least: str = "") -> No
     if bits > MAX_COEFFICIENT_BITS:
         raise ParseError(
             f"column {node.col_offset}: a coefficient of {at_least}{bits} bits exceeds "
-            f"the limit {MAX_COEFFICIENT_BITS} in {source!r}"
+            f"the limit {MAX_COEFFICIENT_BITS} in {quote(source)}"
         )
 
 
@@ -191,7 +204,7 @@ def _check_degree(what: str, value: Fraction | int, node: ast.AST, source: str) 
     if value > MAX_POLY_DEGREE:
         raise ParseError(
             f"column {node.col_offset}: {what} {value} exceeds the limit "
-            f"{MAX_POLY_DEGREE} in {source!r}"
+            f"{MAX_POLY_DEGREE} in {quote(source)}"
         )
 
 
@@ -208,7 +221,7 @@ def _integer(value: Any, what: str) -> int:
     ``true``, ``1.0`` and ``"1"`` are refused, not coerced.
     """
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what}={value!r} is not an integer")
+        raise ParseError(f"{what}={quote(value)} is not an integer")
     return value
 
 
@@ -224,7 +237,7 @@ def _int_literal(text: str) -> int:
 def _rational(value: Any, what: str) -> Fraction:
     """``value`` parsed, if it is a rational string; ParseError otherwise."""
     if not isinstance(value, str):
-        raise ParseError(f"{what}={value!r} is not a rational string")
+        raise ParseError(f"{what}={quote(value)} is not a rational string")
     return parse_rat(value)
 
 
@@ -237,16 +250,18 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
     """
     parsed: dict[int, Poly] = {}
     seen: set[int] = set()
-    for target, text in _object(entry, f"{what} entry {entry!r}").items():
+    if not isinstance(entry, dict):
+        raise ParseError(f"{what} entry {quote(entry)} is not an object")
+    for target, text in entry.items():
         try:
             k = _int_literal(target)
         except ValueError:
-            raise ParseError(f"bad {what} target {target!r}") from None
+            raise ParseError(f"bad {what} target {quote(target)}") from None
         if not 0 <= k < size:
-            raise ParseError(f"{what} target {target!r} outside {bound}")
-        _refuse_repeat(seen, k, f"{what} target {target!r} names target {k} twice")
+            raise ParseError(f"{what} target {quote(target)} outside {bound}")
+        _refuse_repeat(seen, k, f"{what} target {quote(target)} names target {k} twice")
         if not isinstance(text, str):
-            raise ParseError(f"{what} target {target!r} is not a polynomial string")
+            raise ParseError(f"{what} target {quote(target)} is not a polynomial string")
         poly = parse_poly(text)
         if poly:
             parsed[k] = poly
@@ -266,9 +281,7 @@ def algebra_to_dict(alg: ConformalAlgebra) -> dict[str, Any]:
     return {
         "format": "confal-algebra",
         "name": alg.name,
-        "kind": alg.kind,
         "window": alg.window,
-        "p": str(alg.param_p) if alg.param_p is not None else None,
         "policy": alg.policy.value,
         "generators": list(alg.gen_names),
         "structure": _render_table(alg.structure),
@@ -285,11 +298,11 @@ def _refuse_repeat(seen: set[Any], key: Any, message: str) -> None:
 def _parse_pair_key(key: str, what: str) -> tuple[int, int]:
     parts = key.split(",")
     if len(parts) != 2:
-        raise ParseError(f"bad {what} key {key!r}: expected 'i,j'")
+        raise ParseError(f"bad {what} key {quote(key)}: expected 'i,j'")
     try:
         return _int_literal(parts[0]), _int_literal(parts[1])
     except ValueError:
-        raise ParseError(f"bad {what} key {key!r}: expected integers") from None
+        raise ParseError(f"bad {what} key {quote(key)}: expected integers") from None
 
 
 def algebra_from_dict(data: Any) -> ConformalAlgebra:
@@ -298,13 +311,16 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
     if "window" not in data:
         raise ParseError("malformed algebra file: missing field 'window'")
     window = _integer(data["window"], "algebra window")
+    policy_value = data.get("policy", "truncate")
     try:
-        policy = TruncationPolicy(data.get("policy", "truncate"))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"malformed algebra file: {exc}") from None
+        policy = TruncationPolicy(policy_value)
+    except (ValueError, TypeError):
+        raise ParseError(
+            f"algebra policy {quote(policy_value)} is not 'error' or 'truncate'"
+        ) from None
     generators = data.get("generators", [])
     if not (isinstance(generators, list) and all(isinstance(g, str) for g in generators)):
-        raise ParseError(f"algebra generators {generators!r} are not a list of strings")
+        raise ParseError(f"algebra generators {quote(generators)} are not a list of strings")
     raw_structure = _object(data.get("structure", {}), "algebra structure")
     if window < 0:
         raise ParseError("window must be nonnegative")
@@ -323,20 +339,26 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
     for key, entry in raw_structure.items():
         i, j = _parse_pair_key(key, "structure")
         if not (0 <= i <= window and 0 <= j <= window):
-            raise ParseError(f"structure pair {key!r} outside window {window}")
-        _refuse_repeat(seen, (i, j), f"structure key {key!r} names the pair {i},{j} twice")
+            raise ParseError(f"structure pair {quote(key)} outside window {window}")
+        _refuse_repeat(seen, (i, j), f"structure key {quote(key)} names the pair {i},{j} twice")
         parsed = _parse_entry(entry, "structure", window + 1, f"window {window}")
         if parsed:
             structure[(i, j)] = parsed
-    return ConformalAlgebra(
+    alg = ConformalAlgebra(
         name=str(data.get("name", "custom")),
-        kind=str(data.get("kind", "custom")),
-        window=window,
         policy=policy,
-        param_p=p,
         structure=structure,
         gen_names=tuple(generators),
     )
+    if p is not None:
+        try:
+            table_p = family_parameter(alg)
+        except UnsupportedAlgebraError as exc:
+            raise ParseError(f"algebra parameter p={quote(p_raw)} is stated, but {exc}") from None
+        if table_p != p:
+            raise ParseError(f"algebra parameter p={quote(p_raw)} disagrees with the table, "
+                             f"whose [L_0 L_0] gives p={quote(str(table_p))}")
+    return alg
 
 
 # -- module files -------------------------------------------------------------
@@ -367,10 +389,10 @@ def module_from_dict(data: Any) -> ConformalModule:
         if "action" in data:
             raise ParseError("a scalar_del module takes no field 'action'")
         if _integer(data.get("rank", 1), "module rank") != 1:
-            raise ParseError(f"a scalar_del module has rank 1, got rank={data['rank']!r}")
+            raise ParseError(f"a scalar_del module has rank 1, got rank={quote(data['rank'])}")
         return trivial_module(_rational(data.get("alpha", "0"), "module alpha"))
     if kind != KIND_FREE:
-        raise ParseError(f"unknown module kind {kind!r}")
+        raise ParseError(f"unknown module kind {quote(kind)}")
     rank = _integer(data.get("rank", 1), "module rank")
     if rank < 1:
         raise ParseError("module rank must be positive")
@@ -381,10 +403,10 @@ def module_from_dict(data: Any) -> ConformalModule:
     for key, entry in _object(data.get("action", {}), "module action").items():
         i, b = _parse_pair_key(key, "action")
         if i < 0:
-            raise ParseError(f"action key {key!r} names a negative generator index")
+            raise ParseError(f"action key {quote(key)} names a negative generator index")
         if not 0 <= b < rank:
-            raise ParseError(f"action key {key!r} hits basis index outside rank {rank}")
-        _refuse_repeat(seen, (i, b), f"action key {key!r} names the pair {i},{b} twice")
+            raise ParseError(f"action key {quote(key)} hits basis index outside rank {rank}")
+        _refuse_repeat(seen, (i, b), f"action key {quote(key)} names the pair {i},{b} twice")
         parsed = _parse_entry(entry, "action", rank, f"rank {rank}")
         if parsed:
             action[(i, b)] = parsed
@@ -439,7 +461,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     if len(obj) < len(pairs):
         seen: set[str] = set()
         for key, _ in pairs:
-            _refuse_repeat(seen, key, f"an object names the key {key!r} twice")
+            _refuse_repeat(seen, key, f"an object names the key {quote(key)} twice")
     return obj
 
 

@@ -39,7 +39,7 @@ from confal.annihilation import (
 from confal.certificates import lie_table_hash
 from confal.conformal import TruncationPolicy, UnsupportedAlgebraError, make_block, make_bn
 from confal.linalg import Echelon
-from confal.poly import DEL, Poly
+from confal.poly import DEL, LAM, Poly
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
 
@@ -106,10 +106,21 @@ def test_window_validation():
     alg = make_block(1, 2, TRUNC)
     with pytest.raises(ValueError):
         build_annihilation(alg, 3, 3)  # index window exceeds the algebra window
-    from confal.conformal import make_virasoro
+    from confal.conformal import (
+        ConformalAlgebra,
+        make_heisenberg_virasoro,
+        make_virasoro,
+    )
 
+    # Vir is B(1) on window 0, so it expands; HV reads as p = 1 too, but its
+    # [L M] = (D + x) M is not the closed form's (D + 3x) L_1.
+    vir = build_annihilation(make_virasoro(), 0, 2)
+    assert vir.table == build_annihilation(make_block(1, 0, TRUNC), 0, 2).table
+    with pytest.raises(ClosedFormMismatchError):
+        build_annihilation(make_heisenberg_virasoro(), 1, 2)
+    no_d = ConformalAlgebra("no-D", TRUNC, {(0, 0): {0: 2 * LAM}}, ("L",))
     with pytest.raises(UnsupportedAlgebraError):
-        build_annihilation(make_virasoro(), 0, 2)
+        build_annihilation(no_d, 0, 2)
 
 
 def test_closed_form_disagreement_raises_naming_every_pair(flipped_closed_form):
@@ -203,6 +214,40 @@ def test_truncated_pairs_are_the_union_of_both_routes():
     assert (label_L(0, 2), label_L(0, 2)) in ann.truncated_pairs
     # The closed form alone records 184 pairs.
     assert len(ann.truncated_pairs) == 190
+
+
+def truncation_rule(p, idx, mode):
+    """The truncated pairs of the ``(idx, mode)`` window, as two sets.
+
+    ``escapes``: a coordinate leaves the window and the closed-form
+    coefficient is nonzero.  ``route_one``: the index stays inside, the mode
+    leaves, the coefficient is zero and ``i + p != 0``, so route one's
+    ``k = 0`` term lands above the window although the sum cancels.
+    """
+    cells = [(i, m) for i in range(idx + 1) for m in range(-1, mode + 1)]
+    escapes, route_one = set(), set()
+    for i, m in cells:
+        for j, n in cells:
+            pair = (label_L(i, m), label_L(j, n))
+            c = (j + p) * (m + 1) - (i + p) * (n + 1)
+            if c and (i + j > idx or m + n > mode):
+                escapes.add(pair)
+            if not c and i + j <= idx and m + n > mode and i + p:
+                route_one.add(pair)
+    return escapes, route_one
+
+
+@pytest.mark.parametrize("idx, mode", [(10, 10), (6, 3), (3, 3), (2, 7)])
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(1, 2), Fraction(-1), Fraction(2)])
+def test_truncated_pairs_follow_the_coordinate_rule(p, idx, mode):
+    escapes, route_one = truncation_rule(p, idx, mode)
+    assert window(p, idx, mode).truncated_pairs == escapes | route_one
+
+
+def test_route_one_adds_pairs_whose_closed_form_is_zero():
+    escapes, route_one = truncation_rule(Fraction(1), 10, 10)
+    assert (len(escapes), len(route_one)) == (11320, 50)
+    assert {(label_L(0, 10), label_L(0, 10)), (label_L(0, 4), label_L(1, 9))} <= route_one
 
 
 def test_subquotient_is_the_window_on_nonnegative_modes():

@@ -37,7 +37,7 @@ def reference_lie_hash(alg):
 
 def conformal(window, structure):
     return ConformalAlgebra(
-        name="random", kind="custom", window=window, policy=TRUNC, param_p=None,
+        name="random", policy=TRUNC,
         structure=structure, gen_names=tuple(f"L_{i}" for i in range(window + 1)),
     )
 

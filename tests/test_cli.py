@@ -21,7 +21,7 @@ import time
 import pytest
 
 from confal.cli import main
-from confal.conformal import make_bn
+from confal.conformal import TruncationPolicy, make_block, make_bn
 from confal.modules import rank_one_module
 from confal.poly import MAX_INPUT_SIZE, MAX_LITERAL_DIGITS
 from confal.serialize import (
@@ -704,6 +704,126 @@ def test_beta_module_on_a_window_without_l1_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err == "confal: error: action key '1,0' names generator 1, but B(-1) has generators 0..0\n"
+
+
+# -- the family parameter is read from the table ------------------------------------
+
+
+def block_file(tmp_path, **fields):
+    """The table of B(2) on window 3 as a file, with ``fields`` set on top."""
+    data = algebra_to_dict(make_block(2, 3, TruncationPolicy.TRUNCATE_TO_ZERO))
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps({**data, **fields}), encoding="utf-8")
+    return f"file:{path}"
+
+
+def test_file_stating_a_wrong_p_is_refused_when_it_loads(capsys, tmp_path):
+    # A stated p that the table contradicts used to build M:1:0 at that p and
+    # report a module identity failure on a table that has the module.
+    alg = block_file(tmp_path, kind="block", p="1")
+    code, out, err = run_cli(capsys, ["verify-module", "--alg", alg, "--mod", "M:1:0"])
+    assert (code, out) == (2, "")
+    assert err == ("confal: error: algebra parameter p='1' disagrees with the table, "
+                   "whose [L_0 L_0] gives p='2'\n")
+    code, doc = run_json(capsys, ["verify-module", "--alg", block_file(tmp_path, p="2"),
+                                  "--mod", "M:1:0"])
+    assert code == 0
+
+
+def test_file_stating_p_without_a_d_term_exits_two(capsys, tmp_path):
+    path = tmp_path / "no_d.json"
+    path.write_text(json.dumps({"format": "confal-algebra", "window": 0, "p": "1",
+                                "structure": {"0,0": {"0": "2*x"}}}), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "algebra parameter p='1' is stated, but" in err and "has no D term" in err
+
+
+def test_untagged_file_builds_rank_one_modules(capsys, tmp_path):
+    # The family is read from [L_0 L_0], not from a tag, so "kind" is ignored.
+    argv = ["verify-module", "--alg", block_file(tmp_path, kind="custom"), "--mod", "M:1:0"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    _, reference = run_json(capsys, ["verify-module", "--alg", "block", "--p", "2",
+                                     "--window", "3", "--mod", "M:1:0"])
+    assert doc["results"] == reference["results"]
+
+
+@pytest.mark.parametrize(
+    "alg, mod, code, statuses",
+    [
+        ("vir", "M:1:0", 0, ["PASS", "PASS", "PASS", "PASS"]),
+        ("hv", "Mb:1:0:2", 0, ["PASS", "PASS", "PASS", "PASS"]),
+        ("sv", "Mb:1:0:2", 1, ["PASS", "PASS", "FAIL", "PASS"]),
+    ],
+)
+def test_rank_one_modules_over_the_virasoro_extensions(capsys, alg, mod, code, statuses):
+    # Vir, HV and SV have [L L] = (D + 2x) L, so p = 1 and M:, Mb: build.
+    got, doc = run_json(capsys, ["verify-module", "--alg", alg, "--mod", mod])
+    assert got == code
+    assert [r["status"] for r in doc["results"]] == statuses
+    assert doc["results"][2]["name"] == "module_identity"
+
+
+def test_beta_module_over_vir_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["verify-module", "--alg", "vir", "--mod", "Mb:1:0:2"])
+    assert (code, out) == (2, "")
+    assert err == "confal: error: action key '1,0' names generator 1, but Vir has generators 0..0\n"
+
+
+# -- messages quote input boundedly -----------------------------------------------------
+
+#: The longest message line that quotes one piece of input.
+MAX_MESSAGE = 300
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 1, "structure": {"7" * 100_000: {"0": "D"}}}),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 1, "structure": {"0,0": {"0": "D + " * 5000 + "D"}}}),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 1, "structure": {"0,0": {"7" * 100_000: "D"}}}),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 1, "structure": {"0,0": ["D"] * 10_000}}),
+        (["verify-algebra", "--alg"], {"format": "confal-algebra", "window": 1, "policy": "q" * 10_000}),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "k" * 100_000}),
+        (["verify-algebra", "--alg"], {"format": "confal-algebra", "window": 1, "p": "1/0" + " " * 100_000}),
+    ],
+    ids=["structure-key", "entry", "structure-target", "entry-list", "policy", "module-kind",
+         "p-literal"],
+)
+def test_messages_quoting_a_file_stay_short(capsys, tmp_path, argv, data):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, argv + [f"file:{path}"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < MAX_MESSAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-module", "--alg", "vir", "--mod", f"Mb:{'7' * 3000}:1:1"],
+        ["verify-module", "--alg", "hv", "--mod", f"Mb:{'7' * 3000}:1:1:1"],
+        ["verify-module", "--alg", "hv", "--mod", f"M:{'7' * 3000}:1/0"],
+        ["verify-algebra", "--alg", "z" * 100_000],
+        ["verify-algebra", "--alg", "block", "--p", "1", "--window", "7" * 5000],
+    ],
+    ids=["beta-over-vir", "selector-shape", "selector-literal", "algebra-selector", "size-flag"],
+)
+def test_messages_quoting_the_command_line_stay_short(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < MAX_MESSAGE
 
 
 def test_file_above_size_limit_exits_two(capsys, tmp_path):

@@ -18,6 +18,7 @@ from confal.conformal import (
     WindowOverflowError,
     check_jacobi,
     check_skew,
+    family_parameter,
     jacobi_residual,
     make_block,
     make_bn,
@@ -68,13 +69,56 @@ def test_window_policies():
 def test_bn_is_block_at_minus_n():
     bn = make_bn(3)
     ref = make_block(-3, 3, TRUNC)
-    assert bn.param_p == Fraction(-3)
+    assert family_parameter(bn) == Fraction(-3)
     assert bn.window == 3
     for i in range(4):
         for j in range(4):
             assert bn.structure_of(i, j) == ref.structure_of(i, j)
     with pytest.raises(ValueError):
         make_bn(0)
+
+
+def test_an_algebra_is_its_table_and_its_generator_names():
+    import dataclasses
+
+    names = [f.name for f in dataclasses.fields(ConformalAlgebra)]
+    assert names == ["name", "policy", "structure", "gen_names"]
+    alg = make_bn(3)
+    assert alg.window == len(alg.gen_names) - 1 == 3
+    with pytest.raises(AttributeError):
+        alg.window = 4
+
+
+def test_family_parameter_is_read_from_the_index_zero_bracket():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nonzero = st.fractions(max_denominator=30).filter(lambda q: q != 0 and abs(q) <= 50)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(nonzero, st.integers(0, 8), st.sampled_from([TRUNC, ERROR]))
+    def block(p, window, policy):
+        assert family_parameter(make_block(p, window, policy)) == p
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 8))
+    def bn(n):
+        assert family_parameter(make_bn(n)) == -n
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                      nonzero, max_size=4))
+    def without_d_term(terms):
+        # Any [L_0 L_0] whose L_0 part lacks the monomial D is refused.
+        entry = Poly({(d, x, 0): c for (d, x), c in terms.items() if (d, x) != (1, 0)})
+        alg = ConformalAlgebra("no-D", TRUNC, {(0, 0): {0: entry, 1: DEL}}, ("L_0", "L_1"))
+        with pytest.raises(conformal.UnsupportedAlgebraError):
+            family_parameter(alg)
+
+    block()
+    bn()
+    without_d_term()
+    for alg in (make_virasoro(), make_heisenberg_virasoro(), make_schrodinger_virasoro()):
+        assert family_parameter(alg) == 1
 
 
 def _rescaled(alg, c):
@@ -269,10 +313,7 @@ def test_compiled_jacobi_matches_reference(build):
 def test_leaky_error_table_overflows_at_the_reference_pair():
     alg = ConformalAlgebra(
         name="leaky",
-        kind="custom",
-        window=2,
         policy=ERROR,
-        param_p=None,
         structure={(0, 1): {2: DEL + LAM}},
         gen_names=("L_0", "L_1", "L_2"),
     )
@@ -304,10 +345,7 @@ def random_table_strategies(st):
         )
         return ConformalAlgebra(
             name="random",
-            kind="custom",
-            window=window,
             policy=draw(st.sampled_from([TRUNC, ERROR])),
-            param_p=None,
             structure=structure,
             gen_names=tuple(f"L_{i}" for i in range(window + 1)),
         )
@@ -333,10 +371,7 @@ def test_wide_exponents_widen_the_packing():
     # Products of degree 260 do not fit 8-bit exponent slots.
     alg = ConformalAlgebra(
         name="wide",
-        kind="custom",
-        window=1,
         policy=TRUNC,
-        param_p=None,
         structure={(0, 0): {0: DEL**130 + LAM}, (0, 1): {1: DEL + LAM}, (1, 0): {1: LAM}},
         gen_names=("L", "M"),
     )
@@ -357,10 +392,7 @@ def test_residuals_on_different_targets_do_not_cancel():
     # [L_0 L_0] = x L_0 - x L_1 leaves (-x^2 - xy)(L_0 - L_1) at (0, 0, 0).
     alg = ConformalAlgebra(
         name="two-target",
-        kind="custom",
-        window=1,
         policy=TRUNC,
-        param_p=None,
         structure={(0, 0): {0: LAM, 1: -LAM}},
         gen_names=("L_0", "L_1"),
     )
@@ -471,10 +503,7 @@ def test_handwritten_table_checks_like_builtin():
     # a table assembled by hand goes through the same checkers.
     alg = ConformalAlgebra(
         name="custom",
-        kind="custom",
-        window=0,
         policy=TRUNC,
-        param_p=None,
         structure={(0, 0): {0: DEL + 2 * LAM}},
         gen_names=("L",),
     )

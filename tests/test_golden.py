@@ -39,6 +39,8 @@ CASES = {
     "verify_module_trivial": (["verify-module", "--alg", "block", "--p", "1", "--window", "3", "--mod", "trivial:1/2"], 0),
     "verify_algebra_hv_misprint": (["verify-algebra", "--alg", "hv-misprint"], 1),
     "verify_algebra_block_half_6": (["verify-algebra", "--alg", "block", "--p", "1/2", "--window", "6"], 0),
+    "verify_algebra_vir": (["verify-algebra", "--alg", "vir"], 0),
+    "verify_module_bn_3_M": (["verify-module", "--alg", "bn", "--n", "3", "--mod", "M:1/3:2"], 0),
 }
 
 

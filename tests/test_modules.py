@@ -12,7 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from confal.conformal import TruncationPolicy, make_block, make_bn, make_virasoro
+from confal.conformal import (
+    ConformalAlgebra,
+    TruncationPolicy,
+    UnsupportedAlgebraError,
+    family_parameter,
+    make_block,
+    make_bn,
+    make_virasoro,
+)
 from confal.modules import (
     FAMILY_BETA,
     FAMILY_PLAIN,
@@ -55,8 +63,12 @@ def test_beta_action_oracle():
 
 
 def test_module_needs_bracket_family():
-    with pytest.raises(Exception):
-        rank_one_module(make_virasoro(), 1, 0)
+    # p is read from [L_0 L_0]; Vir's (D + 2x) L gives p = 1, the table of
+    # B(1) on window 0, and a table whose L_0 part has no D term gives none.
+    assert rank_one_module(make_virasoro(), 1, 0) == rank_one_module(make_block(1, 0), 1, 0)
+    no_d = ConformalAlgebra("no-D", TRUNC, {(0, 0): {0: 2 * LAM}}, ("L",))
+    with pytest.raises(UnsupportedAlgebraError, match="has no D term"):
+        rank_one_module(no_d, 1, 0)
 
 
 # -- the module identity ---------------------------------------------------------------
@@ -252,7 +264,7 @@ def test_infer_family_round_trip():
     @hypothesis.given(st.sampled_from(algebras), rationals, rationals, rationals)
     def round_trip(alg, delta, alpha, beta):
         tag = infer_family(rank_one_module(alg, delta, alpha, beta))
-        expected = FamilyTag(FAMILY_BETA if beta else FAMILY_PLAIN, p=alg.param_p,
+        expected = FamilyTag(FAMILY_BETA if beta else FAMILY_PLAIN, p=family_parameter(alg),
                              delta=delta, alpha=alpha, beta=beta or None)
         assert tag == expected
 

@@ -18,6 +18,7 @@ from confal.conformal import (
     TruncationPolicy,
     check_jacobi,
     check_skew,
+    family_parameter,
     make_block,
     make_bn,
     make_heisenberg_virasoro,
@@ -152,6 +153,35 @@ def test_poly_numbers_are_bounded_before_they_are_expanded():
             parse_poly(text)
 
 
+def test_a_flat_sum_reads_each_coefficient_bit_length_a_bounded_number_of_times(monkeypatch):
+    # A sum can break the bound only at its right operand's monomials, so
+    # parsing a flat sum of n terms reads O(n) bit lengths, not O(n^2).
+    monomials = [(d, e) for d in range(MAX_POLY_DEGREE + 1) for e in range(MAX_POLY_DEGREE + 1 - d)]
+    text = " + ".join(f"1/{7 + k}*D^{d}*x^{e}" for k, (d, e) in enumerate(monomials))
+    reads = 0
+    read_bits = Poly.coefficient_bits
+
+    def counting(poly, *at):
+        nonlocal reads
+        reads += sum(1 for _ in (at[0] if at and at[0] is not None else poly).terms())
+        return read_bits(poly, *at)
+
+    monkeypatch.setattr(Poly, "coefficient_bits", counting)
+    assert len(monomials) == 561
+    assert len(list(parse_poly(text).terms())) == 561
+    assert reads < 20 * len(monomials)
+
+
+def test_a_coefficient_past_the_bound_only_through_a_sum_is_refused():
+    big = "9" * MAX_LITERAL_DIGITS
+    # Each term is within the bound; the sum at D is not, many terms later.
+    text = f"1/{big[1:]}*D + " + " + ".join(f"x^{e}" for e in range(1, 30)) + f" + 1/{big[2:]}*D"
+    with pytest.raises(ParseError, match="a coefficient of 19917 bits exceeds the limit"):
+        parse_poly(text)
+    with pytest.raises(ParseError, match="a coefficient of 19917 bits exceeds the limit"):
+        parse_poly(text.replace(f" + 1/{big[2:]}*D", f" - (-1/{big[2:]})*D"))
+
+
 def test_poly_grammar_admits_only_the_given_variables():
     assert parse_poly("D*x") == DEL * LAM
     with pytest.raises(ParseError, match="column 4: variable 'y' is not one of D, x in 'D \\+ y'"):
@@ -237,7 +267,7 @@ def test_algebra_round_trip_all_builtins():
         assert back.structure == alg.structure
         assert back.window == alg.window
         assert back.policy == alg.policy
-        assert back.param_p == alg.param_p
+        assert family_parameter(back) == family_parameter(alg)
         assert back.gen_names == alg.gen_names
         assert check_skew(back).ok == check_skew(alg).ok
 
@@ -245,10 +275,24 @@ def test_algebra_round_trip_all_builtins():
 def test_algebra_dict_shape_is_stable():
     d = algebra_to_dict(make_block(1, 1, TRUNC))
     assert d["format"] == "confal-algebra"
-    assert d["p"] == "1"
+    assert "kind" not in d and "p" not in d
     assert d["policy"] == "truncate"
     assert d["structure"]["0,0"] == {"0": "D + 2*x"}
     assert d["structure"]["0,1"] == {"1": "D + 3*x"}
+
+
+def test_algebra_file_p_is_optional_but_checked_against_the_table():
+    good = algebra_to_dict(make_block(2, 3, TRUNC))
+    for extra in ({}, {"p": None}, {"p": "2"}, {"p": "4/2", "kind": "custom"}, {"kind": "block"}):
+        assert algebra_from_dict({**good, **extra}).structure == make_block(2, 3, TRUNC).structure
+    with pytest.raises(ParseError, match=r"p='1' disagrees with the table, whose \[L_0 L_0\] gives p='2'"):
+        algebra_from_dict({**good, "p": "1"})
+    no_d = {**good, "p": "2", "structure": {"0,0": {"0": "4*x"}}}
+    with pytest.raises(ParseError, match="p='2' is stated, but .* has no D term"):
+        algebra_from_dict(no_d)
+    # Without a stated p, a table with no D term loads: it is data like any other.
+    del no_d["p"]
+    assert algebra_from_dict(no_d).structure == {(0, 0): {0: 4 * LAM}}
 
 
 def test_loaded_table_is_data_not_trusted():
@@ -452,7 +496,7 @@ def test_save_and_load_json(tmp_path):
         text = fh.read()
     assert text.endswith("\n")
     assert json.loads(text)["format"] == "confal-algebra"
-    assert algebra_from_dict(load_json(path)).param_p == 2
+    assert family_parameter(algebra_from_dict(load_json(path))) == 2
 
 
 def test_load_json_error_positions(tmp_path):
