@@ -44,7 +44,7 @@ from typing import AbstractSet, Any, Iterator, Sequence
 
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError, family_parameter
 from .linalg import add_terms, render_combo
-from .poly import Poly, Var
+from .poly import Poly, Var, elide
 
 Label = str
 
@@ -82,7 +82,8 @@ MAX_BASIS_SIZE = 512
 
 def _check_basis_size(title: str, n: int) -> None:
     if n > MAX_BASIS_SIZE:
-        raise ValueError(f"{title} has {n} basis elements, more than the limit {MAX_BASIS_SIZE}")
+        raise ValueError(
+            f"{elide(title)} has {n} basis elements, more than the limit {MAX_BASIS_SIZE}")
 
 
 @dataclass
@@ -678,9 +679,12 @@ def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealR
 @dataclass
 class TraceVerdict:
     consistent: bool
-    forced_zero: bool
     commutator_trace: Fraction
     hypothesis_trace: Fraction
+
+    @property
+    def forced_zero(self) -> bool:
+        return not self.consistent
 
 
 def trace_certificate(A: Sequence[Sequence[Fraction | int]],
@@ -709,10 +713,8 @@ def trace_certificate(A: Sequence[Sequence[Fraction | int]],
         Fraction(0),
     )
     hypothesis_trace = b * c * n
-    consistent = commutator_trace == hypothesis_trace
     return TraceVerdict(
-        consistent=consistent,
-        forced_zero=not consistent,
+        consistent=commutator_trace == hypothesis_trace,
         commutator_trace=commutator_trace,
         hypothesis_trace=hypothesis_trace,
     )
@@ -722,9 +724,12 @@ def trace_certificate(A: Sequence[Sequence[Fraction | int]],
 class CharacterReport:
     dimension: int
     derived_rank: int
-    character_dim: int
     characters: list[dict[Label, Fraction]]
     verified: bool
+
+    @property
+    def character_dim(self) -> int:
+        return len(self.characters)
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -751,11 +756,9 @@ def characters(alg: FiniteLieAlgebra) -> CharacterReport:
     verified = not any(
         phi.get(lab, 0) * co for phi in chars for lab, co in alg.table.values()
     )
-    derived_rank = len(targets)
     return CharacterReport(
         dimension=len(alg.basis),
-        derived_rank=derived_rank,
-        character_dim=len(alg.basis) - derived_rank,
+        derived_rank=len(targets),
         characters=chars,
         verified=verified,
     )

@@ -21,7 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, ClassVar, Iterable
 
 from . import __version__
 
@@ -43,11 +43,14 @@ class CheckResult:
 
 @dataclass
 class Certificate:
+    """A command's inputs, results and caveats; the version is ``__version__``."""
+
+    tool_version: ClassVar[str] = __version__
+
     command: str
     inputs: dict[str, Any]
     results: list[CheckResult] = field(default_factory=list)
     caveats: list[str] = field(default_factory=list)
-    tool_version: str = __version__
 
     def add(self, name: str, status: str, payload: dict[str, Any] | None = None) -> None:
         self.results.append(CheckResult(name, status, payload or {}))

@@ -31,10 +31,12 @@ to the unknown top action ``f`` and records every step:
     ``(x + (1+p) y) beta = 0``, so the constant dies too.
 
 What survives: the plain family for every parameter except ``-1``, plus the
-constant-action extension exactly at ``p = -1``.  Survivors are emitted with
-their irreducibility conditions, and :func:`verify_report` re-instantiates
-them on a parameter grid and replays the module axioms and the
-irreducibility dichotomy against the report's own claims.
+constant-action extension exactly at ``p = -1``.  :func:`classify_rank_one`
+and :func:`classify_bn` each run the replay over their own algebra, ``B(p)``
+or ``b(n)``, which the report carries and reads ``p`` from.  Survivors are
+emitted with their irreducibility conditions, and :func:`verify_report`
+re-instantiates them over that algebra on a parameter grid and replays the
+module axioms and the irreducibility dichotomy against the report's claims.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import linalg
-from .conformal import TruncationPolicy, make_block, make_bn
+from .conformal import ConformalAlgebra, TruncationPolicy, family_parameter, make_block, make_bn
 from .modules import (
     FAMILY_BETA,
     FAMILY_PLAIN,
@@ -53,7 +55,7 @@ from .modules import (
     is_irreducible_rank_one,
     rank_one_module,
 )
-from .poly import DEL, LAM, MU, Poly, Var
+from .poly import DEL, LAM, MU, Poly, Var, elide
 
 RULE_TOP_INDEX_ASSUMED = "TOP_INDEX_ASSUMED"
 RULE_DEL_INDEPENDENCE = "DEL_INDEPENDENCE"
@@ -129,10 +131,9 @@ class BatteryResult:
 
 @dataclass
 class ClassificationReport:
-    algebra: str
-    kind: str
-    p: Fraction
-    n: int | None
+    """The replay over ``alg``, ``B(p)`` or ``b(n)``, which :func:`verify_report` re-checks."""
+
+    alg: ConformalAlgebra
     top_index_bound: int
     degree_bound: int
     families: list[FamilyPattern]
@@ -141,9 +142,13 @@ class ClassificationReport:
     caveats: list[str]
     undecided: list[int]
 
+    @property
+    def p(self) -> Fraction:
+        return family_parameter(self.alg)
+
     def to_payload(self) -> dict[str, Any]:
         return {
-            "algebra": self.algebra,
+            "algebra": self.alg.name,
             "p": str(self.p),
             "top_index_bound": self.top_index_bound,
             "degree_bound": self.degree_bound,
@@ -294,9 +299,25 @@ def classify_rank_one(
     if p == 0:
         raise ValueError("the family parameter p must be nonzero")
     if top_index_bound < 1:
-        raise ValueError(f"top index bound K must be >= 1, got {top_index_bound}")
+        raise ValueError(f"top index bound K must be >= 1, got {elide(str(top_index_bound))}")
+    alg = make_block(p, max(3, min(top_index_bound, 4)), TruncationPolicy.TRUNCATE_TO_ZERO)
+    return _replay(alg, top_index_bound, degree_bound)
+
+
+def classify_bn(n: int, degree_bound: int = 6) -> ClassificationReport:
+    """Classification over the windowed quotient ``b(n)``: parameter ``-n``, top index ``n``."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return _replay(make_bn(n), n, degree_bound)
+
+
+def _replay(
+    alg: ConformalAlgebra, top_index_bound: int, degree_bound: int
+) -> ClassificationReport:
+    """The elimination steps for top indices ``K`` down to 1 at the parameter of ``alg``."""
     if degree_bound < 0:
-        raise ValueError(f"degree bound D must be >= 0, got {degree_bound}")
+        raise ValueError(f"degree bound D must be >= 0, got {elide(str(degree_bound))}")
+    p = family_parameter(alg)
     battery = falsification_battery()
     steps: list[DerivationStep] = []
     undecided: list[int] = []
@@ -427,10 +448,7 @@ def classify_rank_one(
             )
         ]
     return ClassificationReport(
-        algebra=f"B({p})",
-        kind="block",
-        p=p,
-        n=None,
+        alg=alg,
         top_index_bound=top_index_bound,
         degree_bound=degree_bound,
         families=families,
@@ -441,17 +459,6 @@ def classify_rank_one(
     )
 
 
-def classify_bn(n: int, degree_bound: int = 6) -> ClassificationReport:
-    """Classification over the windowed quotient: parameter ``-n``, top index ``n``."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    report = classify_rank_one(Fraction(-n), top_index_bound=n, degree_bound=degree_bound)
-    report.algebra = f"b({n})"
-    report.kind = "bn"
-    report.n = n
-    return report
-
-
 _GRID = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)]
 _BETA_GRID = [Fraction(0), Fraction(1), Fraction(-2)]
 
@@ -459,39 +466,34 @@ _BETA_GRID = [Fraction(0), Fraction(1), Fraction(-2)]
 SELF_CHECK_GRID = "delta, alpha in {0, 1, -2, 1/2}; beta in {0, 1, -2}"
 
 
-def _eval_condition(condition: str, delta: Fraction, beta: Fraction) -> bool:
-    if condition == "delta != 0":
-        return delta != 0
-    if condition == "delta != 0 or beta != 0":
-        return delta != 0 or beta != 0
-    raise ValueError(f"unknown irreducibility condition {condition!r}")
+#: Each irreducibility condition a family may claim, as a test on ``(delta, beta)``.
+_CONDITIONS = {
+    "delta != 0": lambda delta, beta: delta != 0,
+    "delta != 0 or beta != 0": lambda delta, beta: delta != 0 or beta != 0,
+}
 
 
 def verify_report(report: ClassificationReport) -> bool:
     """Independently re-check a classification report.
 
-    Re-instantiates every claimed family on a rational parameter grid, runs
-    the module axiom checker and the irreducibility dichotomy, and replays
-    the bolt-on falsification fixture: the constant extension must pass the
-    axioms iff the parameter is ``-1``.  Empty family lists fail, and so
-    does a module on which the irreducibility criterion and the submodule
-    search disagree.
+    Re-instantiates every claimed family over the report's algebra on a
+    rational parameter grid, runs the module axiom checker and the
+    irreducibility dichotomy, and replays the bolt-on falsification fixture:
+    the constant extension must pass the axioms iff the parameter is ``-1``.
+    Empty family lists fail, and so do an unknown family or irreducibility
+    condition and a module on which the irreducibility criterion and the
+    submodule search disagree.
     """
     if not report.families:
         return False
-    if report.kind == "bn":
-        assert report.n is not None
-        alg = make_bn(report.n)
-    else:
-        window = max(3, min(report.top_index_bound, 4))
-        alg = make_block(report.p, window, TruncationPolicy.TRUNCATE_TO_ZERO)
-
-    expected_tag = FAMILY_BETA if report.p == -1 else FAMILY_PLAIN
+    alg, p = report.alg, report.p
+    expected_tag = FAMILY_BETA if p == -1 else FAMILY_PLAIN
     if all(fam.tag != expected_tag for fam in report.families):
         return False
 
     for fam in report.families:
-        if fam.tag not in (FAMILY_PLAIN, FAMILY_BETA):
+        condition = _CONDITIONS.get(fam.irreducible_iff)
+        if fam.tag not in (FAMILY_PLAIN, FAMILY_BETA) or condition is None:
             return False
         betas = _BETA_GRID if fam.tag == FAMILY_BETA else [Fraction(0)]
         for delta in _GRID:
@@ -501,14 +503,13 @@ def verify_report(report: ClassificationReport) -> bool:
                     if not check_module(alg, mod).ok:
                         return False
                     verdict = is_irreducible_rank_one(mod)
-                    expected = _eval_condition(fam.irreducible_iff, delta, beta)
-                    if not verdict.agreed or verdict.irreducible != expected:
+                    if not verdict.agreed or verdict.irreducible != condition(delta, beta):
                         return False
 
     # Bolt-on fixture: the constant extension with beta != 0 must fail the
     # axioms exactly when the parameter is not -1.
     probe = rank_one_module(alg, 1, 0, 5)
     probe_ok = check_module(alg, probe).ok
-    if probe_ok != (report.p == -1):
+    if probe_ok != (p == -1):
         return False
     return True

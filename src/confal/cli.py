@@ -80,10 +80,12 @@ def _out_arg(text: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors are one line on stderr and exit 2.
+    """Argument parser whose usage errors are one short line on stderr and exit 2.
 
-    A negative fraction such as ``-2/3`` is read as a value, as argparse
-    already reads ``-1`` and ``-0.5``, so ``--p -2/3`` needs no ``=``.
+    argparse quotes a bad value whole, so the message is elided past twice
+    :data:`confal.poly.MAX_QUOTE` characters.  A negative fraction such as
+    ``-2/3`` is read as a value, as argparse already reads ``-1`` and
+    ``-0.5``, so ``--p -2/3`` needs no ``=``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -91,7 +93,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        from .poly import MAX_QUOTE, elide
+
+        self.exit(2, f"{self.prog}: error: {elide(message, 2 * MAX_QUOTE)}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,12 +203,12 @@ def _refuse_stray(subject: str, given: dict[str, bool]) -> None:
 def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict]:
     from . import conformal
     from .conformal import TruncationPolicy, make_block, make_bn
-    from .poly import quote
+    from .poly import elide, quote
 
     selector = args.alg
     if selector in _SELECTOR_FLAGS or selector.startswith("file:"):
         takes = _SELECTOR_FLAGS.get(selector, ())
-        _refuse_stray(f"--alg {selector}", {
+        _refuse_stray(f"--alg {elide(selector)}", {
             f"--{flag}": getattr(args, flag) is not None and flag not in takes
             for flag in ("p", "window", "n", "file", "policy")})
     path = args.file
@@ -290,12 +294,7 @@ def cmd_verify_algebra(args: argparse.Namespace) -> Certificate:
 
 def cmd_verify_module(args: argparse.Namespace) -> Certificate:
     from . import certificates as cert
-    from .modules import (
-        KIND_FREE,
-        UnsupportedModuleError,
-        check_module,
-        is_irreducible_rank_one,
-    )
+    from .modules import UnsupportedModuleError, check_module, is_irreducible_rank_one
 
     alg, inputs = _algebra_from_args(args)
     mod, mod_inputs = _module_from_args(args, alg)
@@ -307,10 +306,6 @@ def cmd_verify_module(args: argparse.Namespace) -> Certificate:
     certificate = cert.Certificate(command="verify-module", inputs=inputs)
     _algebra_results(alg, certificate)
     certificate.check("module_identity", report.ok, report.to_payload())
-    if mod.kind != KIND_FREE or mod.rank != 1:
-        reason = "only free rank-one tables are searched"
-        certificate.add("irreducibility", cert.UNDECIDED, {"reason": reason})
-        return certificate
     try:
         verdict = is_irreducible_rank_one(mod, degree_bound=args.degree_bound)
     except UnsupportedModuleError as exc:
@@ -481,7 +476,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        target = out or "the certificate"
+        from .poly import quote
+
+        target = "the certificate" if out is None else quote(out)
         print(f"confal: error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return certificate.exit_code

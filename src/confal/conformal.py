@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .linalg import add_terms, render_combo
-from .poly import DEL, LAM, MU, NVARS, Poly, Var
+from .poly import DEL, LAM, MU, NVARS, Poly, Var, quote
 
 GenId = int
 
@@ -109,7 +109,7 @@ class ConformalAlgebra:
             return {}
         raise WindowOverflowError(
             f"bracket of pair ({i}, {j}) escapes window {self.window} "
-            f"of {self.name} under ERROR_ON_OVERFLOW"
+            f"of {quote(self.name)} under ERROR_ON_OVERFLOW"
         )
 
 

@@ -1,12 +1,13 @@
 """Conformal modules of finite rank over the windowed algebras.
 
-A free module of rank ``r`` is presented by an action table: generator ``i``
-of the algebra acts on basis vector ``b`` through polynomials
-``A_{ib}^c(D, x)``, meaning ``L_i  v_b = sum_c A_{ib}^c c`` with ``D`` the
-module translation and ``x`` the bracket variable.  A missing table entry is
-the zero action.  The one-dimensional non-free modules ("scalar_del") carry
-``D`` acting by a fixed rational ``alpha`` and, for the trivial module, the
-zero action of every generator.
+A module is its rank, its ``D``-action ``alpha`` and its action table.  A
+free module (``alpha = None``) of rank ``r``: generator ``i`` of the algebra
+acts on basis vector ``b`` through polynomials ``A_{ib}^c(D, x)``, meaning
+``L_i  v_b = sum_c A_{ib}^c c`` with ``D`` the module translation and ``x``
+the bracket variable; a missing table entry is the zero action.  A rational
+``alpha`` makes the one-dimensional module ("scalar_del") on which ``D``
+acts by that scalar, so its kind is read from ``alpha``: a rank-one module
+is free exactly when ``D`` does not act by a scalar.
 
 The free rank-one modules of Cheng and Kac ("Conformal modules", 1997) come
 from one constructor, ``rank_one_module(alg, delta, alpha, beta=0)``:
@@ -17,9 +18,8 @@ so any such table takes them, Vir, HV and SV included.  Over the bracket
 family ``B(p)`` the plain family (``beta = 0``) is a module at every ``p``;
 the constant ``beta != 0`` satisfies the module identity only at ``p = -1``.
 Wherever the table does not fit, :func:`check_module` reports the failing
-pairs.  A module is its action table alone: :func:`infer_family` reads the
-family and its parameters back from the table.  ``trivial_module`` is the
-scalar_del module with zero action.
+pairs.  :func:`infer_family` reads the family and its parameters back from
+the table.  ``trivial_module`` is the scalar_del module with zero action.
 
 The module identity checked by :func:`check_module` is
 
@@ -43,7 +43,7 @@ from .conformal import (
     jacobi_failures,
 )
 from .linalg import render_combo
-from .poly import DEL, LAM, Poly, Var, divmod_in_var
+from .poly import DEL, LAM, Poly, Var, divmod_in_var, quote
 
 KIND_FREE = "free"
 KIND_SCALAR_DEL = "scalar_del"
@@ -58,21 +58,27 @@ class UnsupportedModuleError(ValueError):
 
 @dataclass(frozen=True)
 class FamilyTag:
-    """Which rank-one family an action table belongs to, with its parameters."""
+    """A rank-one family's parameters; a table with an ``L_1`` row has a ``beta``."""
 
-    family: str
-    p: Fraction | None = None
-    delta: Fraction | None = None
-    alpha: Fraction | None = None
+    p: Fraction
+    delta: Fraction
+    alpha: Fraction
     beta: Fraction | None = None
+
+    @property
+    def family(self) -> str:
+        return FAMILY_PLAIN if self.beta is None else FAMILY_BETA
 
 
 @dataclass
 class ConformalModule:
-    kind: str
     rank: int
     alpha: Fraction | None
     action: dict[tuple[int, int], dict[int, Poly]]
+
+    @property
+    def kind(self) -> str:
+        return KIND_FREE if self.alpha is None else KIND_SCALAR_DEL
 
     def action_of(self, gen: int, basis: int) -> dict[int, Poly]:
         return self.action.get((gen, basis), {})
@@ -98,12 +104,12 @@ def rank_one_module(
     action = {(0, 0): {0: p * (DEL + Fraction(delta) * LAM + Fraction(alpha))}}
     if beta:
         action[(1, 0)] = {0: Poly.const(Fraction(beta))}
-    return ConformalModule(kind=KIND_FREE, rank=1, alpha=None, action=action)
+    return ConformalModule(rank=1, alpha=None, action=action)
 
 
 def trivial_module(alpha: Fraction | int) -> ConformalModule:
     """One-dimensional module with zero action and ``D`` acting by ``alpha``."""
-    return ConformalModule(kind=KIND_SCALAR_DEL, rank=1, alpha=Fraction(alpha), action={})
+    return ConformalModule(rank=1, alpha=Fraction(alpha), action={})
 
 
 # -- the module identity -------------------------------------------------------------
@@ -162,7 +168,7 @@ def _module_failures(
     if stray is not None:
         raise UnsupportedModuleError(
             f"action key '{stray[0]},{stray[1]}' names generator {stray[0]}, "
-            f"but {alg.name} has generators 0..{alg.window}"
+            f"but {quote(alg.name)} has generators 0..{alg.window}"
         )
     v = alg.window + 1
     action = {
@@ -200,15 +206,18 @@ def check_module(alg: ConformalAlgebra, mod: ConformalModule) -> ModuleReport:
 
 @dataclass
 class SubmoduleResult:
-    invariant: bool
     module: ConformalModule | None
     offending_generator: int | None
     remainder: Poly | None
 
+    @property
+    def invariant(self) -> bool:
+        return self.module is not None
+
 
 def _require_rank_one_free(mod: ConformalModule) -> None:
     if mod.kind != KIND_FREE or mod.rank != 1:
-        raise UnsupportedModuleError("operation needs a free rank-one module")
+        raise UnsupportedModuleError("only free rank-one tables are searched")
 
 
 def submodule_action(mod: ConformalModule, g: Poly) -> SubmoduleResult:
@@ -233,14 +242,10 @@ def submodule_action(mod: ConformalModule, g: Poly) -> SubmoduleResult:
             continue
         q, r = divmod_in_var(g_shift * A, g, Var.PARTIAL)
         if not r.is_zero():
-            return SubmoduleResult(
-                invariant=False, module=None, offending_generator=i, remainder=r
-            )
+            return SubmoduleResult(module=None, offending_generator=i, remainder=r)
         new_action[(i, b)] = {0: q}
-    new_mod = ConformalModule(kind=KIND_FREE, rank=1, alpha=None, action=new_action)
-    return SubmoduleResult(
-        invariant=True, module=new_mod, offending_generator=None, remainder=None
-    )
+    new_mod = ConformalModule(rank=1, alpha=None, action=new_action)
+    return SubmoduleResult(module=new_mod, offending_generator=None, remainder=None)
 
 
 def infer_family(mod: ConformalModule) -> FamilyTag | None:
@@ -270,20 +275,19 @@ def infer_family(mod: ConformalModule) -> FamilyTag | None:
             continue
         if any(not v.is_zero() for v in entry.values()):
             return None
-    p = c1
-    delta = c2 / c1
-    alpha = c3 / c1
-    if beta is None:
-        return FamilyTag(FAMILY_PLAIN, p=p, delta=delta, alpha=alpha)
-    return FamilyTag(FAMILY_BETA, p=p, delta=delta, alpha=alpha, beta=beta)
+    return FamilyTag(p=c1, delta=c2 / c1, alpha=c3 / c1, beta=beta)
 
 
 @dataclass
 class IrreducibilityVerdict:
     criterion_irreducible: bool
-    search_irreducible: bool
     witness: Poly | None
     candidates_checked: list[Poly] = field(default_factory=list)
+
+    @property
+    def search_irreducible(self) -> bool:
+        """The search's answer: irreducible when it found no invariant span."""
+        return self.witness is None
 
     @property
     def agreed(self) -> bool:
@@ -360,9 +364,6 @@ def is_irreducible_rank_one(
         if result.invariant and witness is None:
             witness = candidate
     return IrreducibilityVerdict(
-        criterion_irreducible=criterion,
-        search_irreducible=witness is None,
-        witness=witness,
-        candidates_checked=candidates,
+        criterion_irreducible=criterion, witness=witness, candidates_checked=candidates
     )
 

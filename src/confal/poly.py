@@ -79,16 +79,25 @@ MAX_LITERAL_DIGITS = 3000
 MAX_QUOTE = 80
 
 
-def quote(value: object) -> str:
-    """``repr(value)`` for a message, its middle elided past :data:`MAX_QUOTE`.
+def elide(text: str, limit: int = MAX_QUOTE) -> str:
+    """``text``, its middle elided to ``...`` past ``limit`` characters.
 
-    A longer quotation keeps its first 56 and last 21 characters, so a
-    message that quotes input stays one short line whatever the input.
+    The result keeps the first seven tenths of ``limit`` and as much of the
+    tail as fits, so at :data:`MAX_QUOTE` the first 56 and last 21
+    characters.
     """
-    text = repr(value)
-    if len(text) <= MAX_QUOTE:
+    if len(text) <= limit:
         return text
-    return f"{text[:56]}...{text[-21:]}"
+    head = limit * 7 // 10
+    return f"{text[:head]}...{text[head + 3 - limit:]}"
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` for a message, elided past :data:`MAX_QUOTE` characters.
+
+    A message that quotes input thus stays one short line whatever the input.
+    """
+    return elide(repr(value))
 
 
 def parse_rat(text: str) -> Fraction:

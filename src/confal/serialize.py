@@ -57,6 +57,7 @@ from .poly import (
     ParseError,
     Poly,
     Var,
+    elide,
     parse_rat,
     quote,
 )
@@ -203,7 +204,7 @@ def _check_bits(bits: int, node: ast.AST, source: str, at_least: str = "") -> No
 def _check_degree(what: str, value: Fraction | int, node: ast.AST, source: str) -> None:
     if value > MAX_POLY_DEGREE:
         raise ParseError(
-            f"column {node.col_offset}: {what} {value} exceeds the limit "
+            f"column {node.col_offset}: {what} {elide(str(value))} exceeds the limit "
             f"{MAX_POLY_DEGREE} in {quote(source)}"
         )
 
@@ -325,7 +326,7 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
     if window < 0:
         raise ParseError("window must be nonnegative")
     if window > MAX_INPUT_SIZE:
-        raise ParseError(f"algebra window={window} exceeds the limit {MAX_INPUT_SIZE}")
+        raise ParseError(f"algebra window={elide(str(window))} exceeds the limit {MAX_INPUT_SIZE}")
     if not generators:
         generators = [f"L_{i}" for i in range(window + 1)]
     if len(generators) != window + 1:
@@ -365,12 +366,12 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
 
 
 def module_to_dict(mod: ConformalModule) -> dict[str, Any]:
-    if mod.kind == KIND_SCALAR_DEL:
+    if mod.alpha is not None:
         return {
             "format": "confal-module",
             "kind": KIND_SCALAR_DEL,
             "rank": mod.rank,
-            "alpha": str(mod.alpha if mod.alpha is not None else Fraction(0)),
+            "alpha": str(mod.alpha),
         }
     return {
         "format": "confal-module",
@@ -397,7 +398,7 @@ def module_from_dict(data: Any) -> ConformalModule:
     if rank < 1:
         raise ParseError("module rank must be positive")
     if rank > MAX_MODULE_RANK:
-        raise ParseError(f"module rank={rank} exceeds the limit {MAX_MODULE_RANK}")
+        raise ParseError(f"module rank={elide(str(rank))} exceeds the limit {MAX_MODULE_RANK}")
     action: dict[tuple[int, int], dict[int, Poly]] = {}
     seen: set[tuple[int, int]] = set()
     for key, entry in _object(data.get("action", {}), "module action").items():
@@ -410,7 +411,7 @@ def module_from_dict(data: Any) -> ConformalModule:
         parsed = _parse_entry(entry, "action", rank, f"rank {rank}")
         if parsed:
             action[(i, b)] = parsed
-    return ConformalModule(kind=KIND_FREE, rank=rank, alpha=None, action=action)
+    return ConformalModule(rank=rank, alpha=None, action=action)
 
 
 #: Largest input file :func:`load_json` accepts, in bytes.  A block table of
@@ -429,30 +430,34 @@ def load_json(path: str) -> dict[str, Any]:
     The size is checked before the file is read, and no more than one byte
     past the limit is ever read, so a pipe or device whose size is unknown
     is bounded too.  An object that repeats a key is refused, since JSON
-    would keep only the last value, and so is an integer longer than
-    :data:`~confal.poly.MAX_LITERAL_DIGITS`.
+    would keep only the last value, and so are an integer longer than
+    :data:`~confal.poly.MAX_LITERAL_DIGITS` and nesting deeper than the
+    decoder's recursion limit.
     """
+    shown = quote(path)
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             data = b"" if size > MAX_FILE_BYTES else fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        raise ParseError(f"cannot read {shown}: {exc.strerror or exc}") from None
     if max(size, len(data)) > MAX_FILE_BYTES:
-        raise ParseError(f"{path}: file exceeds the limit of {MAX_FILE_BYTES} bytes")
+        raise ParseError(f"{shown}: file exceeds the limit of {MAX_FILE_BYTES} bytes")
     try:
         return json.loads(
             data.decode("utf-8"), object_pairs_hook=_unique_keys, parse_int=_int_literal
         )
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 at byte {exc.start}") from None
+        raise ParseError(f"{shown}: not UTF-8 at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
+            f"{shown}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from None
     except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise ParseError(f"{shown}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{shown}: JSON nested too deeply to parse") from None
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

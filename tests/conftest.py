@@ -32,7 +32,6 @@ def blind_submodule_search(monkeypatch):
     """
 
     def blind(mod, g):
-        return modules.SubmoduleResult(
-            invariant=False, module=None, offending_generator=0, remainder=g)
+        return modules.SubmoduleResult(module=None, offending_generator=0, remainder=g)
 
     monkeypatch.setattr(modules, "submodule_action", blind)

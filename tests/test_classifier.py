@@ -24,6 +24,7 @@ from confal.classify import (
     symmetry_residual,
     verify_report,
 )
+from confal.conformal import make_bn
 from confal.modules import FAMILY_BETA, FAMILY_PLAIN
 from confal.poly import DEL, LAM, MU, Poly, Var
 
@@ -43,12 +44,12 @@ def test_families_per_parameter():
 def test_quotient_classification_delegates():
     one = classify_bn(1)
     assert [f.tag for f in one.families] == [FAMILY_BETA]
-    assert one.kind == "bn" and one.n == 1 and one.algebra == "b(1)"
+    assert one.alg.name == "b(1)" and one.alg.window == 1
     assert one.p == Fraction(-1)
     for n in (2, 3, 4):
         report = classify_bn(n)
         assert [f.tag for f in report.families] == [FAMILY_PLAIN], n
-        assert report.n == n
+        assert report.alg.name == f"b({n})" and report.p == -n
         assert report.top_index_bound == n
 
 
@@ -196,6 +197,15 @@ def test_verify_report_rejects_an_irreducibility_disagreement(blind_submodule_se
     assert not verify_report(classify_rank_one(1))
 
 
+def test_verify_report_rejects_an_unknown_irreducibility_condition():
+    import dataclasses
+
+    report = classify_rank_one(2)
+    tampered = dataclasses.replace(report, families=[
+        dataclasses.replace(f, irreducible_iff="delta == 0") for f in report.families])
+    assert verify_report(tampered) is False
+
+
 def test_verify_report_rejects_empty_families():
     import dataclasses
 
@@ -204,8 +214,8 @@ def test_verify_report_rejects_empty_families():
 
 
 def test_verify_report_rejects_mismatched_quotient_size():
-    # claim the n = 2 result came from n = 1: the bolt-on probe then passes
-    # where the report says it must not.
+    # claim the n = 2 result holds over b(1): there p = -1, where the plain
+    # family alone is not the classification.
     report = classify_bn(2)
-    report.n = 1
+    report.alg = make_bn(1)
     assert not verify_report(report)

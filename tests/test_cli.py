@@ -23,7 +23,7 @@ import pytest
 from confal.cli import main
 from confal.conformal import TruncationPolicy, make_block, make_bn
 from confal.modules import rank_one_module
-from confal.poly import MAX_INPUT_SIZE, MAX_LITERAL_DIGITS
+from confal.poly import MAX_INPUT_SIZE, MAX_LITERAL_DIGITS, quote
 from confal.serialize import (
     MAX_FILE_BYTES,
     algebra_to_dict,
@@ -544,7 +544,7 @@ def test_leaky_error_policy_file_exits_two_naming_the_pair(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == (
-        "confal: error: bracket of pair (2, 1) escapes window 2 of custom "
+        "confal: error: bracket of pair (2, 1) escapes window 2 of 'custom' "
         "under ERROR_ON_OVERFLOW\n"
     )
 
@@ -666,7 +666,7 @@ STRAY_ACTION = {"0,0": {"0": "D + x"}, "3,0": {"0": "D^5"}}
     [
         (["verify-module", "--alg", "vir", "--mod"],
          {"format": "confal-module", "kind": "free", "rank": 1, "action": STRAY_ACTION},
-         "confal: error: action key '3,0' names generator 3, but Vir has generators 0..0\n"),
+         "confal: error: action key '3,0' names generator 3, but 'Vir' has generators 0..0\n"),
         (["verify-module", "--alg", "vir", "--mod"],
          {"format": "confal-module", "kind": "free", "rank": 1,
           "action": {**STRAY_ACTION, "-2,0": {"0": "x"}}},
@@ -697,13 +697,27 @@ def test_file_beyond_the_algebra_or_a_size_limit_exits_two(capsys, tmp_path, arg
     assert err.endswith(message)
 
 
+def test_free_rank_two_module_file_is_left_undecided(capsys, tmp_path):
+    # M_{1,0} + M_{2,0} over Vir: a module, but no rank-one table to search.
+    path = tmp_path / "rank2.json"
+    path.write_text(json.dumps({"format": "confal-module", "kind": "free", "rank": 2,
+                                "action": {"0,0": {"0": "D + x"}, "0,1": {"1": "D + 2*x"}}}),
+                    encoding="utf-8")
+    code, doc = run_json(capsys, ["verify-module", "--alg", "vir", "--mod", f"file:{path}"])
+    assert code == 0
+    assert [r["status"] for r in doc["results"]] == ["PASS", "PASS", "PASS", "UNDECIDED"]
+    assert result_named(doc, "irreducibility")["payload"] == {
+        "reason": "only free rank-one tables are searched"}
+
+
 def test_beta_module_on_a_window_without_l1_exits_two(capsys):
     code, out, err = run_cli(
         capsys, ["verify-module", "--alg", "block", "--p=-1", "--window", "0", "--mod", "Mb:0:0:1"]
     )
     assert code == 2
     assert out == ""
-    assert err == "confal: error: action key '1,0' names generator 1, but B(-1) has generators 0..0\n"
+    assert err == ("confal: error: action key '1,0' names generator 1, "
+                   "but 'B(-1)' has generators 0..0\n")
 
 
 # -- the family parameter is read from the table ------------------------------------
@@ -769,7 +783,8 @@ def test_rank_one_modules_over_the_virasoro_extensions(capsys, alg, mod, code, s
 def test_beta_module_over_vir_exits_two(capsys):
     code, out, err = run_cli(capsys, ["verify-module", "--alg", "vir", "--mod", "Mb:1:0:2"])
     assert (code, out) == (2, "")
-    assert err == "confal: error: action key '1,0' names generator 1, but Vir has generators 0..0\n"
+    assert err == ("confal: error: action key '1,0' names generator 1, "
+                   "but 'Vir' has generators 0..0\n")
 
 
 # -- messages quote input boundedly -----------------------------------------------------
@@ -793,9 +808,22 @@ MAX_MESSAGE = 300
         (["verify-module", "--alg", "vir", "--mod"],
          {"format": "confal-module", "kind": "k" * 100_000}),
         (["verify-algebra", "--alg"], {"format": "confal-algebra", "window": 1, "p": "1/0" + " " * 100_000}),
+        (["verify-module", "--mod", "Mb:1:0:2", "--alg"],
+         {"format": "confal-algebra", "name": "n" * 500, "window": 0,
+          "structure": {"0,0": {"0": "D + 2*x"}}}),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "name": "n" * 500, "window": 2, "policy": "error",
+          "structure": {"0,1": {"2": "D + x"}}}),
+        (["verify-algebra", "--alg"], {"format": "confal-algebra", "window": int("7" * 3000)}),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "free", "rank": int("7" * 3000)}),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0,
+          "structure": {"0,0": {"0": f"D^{'7' * 3000}"}}}),
     ],
     ids=["structure-key", "entry", "structure-target", "entry-list", "policy", "module-kind",
-         "p-literal"],
+         "p-literal", "name-in-stray-row", "name-in-overflow", "window-value", "rank-value",
+         "exponent-value"],
 )
 def test_messages_quoting_a_file_stay_short(capsys, tmp_path, argv, data):
     path = tmp_path / "long.json"
@@ -813,8 +841,20 @@ def test_messages_quoting_a_file_stay_short(capsys, tmp_path, argv, data):
         ["verify-module", "--alg", "hv", "--mod", f"M:{'7' * 3000}:1/0"],
         ["verify-algebra", "--alg", "z" * 100_000],
         ["verify-algebra", "--alg", "block", "--p", "1", "--window", "7" * 5000],
+        ["verify-algebra", "--alg", "block", "--p", "1", "--window", "1", "--policy", "q" * 300],
+        ["verify-algebra", "--alg", f"file:/nonexistent/{'a' * 200}.json"],
+        ["verify-algebra", "--alg", "vir", "--out", f"/nonexistent/{'o' * 300}/x.json"],
+        ["verify-algebra", "--alg", "block", "--p", "1", "--window", "7" * 4000],
+        ["classify", "--p", "1", "--K", "-" + "7" * 4000],
+        ["classify", "--p", "1", "--D", "-" + "7" * 4000],
+        ["annihilation", "--p", "7" * 3000, "--idx", "64", "--mode", "64"],
+        ["annihilation", "--p", "1/" + "7" * 2998, "--G", "--k", "40", "--N", "40"],
+        ["verify-algebra", "--alg", f"file:/nonexistent/{'a' * 300}.json", "--p", "1"],
     ],
-    ids=["beta-over-vir", "selector-shape", "selector-literal", "algebra-selector", "size-flag"],
+    ids=["beta-over-vir", "selector-shape", "selector-literal", "algebra-selector", "size-flag",
+         "argparse-choice", "missing-file", "unwritable-out", "size-flag-value",
+         "negative-top-index", "negative-degree", "mode-window-title", "subquotient-title",
+         "stray-flag-of-a-file"],
 )
 def test_messages_quoting_the_command_line_stay_short(capsys, argv):
     try:
@@ -826,6 +866,26 @@ def test_messages_quoting_the_command_line_stay_short(capsys, argv):
     assert err.count("\n") == 1 and len(err) < MAX_MESSAGE
 
 
+@pytest.mark.parametrize("text", [b"{", b'{"name": "caf\xe9"}', b'{"a": 1, "a": 2}'],
+                         ids=["invalid-json", "not-utf8", "repeated-key"])
+def test_messages_quoting_a_long_path_stay_short(capsys, tmp_path, text):
+    path = tmp_path / f"{'l' * 220}.json"
+    path.write_bytes(text)
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"confal: error: {quote(str(path))}: ")
+    assert err.count("\n") == 1 and len(err) < MAX_MESSAGE
+
+
+def test_file_nested_too_deeply_exits_two(capsys, tmp_path):
+    # The JSON decoder recurses once per level; past its limit the file is refused.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert (code, out) == (2, "")
+    assert err == f"confal: error: {quote(str(path))}: JSON nested too deeply to parse\n"
+
+
 def test_file_above_size_limit_exits_two(capsys, tmp_path):
     path = tmp_path / "padded.json"
     # A valid algebra file, padded with whitespace past the limit.
@@ -834,7 +894,8 @@ def test_file_above_size_limit_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
     assert code == 2
     assert out == ""
-    assert err == f"confal: error: {path}: file exceeds the limit of {MAX_FILE_BYTES} bytes\n"
+    assert err == (f"confal: error: {quote(str(path))}: "
+                   f"file exceeds the limit of {MAX_FILE_BYTES} bytes\n")
     # The same file at the limit loads.
     path.write_text(text + " " * (MAX_FILE_BYTES - len(text)), encoding="utf-8")
     code, _ = run_json(capsys, ["verify-algebra", "--alg", f"file:{path}"])
@@ -847,7 +908,7 @@ def test_endless_device_is_read_only_up_to_the_limit(capsys):
     code, out, err = run_cli(capsys, ["verify-algebra", "--alg", "file:/dev/zero"])
     assert code == 2
     assert out == ""
-    assert err == f"confal: error: /dev/zero: file exceeds the limit of {MAX_FILE_BYTES} bytes\n"
+    assert err == f"confal: error: '/dev/zero': file exceeds the limit of {MAX_FILE_BYTES} bytes\n"
 
 
 def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
@@ -856,7 +917,7 @@ def test_file_that_is_not_utf8_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["verify-algebra", "--alg", f"file:{path}"])
     assert code == 2
     assert out == ""
-    assert err == f"confal: error: {path}: not UTF-8 at byte 13\n"
+    assert err == f"confal: error: {quote(str(path))}: not UTF-8 at byte 13\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
@@ -1048,13 +1109,13 @@ def test_unwritable_out_exits_two_and_leaves_no_file(capsys, tmp_path):
     )
     assert code == 2
     assert out == ""
-    assert err == f"confal: error: cannot write {missing}: No such file or directory\n"
+    assert err == f"confal: error: cannot write {quote(str(missing))}: No such file or directory\n"
     # a directory in place of the file is refused before anything is written.
     code, _, err = run_cli(
         capsys, ["verify-algebra", "--alg", "vir", "--out", str(tmp_path)]
     )
     assert code == 2
-    assert err.startswith(f"confal: error: cannot write {tmp_path}: ")
+    assert err.startswith(f"confal: error: cannot write {quote(str(tmp_path))}: ")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
@@ -1066,7 +1127,7 @@ def test_out_onto_a_fifo_is_refused_and_the_fifo_stays(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["verify-algebra", "--alg", "vir", "--out", str(fifo)])
     assert code == 2
     assert out == ""
-    assert err == f"confal: error: cannot write {fifo}: not a regular file\n"
+    assert err == f"confal: error: cannot write {quote(str(fifo))}: not a regular file\n"
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     # No sibling .partial file was left either.
     assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
@@ -1091,7 +1152,7 @@ def test_out_through_a_link_to_a_directory_is_refused(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["verify-algebra", "--alg", "vir", "--out", str(link)])
     assert code == 2
     assert out == ""
-    assert err == f"confal: error: cannot write {link}: not a regular file\n"
+    assert err == f"confal: error: cannot write {quote(str(link))}: not a regular file\n"
     assert link.is_symlink() and list(target.iterdir()) == []
 
 

@@ -320,7 +320,7 @@ def test_leaky_error_table_overflows_at_the_reference_pair():
     outcome = assert_kernel_matches_reference(alg)
     assert outcome == (
         "overflow",
-        "bracket of pair (2, 1) escapes window 2 of leaky under ERROR_ON_OVERFLOW",
+        "bracket of pair (2, 1) escapes window 2 of 'leaky' under ERROR_ON_OVERFLOW",
     )
 
 
@@ -474,7 +474,7 @@ def test_module_identity_matches_reference_on_random_modules():
                 max_size=4,
             )
         )
-        return alg, ConformalModule(kind=KIND_FREE, rank=rank, alpha=None, action=action)
+        return alg, ConformalModule(rank=rank, alpha=None, action=action)
 
     @hypothesis.settings(
         max_examples=80, deadline=None, derandomize=True, database=None

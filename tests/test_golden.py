@@ -31,6 +31,7 @@ CASES = {
     "annihilation_window_third_3_3": (["annihilation", "--p", "1/3", "--idx", "3", "--mode", "3"], 0),
     "classify_p_minus_one": (["classify", "--p=-1"], 0),
     "classify_bn_3": (["classify", "--bn", "3"], 0),
+    "classify_bn_1": (["classify", "--bn", "1"], 0),
     "verify_module_M": (["verify-module", "--alg", "block", "--p", "1", "--window", "4", "--mod", "M:1/2:1"], 0),
     "verify_module_Mb_fails": (["verify-module", "--alg", "block", "--p", "2", "--window", "3", "--mod", "Mb:1:1:1"], 1),
     "verify_module_Mb_beta_zero": (["verify-module", "--alg", "block", "--p=-1", "--window", "3", "--mod", "Mb:0:1:0"], 0),

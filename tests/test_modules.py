@@ -125,9 +125,8 @@ def test_trivial_module_identity():
 def test_scalar_del_module_with_an_action_is_refused():
     # D acts by a scalar there, so the module is not free over the algebra's D.
     alg = make_block(1, 2, TRUNC)
-    mod = ConformalModule(
-        kind=KIND_SCALAR_DEL, rank=1, alpha=Fraction(1), action={(0, 0): {0: LAM}}
-    )
+    mod = ConformalModule(rank=1, alpha=Fraction(1), action={(0, 0): {0: LAM}})
+    assert mod.kind == KIND_SCALAR_DEL
     with pytest.raises(UnsupportedModuleError):
         check_module(alg, mod)
     with pytest.raises(UnsupportedModuleError):
@@ -136,10 +135,9 @@ def test_scalar_del_module_with_an_action_is_refused():
 
 def test_action_rows_of_generators_the_algebra_lacks_are_refused():
     # Vir has only L_0; a row for L_3 would never be walked.
-    mod = ConformalModule(
-        kind=KIND_FREE, rank=1, alpha=None, action={(0, 0): {0: DEL + LAM}, (3, 0): {0: DEL**5}}
-    )
-    message = "action key '3,0' names generator 3, but Vir has generators 0..0"
+    mod = ConformalModule(rank=1, alpha=None, action={(0, 0): {0: DEL + LAM}, (3, 0): {0: DEL**5}})
+    assert mod.kind == KIND_FREE
+    message = "action key '3,0' names generator 3, but 'Vir' has generators 0..0"
     with pytest.raises(UnsupportedModuleError, match=message):
         check_module(make_virasoro(), mod)
     with pytest.raises(UnsupportedModuleError, match=message):
@@ -264,15 +262,16 @@ def test_infer_family_round_trip():
     @hypothesis.given(st.sampled_from(algebras), rationals, rationals, rationals)
     def round_trip(alg, delta, alpha, beta):
         tag = infer_family(rank_one_module(alg, delta, alpha, beta))
-        expected = FamilyTag(FAMILY_BETA if beta else FAMILY_PLAIN, p=family_parameter(alg),
-                             delta=delta, alpha=alpha, beta=beta or None)
+        expected = FamilyTag(p=family_parameter(alg), delta=delta, alpha=alpha,
+                             beta=beta or None)
         assert tag == expected
+        assert tag.family == (FAMILY_BETA if beta else FAMILY_PLAIN)
 
     round_trip()
 
 
 def test_infer_family_rejects_foreign_tables():
-    from confal.modules import ConformalModule, KIND_FREE
+    from confal.modules import ConformalModule
 
     bad_shapes = [
         {(0, 0): {0: DEL + MU}},        # stray bracket variable
@@ -281,7 +280,7 @@ def test_infer_family_rejects_foreign_tables():
         {(0, 0): {0: DEL}, (2, 0): {0: Poly.one()}},  # unexpected row
     ]
     for action in bad_shapes:
-        mod = ConformalModule(kind=KIND_FREE, rank=1, alpha=None, action=action)
+        mod = ConformalModule(rank=1, alpha=None, action=action)
         assert infer_family(mod) is None, action
 
 

@@ -70,3 +70,39 @@ def test_package_root_exports_exactly_the_pinned_names():
 
 def test_unknown_names_are_attribute_errors():
     assert not hasattr(confal, "no_such_name")
+
+
+def test_records_store_only_what_they_cannot_derive():
+    # Each derived value is a read-only property, so no record can be built
+    # in a state that contradicts itself.
+    import dataclasses
+    from fractions import Fraction
+
+    from confal import annihilation, certificates, classify, modules
+
+    fields = {
+        modules.ConformalModule: ["rank", "alpha", "action"],
+        modules.FamilyTag: ["p", "delta", "alpha", "beta"],
+        modules.IrreducibilityVerdict: ["criterion_irreducible", "witness", "candidates_checked"],
+        modules.SubmoduleResult: ["module", "offending_generator", "remainder"],
+        annihilation.CharacterReport: ["dimension", "derived_rank", "characters", "verified"],
+        annihilation.TraceVerdict: ["consistent", "commutator_trace", "hypothesis_trace"],
+        certificates.Certificate: ["command", "inputs", "results", "caveats"],
+        classify.ClassificationReport: [
+            "alg", "top_index_bound", "degree_bound", "families", "steps", "battery",
+            "caveats", "undecided"],
+    }
+    for cls, names in fields.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls
+    assert sum(map(len, fields.values())) == 32
+
+    assert modules.trivial_module(1).kind == modules.KIND_SCALAR_DEL
+    tag = modules.FamilyTag(p=Fraction(1), delta=Fraction(0), alpha=Fraction(0))
+    assert tag.family == modules.FAMILY_PLAIN
+    assert dataclasses.replace(tag, beta=Fraction(0)).family == modules.FAMILY_BETA
+    assert modules.IrreducibilityVerdict(True, None).search_irreducible
+    assert not modules.SubmoduleResult(None, 0, None).invariant
+    assert annihilation.trace_certificate([[0]], [[0]], 1, 1).forced_zero
+    assert certificates.Certificate("c", {}).tool_version == confal.__version__
+    report = classify.classify_bn(2)
+    assert report.p == -2 and report.to_payload()["algebra"] == report.alg.name == "b(2)"
