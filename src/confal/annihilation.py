@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import AbstractSet, Any, Iterator, Sequence
 
-from .conformal import ConformalAlgebra, UnsupportedAlgebraError, family_parameter
+from .conformal import ConformalAlgebra, UnsupportedAlgebraError, family_parameter, same_slots
 from .linalg import add_terms, render_combo
 from .poly import Poly, Var, elide
 
@@ -86,7 +85,6 @@ def _check_basis_size(title: str, n: int) -> None:
             f"{elide(title)} has {n} basis elements, more than the limit {MAX_BASIS_SIZE}")
 
 
-@dataclass
 class FiniteLieAlgebra:
     """A finite-dimensional Lie algebra whose brackets each have one target.
 
@@ -103,14 +101,21 @@ class FiniteLieAlgebra:
     has none.
     """
 
-    name: str
-    basis: tuple[Label, ...]
-    table: dict[tuple[Label, Label], Bracket]
-    param_p: Fraction | None
-    coords: dict[Label, tuple[int, int]] = field(default_factory=dict)
-    truncated_pairs: AbstractSet[tuple[Label, Label]] = frozenset()
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        basis: tuple[Label, ...],
+        table: dict[tuple[Label, Label], Bracket],
+        param_p: Fraction | None,
+        coords: dict[Label, tuple[int, int]] | None = None,
+        truncated_pairs: AbstractSet[tuple[Label, Label]] = frozenset(),
+    ) -> None:
+        self.name = name
+        self.basis = basis
+        self.table = table
+        self.param_p = param_p
+        self.coords = {} if coords is None else coords
+        self.truncated_pairs = truncated_pairs
         known = self.positions
         if any("|" in label for label in known):
             raise ValueError("a basis label contains '|', which the table hash puts between "
@@ -303,12 +308,20 @@ def build_annihilation(
     )
 
 
-@dataclass
 class CentralityReport:
-    element: str
-    checked: int
-    failures: list[tuple[Label, LinComb]] = field(default_factory=list)
-    excluded: list[Label] = field(default_factory=list)
+    __slots__ = ("element", "checked", "failures", "excluded")
+
+    def __init__(
+        self,
+        element: str,
+        checked: int,
+        failures: list[tuple[Label, LinComb]] | None = None,
+        excluded: list[Label] | None = None,
+    ) -> None:
+        self.element = element
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.excluded = [] if excluded is None else excluded
 
     @property
     def ok(self) -> bool:
@@ -390,14 +403,27 @@ def annihilation_subquotient(p: Fraction | int, idx_cap: int, mode_cap: int) -> 
 # -- Lie axiom checker --------------------------------------------------------------
 
 
-@dataclass
 class LieReport:
-    algebra: str
-    pairs_checked: int = 0
-    triples_checked: int = 0
-    triples_excluded: int = 0
-    antisymmetry_failures: list[tuple[Label, Label, LinComb]] = field(default_factory=list)
-    jacobi_failures: list[tuple[Label, Label, Label, LinComb]] = field(default_factory=list)
+    __slots__ = ("algebra", "pairs_checked", "triples_checked", "triples_excluded",
+                 "antisymmetry_failures", "jacobi_failures")
+
+    def __init__(
+        self,
+        algebra: str,
+        pairs_checked: int = 0,
+        triples_checked: int = 0,
+        triples_excluded: int = 0,
+        antisymmetry_failures: list[tuple[Label, Label, LinComb]] | None = None,
+        jacobi_failures: list[tuple[Label, Label, Label, LinComb]] | None = None,
+    ) -> None:
+        self.algebra = algebra
+        self.pairs_checked = pairs_checked
+        self.triples_checked = triples_checked
+        self.triples_excluded = triples_excluded
+        self.antisymmetry_failures = [] if antisymmetry_failures is None else antisymmetry_failures
+        self.jacobi_failures = [] if jacobi_failures is None else jacobi_failures
+
+    __eq__ = same_slots
 
     @property
     def ok(self) -> bool:
@@ -516,17 +542,28 @@ IDEAL_TOP_MODE_SLICE = "top_mode_slice"
 IDEAL_CORNER_HOOK = "corner_hook"
 
 
-@dataclass
 class ResonanceReport:
-    resonances: list[tuple[int, int]]
-    top_resonance: tuple[int, int] | None
-    case: ResonanceCase
-    ideal_name: str
-    ideal: tuple[Label, ...]
-    corner_coefficient: Fraction | None = None
-    corner_internal_brackets: list[tuple[Label, Label, LinComb]] = field(
-        default_factory=list
-    )
+    __slots__ = ("resonances", "top_resonance", "case", "ideal_name", "ideal",
+                 "corner_coefficient", "corner_internal_brackets")
+
+    def __init__(
+        self,
+        resonances: list[tuple[int, int]],
+        top_resonance: tuple[int, int] | None,
+        case: ResonanceCase,
+        ideal_name: str,
+        ideal: tuple[Label, ...],
+        corner_coefficient: Fraction | None = None,
+        corner_internal_brackets: list[tuple[Label, Label, LinComb]] | None = None,
+    ) -> None:
+        self.resonances = resonances
+        self.top_resonance = top_resonance
+        self.case = case
+        self.ideal_name = ideal_name
+        self.ideal = ideal
+        self.corner_coefficient = corner_coefficient
+        self.corner_internal_brackets = (
+            [] if corner_internal_brackets is None else corner_internal_brackets)
 
     def to_payload(self) -> dict[str, Any]:
         corner = self.corner_coefficient
@@ -610,15 +647,27 @@ def resonance_analysis(G: FiniteLieAlgebra) -> ResonanceReport:
 # -- ideals, nilpotency, characters ------------------------------------------------------
 
 
-@dataclass
 class IdealReport:
-    span: tuple[Label, ...]
-    is_ideal: bool
-    ideal_witness: tuple[Label, Label, LinComb] | None
-    abelian: bool
-    nilpotent: bool
-    nilpotency_class: int | None
-    series_dims: list[int]
+    __slots__ = ("span", "is_ideal", "ideal_witness", "abelian", "nilpotent",
+                 "nilpotency_class", "series_dims")
+
+    def __init__(
+        self,
+        span: tuple[Label, ...],
+        is_ideal: bool,
+        ideal_witness: tuple[Label, Label, LinComb] | None,
+        abelian: bool,
+        nilpotent: bool,
+        nilpotency_class: int | None,
+        series_dims: list[int],
+    ) -> None:
+        self.span = span
+        self.is_ideal = is_ideal
+        self.ideal_witness = ideal_witness
+        self.abelian = abelian
+        self.nilpotent = nilpotent
+        self.nilpotency_class = nilpotency_class
+        self.series_dims = series_dims
 
     def to_payload(self, ideal_name: str) -> dict[str, Any]:
         """The structure of the span, which the caller names ``ideal_name``."""
@@ -676,11 +725,15 @@ def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealR
     )
 
 
-@dataclass
 class TraceVerdict:
-    consistent: bool
-    commutator_trace: Fraction
-    hypothesis_trace: Fraction
+    __slots__ = ("consistent", "commutator_trace", "hypothesis_trace")
+
+    def __init__(
+        self, consistent: bool, commutator_trace: Fraction, hypothesis_trace: Fraction
+    ) -> None:
+        self.consistent = consistent
+        self.commutator_trace = commutator_trace
+        self.hypothesis_trace = hypothesis_trace
 
     @property
     def forced_zero(self) -> bool:
@@ -720,12 +773,20 @@ def trace_certificate(A: Sequence[Sequence[Fraction | int]],
     )
 
 
-@dataclass
 class CharacterReport:
-    dimension: int
-    derived_rank: int
-    characters: list[dict[Label, Fraction]]
-    verified: bool
+    __slots__ = ("dimension", "derived_rank", "characters", "verified")
+
+    def __init__(
+        self,
+        dimension: int,
+        derived_rank: int,
+        characters: list[dict[Label, Fraction]],
+        verified: bool,
+    ) -> None:
+        self.dimension = dimension
+        self.derived_rank = derived_rank
+        self.characters = characters
+        self.verified = verified
 
     @property
     def character_dim(self) -> int:

@@ -17,9 +17,7 @@ of the table and no whole JSON blob is ever built.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable
 
@@ -34,26 +32,36 @@ FAIL = "FAIL"
 UNDECIDED = "UNDECIDED"
 
 
-@dataclass
 class CheckResult:
-    name: str
-    status: str
-    payload: dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("name", "status", "payload")
+
+    def __init__(self, name: str, status: str, payload: dict[str, Any] | None = None) -> None:
+        self.name = name
+        self.status = status
+        self.payload = {} if payload is None else payload
 
 
-@dataclass
 class Certificate:
     """A command's inputs, results and caveats; the version is ``__version__``."""
 
+    __slots__ = ("command", "inputs", "results", "caveats")
+
     tool_version: ClassVar[str] = __version__
 
-    command: str
-    inputs: dict[str, Any]
-    results: list[CheckResult] = field(default_factory=list)
-    caveats: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        command: str,
+        inputs: dict[str, Any],
+        results: list[CheckResult] | None = None,
+        caveats: list[str] | None = None,
+    ) -> None:
+        self.command = command
+        self.inputs = inputs
+        self.results = [] if results is None else results
+        self.caveats = [] if caveats is None else caveats
 
     def add(self, name: str, status: str, payload: dict[str, Any] | None = None) -> None:
-        self.results.append(CheckResult(name, status, payload or {}))
+        self.results.append(CheckResult(name, status, payload))
 
     def check(self, name: str, ok: bool, payload: dict[str, Any]) -> None:
         """Add a result that passes exactly when ``ok``."""
@@ -95,6 +103,9 @@ def _table_hash(rows: Iterable[str]) -> str:
     ``json.dumps(obj, sort_keys=True)``.  They are fed a joined chunk at a
     time: neither the object nor the blob is ever whole.
     """
+    # Imported here: only the subcommands that hash a table pay for OpenSSL.
+    import hashlib
+
     digest = hashlib.sha256()
     rows = iter(rows)
     opening = "{"

@@ -42,7 +42,6 @@ module axioms and the irreducibility dichotomy against the report's claims.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -83,31 +82,39 @@ BATTERY_SAMPLES = 50
 BATTERY_DEGREE = 3
 
 
-@dataclass
 class DerivationStep:
-    rule: str
-    top_index: int
-    polys: dict[str, Poly]
-    conclusion: str
+    __slots__ = ("rule", "top_index", "polys", "conclusion")
+
+    def __init__(self, rule: str, top_index: int, polys: dict[str, Poly], conclusion: str) -> None:
+        self.rule = rule
+        self.top_index = top_index
+        self.polys = polys
+        self.conclusion = conclusion
 
 
-@dataclass
 class FamilyPattern:
-    tag: str
-    description: str
-    irreducible_iff: str
+    __slots__ = ("tag", "description", "irreducible_iff")
+
+    def __init__(self, tag: str, description: str, irreducible_iff: str) -> None:
+        self.tag = tag
+        self.description = description
+        self.irreducible_iff = irreducible_iff
 
 
-@dataclass
 class ViolationCertificate:
-    candidate: Poly
-    residual: Poly
-    witness_point: str
+    __slots__ = ("candidate", "residual", "witness_point")
+
+    def __init__(self, candidate: Poly, residual: Poly, witness_point: str) -> None:
+        self.candidate = candidate
+        self.residual = residual
+        self.witness_point = witness_point
 
 
-@dataclass
 class BatteryResult:
-    certificates: list[ViolationCertificate] = field(default_factory=list)
+    __slots__ = ("certificates",)
+
+    def __init__(self, certificates: list[ViolationCertificate] | None = None) -> None:
+        self.certificates = [] if certificates is None else certificates
 
     @property
     def all_violated(self) -> bool:
@@ -129,18 +136,31 @@ class BatteryResult:
         }
 
 
-@dataclass
 class ClassificationReport:
     """The replay over ``alg``, ``B(p)`` or ``b(n)``, which :func:`verify_report` re-checks."""
 
-    alg: ConformalAlgebra
-    top_index_bound: int
-    degree_bound: int
-    families: list[FamilyPattern]
-    steps: list[DerivationStep]
-    battery: BatteryResult
-    caveats: list[str]
-    undecided: list[int]
+    __slots__ = ("alg", "top_index_bound", "degree_bound", "families", "steps", "battery",
+                 "caveats", "undecided")
+
+    def __init__(
+        self,
+        alg: ConformalAlgebra,
+        top_index_bound: int,
+        degree_bound: int,
+        families: list[FamilyPattern],
+        steps: list[DerivationStep],
+        battery: BatteryResult,
+        caveats: list[str],
+        undecided: list[int],
+    ) -> None:
+        self.alg = alg
+        self.top_index_bound = top_index_bound
+        self.degree_bound = degree_bound
+        self.families = families
+        self.steps = steps
+        self.battery = battery
+        self.caveats = caveats
+        self.undecided = undecided
 
     @property
     def p(self) -> Fraction:
@@ -152,7 +172,11 @@ class ClassificationReport:
             "p": str(self.p),
             "top_index_bound": self.top_index_bound,
             "degree_bound": self.degree_bound,
-            "families": [asdict(fam) for fam in self.families],
+            "families": [
+                {"tag": fam.tag, "description": fam.description,
+                 "irreducible_iff": fam.irreducible_iff}
+                for fam in self.families
+            ],
             "steps": [
                 {
                     "rule": step.rule,
@@ -184,12 +208,12 @@ def symmetry_residual(f: Poly) -> Poly:
 def _random_del_dependent(rng: random.Random) -> Poly:
     """A random polynomial in D and x with genuine D dependence."""
     while True:
-        poly = Poly.zero()
-        for dd in range(BATTERY_DEGREE + 1):
-            for dx in range(BATTERY_DEGREE + 1):
-                if rng.random() < 0.4:
-                    coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                    poly = poly + coeff * DEL**dd * LAM**dx
+        poly = Poly({
+            (dd, dx, 0): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for dd in range(BATTERY_DEGREE + 1)
+            for dx in range(BATTERY_DEGREE + 1)
+            if rng.random() < 0.4
+        })
         if poly.degree_in(Var.PARTIAL) >= 1:
             return poly
 

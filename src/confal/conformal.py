@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -65,7 +64,13 @@ class UnsupportedAlgebraError(ValueError):
 # -- the algebra type ---------------------------------------------------------
 
 
-@dataclass
+def same_slots(self: Any, other: Any) -> bool:
+    """``__eq__`` of a record compared by value: same class, equal slots."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
 class ConformalAlgebra:
     """A finitely windowed Lie conformal algebra presentation.
 
@@ -74,10 +79,19 @@ class ConformalAlgebra:
     generators ``L_0, ..., L_W``, so it fixes the window ``W``.
     """
 
-    name: str
-    policy: TruncationPolicy
-    structure: dict[tuple[GenId, GenId], LambdaValue]
-    gen_names: tuple[str, ...]
+    __slots__ = ("name", "policy", "structure", "gen_names")
+
+    def __init__(
+        self,
+        name: str,
+        policy: TruncationPolicy,
+        structure: dict[tuple[GenId, GenId], LambdaValue],
+        gen_names: tuple[str, ...],
+    ) -> None:
+        self.name = name
+        self.policy = policy
+        self.structure = structure
+        self.gen_names = gen_names
 
     @property
     def window(self) -> int:
@@ -240,27 +254,39 @@ def family_parameter(alg: ConformalAlgebra) -> Fraction:
 # -- axiom checkers ------------------------------------------------------------
 
 
-@dataclass
 class PairResidual:
-    i: GenId
-    j: GenId
-    residual: LambdaValue
+    __slots__ = ("i", "j", "residual")
+
+    def __init__(self, i: GenId, j: GenId, residual: LambdaValue) -> None:
+        self.i = i
+        self.j = j
+        self.residual = residual
 
 
-@dataclass
 class TripleResidual:
-    i: GenId
-    j: GenId
-    k: GenId
-    residual: LambdaValue
+    __slots__ = ("i", "j", "k", "residual")
+
+    def __init__(self, i: GenId, j: GenId, k: GenId, residual: LambdaValue) -> None:
+        self.i = i
+        self.j = j
+        self.k = k
+        self.residual = residual
 
 
-@dataclass
 class SkewReport:
-    algebra: str
-    gen_names: tuple[str, ...]
-    pairs_checked: int
-    failures: list[PairResidual] = field(default_factory=list)
+    __slots__ = ("algebra", "gen_names", "pairs_checked", "failures")
+
+    def __init__(
+        self,
+        algebra: str,
+        gen_names: tuple[str, ...],
+        pairs_checked: int,
+        failures: list[PairResidual] | None = None,
+    ) -> None:
+        self.algebra = algebra
+        self.gen_names = gen_names
+        self.pairs_checked = pairs_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -278,12 +304,20 @@ class SkewReport:
         }
 
 
-@dataclass
 class JacobiReport:
-    algebra: str
-    gen_names: tuple[str, ...]
-    triples_checked: int
-    failures: list[TripleResidual] = field(default_factory=list)
+    __slots__ = ("algebra", "gen_names", "triples_checked", "failures")
+
+    def __init__(
+        self,
+        algebra: str,
+        gen_names: tuple[str, ...],
+        triples_checked: int,
+        failures: list[TripleResidual] | None = None,
+    ) -> None:
+        self.algebra = algebra
+        self.gen_names = gen_names
+        self.triples_checked = triples_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

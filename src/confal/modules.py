@@ -32,7 +32,6 @@ walked by :func:`confal.conformal.jacobi_failures`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
 
@@ -41,6 +40,7 @@ from .conformal import (
     TruncationPolicy,
     family_parameter,
     jacobi_failures,
+    same_slots,
 )
 from .linalg import render_combo
 from .poly import DEL, LAM, Poly, Var, divmod_in_var, quote
@@ -56,25 +56,47 @@ class UnsupportedModuleError(ValueError):
     """The module lacks the shape an operation requires."""
 
 
-@dataclass(frozen=True)
 class FamilyTag:
-    """A rank-one family's parameters; a table with an ``L_1`` row has a ``beta``."""
+    """A rank-one family's parameters; a table with an ``L_1`` row has a ``beta``.
 
-    p: Fraction
-    delta: Fraction
-    alpha: Fraction
-    beta: Fraction | None = None
+    A tag is read-only and hashable.
+    """
+
+    __slots__ = ("p", "delta", "alpha", "beta")
+
+    def __init__(
+        self, p: Fraction, delta: Fraction, alpha: Fraction, beta: Fraction | None = None
+    ) -> None:
+        for name, value in zip(self.__slots__, (p, delta, alpha, beta)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"a FamilyTag is read-only: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a FamilyTag is read-only: cannot delete {name}")
+
+    __eq__ = same_slots
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.delta, self.alpha, self.beta))
 
     @property
     def family(self) -> str:
         return FAMILY_PLAIN if self.beta is None else FAMILY_BETA
 
 
-@dataclass
 class ConformalModule:
-    rank: int
-    alpha: Fraction | None
-    action: dict[tuple[int, int], dict[int, Poly]]
+    __slots__ = ("rank", "alpha", "action")
+
+    def __init__(
+        self, rank: int, alpha: Fraction | None, action: dict[tuple[int, int], dict[int, Poly]]
+    ) -> None:
+        self.rank = rank
+        self.alpha = alpha
+        self.action = action
+
+    __eq__ = same_slots
 
     @property
     def kind(self) -> str:
@@ -115,21 +137,32 @@ def trivial_module(alpha: Fraction | int) -> ConformalModule:
 # -- the module identity -------------------------------------------------------------
 
 
-@dataclass
 class ModuleFailure:
-    i: int
-    j: int
-    basis: int
-    residual: dict[int, Poly]
+    __slots__ = ("i", "j", "basis", "residual")
+
+    def __init__(self, i: int, j: int, basis: int, residual: dict[int, Poly]) -> None:
+        self.i = i
+        self.j = j
+        self.basis = basis
+        self.residual = residual
 
 
-@dataclass
 class ModuleReport:
-    algebra: str
-    kind: str
-    rank: int
-    pairs_checked: int
-    failures: list[ModuleFailure] = field(default_factory=list)
+    __slots__ = ("algebra", "kind", "rank", "pairs_checked", "failures")
+
+    def __init__(
+        self,
+        algebra: str,
+        kind: str,
+        rank: int,
+        pairs_checked: int,
+        failures: list[ModuleFailure] | None = None,
+    ) -> None:
+        self.algebra = algebra
+        self.kind = kind
+        self.rank = rank
+        self.pairs_checked = pairs_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -204,11 +237,18 @@ def check_module(alg: ConformalAlgebra, mod: ConformalModule) -> ModuleReport:
 # -- submodules and irreducibility ------------------------------------------------------
 
 
-@dataclass
 class SubmoduleResult:
-    module: ConformalModule | None
-    offending_generator: int | None
-    remainder: Poly | None
+    __slots__ = ("module", "offending_generator", "remainder")
+
+    def __init__(
+        self,
+        module: ConformalModule | None,
+        offending_generator: int | None,
+        remainder: Poly | None,
+    ) -> None:
+        self.module = module
+        self.offending_generator = offending_generator
+        self.remainder = remainder
 
     @property
     def invariant(self) -> bool:
@@ -278,11 +318,18 @@ def infer_family(mod: ConformalModule) -> FamilyTag | None:
     return FamilyTag(p=c1, delta=c2 / c1, alpha=c3 / c1, beta=beta)
 
 
-@dataclass
 class IrreducibilityVerdict:
-    criterion_irreducible: bool
-    witness: Poly | None
-    candidates_checked: list[Poly] = field(default_factory=list)
+    __slots__ = ("criterion_irreducible", "witness", "candidates_checked")
+
+    def __init__(
+        self,
+        criterion_irreducible: bool,
+        witness: Poly | None,
+        candidates_checked: list[Poly] | None = None,
+    ) -> None:
+        self.criterion_irreducible = criterion_irreducible
+        self.witness = witness
+        self.candidates_checked = [] if candidates_checked is None else candidates_checked
 
     @property
     def search_irreducible(self) -> bool:

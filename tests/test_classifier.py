@@ -18,6 +18,8 @@ from confal.classify import (
     RULE_MU_ZERO_KILL,
     RULE_SHIFT_INVARIANCE_CONST,
     RULE_TOP_INDEX_ASSUMED,
+    ClassificationReport,
+    FamilyPattern,
     classify_bn,
     classify_rank_one,
     falsification_battery,
@@ -182,14 +184,17 @@ def test_verify_report_accepts_clean_reports():
     assert verify_report(classify_bn(3))
 
 
-def test_verify_report_rejects_wrong_family_tag():
-    import dataclasses
+def with_families(report, families):
+    """A copy of ``report`` that claims ``families``, built through the constructor."""
+    return ClassificationReport(*(
+        families if name == "families" else getattr(report, name)
+        for name in ClassificationReport.__slots__))
 
+
+def test_verify_report_rejects_wrong_family_tag():
     report = classify_rank_one(2)
-    tampered = dataclasses.replace(
-        report,
-        families=[dataclasses.replace(f, tag=FAMILY_BETA) for f in report.families],
-    )
+    tampered = with_families(report, [
+        FamilyPattern(FAMILY_BETA, f.description, f.irreducible_iff) for f in report.families])
     assert not verify_report(tampered)
 
 
@@ -198,19 +203,15 @@ def test_verify_report_rejects_an_irreducibility_disagreement(blind_submodule_se
 
 
 def test_verify_report_rejects_an_unknown_irreducibility_condition():
-    import dataclasses
-
     report = classify_rank_one(2)
-    tampered = dataclasses.replace(report, families=[
-        dataclasses.replace(f, irreducible_iff="delta == 0") for f in report.families])
+    tampered = with_families(report, [
+        FamilyPattern(f.tag, f.description, "delta == 0") for f in report.families])
     assert verify_report(tampered) is False
 
 
 def test_verify_report_rejects_empty_families():
-    import dataclasses
-
     report = classify_rank_one(2)
-    assert not verify_report(dataclasses.replace(report, families=[]))
+    assert not verify_report(with_families(report, []))
 
 
 def test_verify_report_rejects_mismatched_quotient_size():

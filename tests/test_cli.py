@@ -1213,12 +1213,24 @@ def test_module_entry_point_is_byte_deterministic():
 # -- what a launch loads ------------------------------------------------------------------
 
 
-def loaded_confal_modules(code):
-    """The ``confal`` modules a fresh interpreter holds after running ``code``."""
-    probe = f"{code}\nimport sys\nprint(*(m for m in sys.modules if m.split('.')[0] == 'confal'))"
+def loaded_modules(code):
+    """The modules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint(*sys.modules)"
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True)
     return set(run.stdout.split())
+
+
+def loaded_confal_modules(code):
+    """The ``confal`` modules a fresh interpreter holds after running ``code``."""
+    return {m for m in loaded_modules(code) if m.split(".")[0] == "confal"}
+
+
+def launch(argv):
+    """Code that runs ``confal.cli.main(argv)`` to a passing exit, output discarded."""
+    return ("import contextlib, io, confal.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert confal.cli.main({argv!r}) == 0")
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -1230,13 +1242,28 @@ def test_importing_the_cli_loads_only_the_cli():
 
 
 def test_a_subcommand_loads_only_the_stages_it_runs():
-    loaded = loaded_confal_modules(
-        "import contextlib, io, confal.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert confal.cli.main(['verify-algebra', '--alg', 'vir']) == 0")
+    loaded = loaded_confal_modules(launch(["verify-algebra", "--alg", "vir"]))
     assert "confal.conformal" in loaded
     for stage in ("annihilation", "classify", "modules", "serialize"):
         assert f"confal.{stage}" not in loaded
+
+
+@pytest.mark.parametrize("argv, hashes_a_table", [
+    (["verify-algebra", "--alg", "vir"], True),
+    (["verify-module", "--alg", "vir", "--mod", "M:1:1/2"], False),
+    (["classify", "--bn", "1"], False),
+    (["annihilation", "--p", "1/2", "--G", "--k", "2", "--N", "3"], True),
+    (["verify-algebra", "--alg", "file:{alg.json}"], True),
+])
+def test_a_launch_loads_no_code_generator_and_hashlib_only_to_hash_a_table(
+        tmp_path, argv, hashes_a_table):
+    # Records are plain classes, so no launch pays for ``dataclasses`` and the
+    # ``inspect`` it imports; only a table hash needs ``hashlib``.
+    path = tmp_path / "alg.json"
+    save_json(str(path), algebra_to_dict(make_bn(2)))
+    loaded = loaded_modules(launch([arg.replace("{alg.json}", str(path)) for arg in argv]))
+    assert not {"dataclasses", "inspect"} & loaded
+    assert ("hashlib" in loaded) == hashes_a_table
 
 
 # -- the exit-code contract under fuzzed argv ------------------------------------------

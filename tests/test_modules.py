@@ -264,10 +264,20 @@ def test_infer_family_round_trip():
         tag = infer_family(rank_one_module(alg, delta, alpha, beta))
         expected = FamilyTag(p=family_parameter(alg), delta=delta, alpha=alpha,
                              beta=beta or None)
-        assert tag == expected
+        assert tag == expected and hash(tag) == hash(expected)
         assert tag.family == (FAMILY_BETA if beta else FAMILY_PLAIN)
 
     round_trip()
+
+
+def test_a_family_tag_is_read_only():
+    tag = FamilyTag(Fraction(1), Fraction(0), Fraction(2))
+    for name in FamilyTag.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(tag, name, Fraction(3))
+        with pytest.raises(AttributeError):
+            delattr(tag, name)
+    assert (tag.p, tag.delta, tag.alpha, tag.beta) == (1, 0, 2, None)
 
 
 def test_infer_family_rejects_foreign_tables():
