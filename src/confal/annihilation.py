@@ -39,9 +39,9 @@ import enum
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Any, Iterator, Sequence
+from typing import AbstractSet, Any, Iterator, NamedTuple, Sequence
 
-from .conformal import ConformalAlgebra, UnsupportedAlgebraError, family_parameter, same_slots
+from .conformal import ConformalAlgebra, UnsupportedAlgebraError, family_parameter
 from .linalg import add_terms, render_combo
 from .poly import Poly, Var, elide
 
@@ -308,20 +308,11 @@ def build_annihilation(
     )
 
 
-class CentralityReport:
-    __slots__ = ("element", "checked", "failures", "excluded")
-
-    def __init__(
-        self,
-        element: str,
-        checked: int,
-        failures: list[tuple[Label, LinComb]] | None = None,
-        excluded: list[Label] | None = None,
-    ) -> None:
-        self.element = element
-        self.checked = checked
-        self.failures = [] if failures is None else failures
-        self.excluded = [] if excluded is None else excluded
+class CentralityReport(NamedTuple):
+    element: str
+    checked: int
+    failures: list[tuple[Label, LinComb]]
+    excluded: list[Label]
 
     @property
     def ok(self) -> bool:
@@ -351,13 +342,15 @@ def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
     p = ext.param_p
     assert p is not None
     base = label_L(0, -1)
-    report = CentralityReport(element=f"T - (1/{p})*{base}", checked=0)
+    checked = 0
+    failures: list[tuple[Label, LinComb]] = []
+    excluded: list[Label] = []
     for x in ext.basis:
         touched = [(T_LABEL, x), (x, T_LABEL), (base, x), (x, base)]
         if any(pair in ext.truncated_pairs for pair in touched):
-            report.excluded.append(x)
+            excluded.append(x)
             continue
-        report.checked += 1
+        checked += 1
         # [T, x] - (1/p) [L(0,-1), x], from the two table entries.
         residual = add_terms({}, (
             (entry[0], entry[1] * scale)
@@ -365,8 +358,8 @@ def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
             if (entry := ext.table.get((y, x)))
         ))
         if residual:
-            report.failures.append((x, residual))
-    return report
+            failures.append((x, residual))
+    return CentralityReport(f"T - (1/{p})*{base}", checked, failures, excluded)
 
 
 # -- finite subquotients ----------------------------------------------------------
@@ -403,27 +396,13 @@ def annihilation_subquotient(p: Fraction | int, idx_cap: int, mode_cap: int) -> 
 # -- Lie axiom checker --------------------------------------------------------------
 
 
-class LieReport:
-    __slots__ = ("algebra", "pairs_checked", "triples_checked", "triples_excluded",
-                 "antisymmetry_failures", "jacobi_failures")
-
-    def __init__(
-        self,
-        algebra: str,
-        pairs_checked: int = 0,
-        triples_checked: int = 0,
-        triples_excluded: int = 0,
-        antisymmetry_failures: list[tuple[Label, Label, LinComb]] | None = None,
-        jacobi_failures: list[tuple[Label, Label, Label, LinComb]] | None = None,
-    ) -> None:
-        self.algebra = algebra
-        self.pairs_checked = pairs_checked
-        self.triples_checked = triples_checked
-        self.triples_excluded = triples_excluded
-        self.antisymmetry_failures = [] if antisymmetry_failures is None else antisymmetry_failures
-        self.jacobi_failures = [] if jacobi_failures is None else jacobi_failures
-
-    __eq__ = same_slots
+class LieReport(NamedTuple):
+    algebra: str
+    pairs_checked: int
+    triples_checked: int
+    triples_excluded: int
+    antisymmetry_failures: list[tuple[Label, Label, LinComb]]
+    jacobi_failures: list[tuple[Label, Label, Label, LinComb]]
 
     @property
     def ok(self) -> bool:
@@ -469,12 +448,12 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
     """
     basis, pos = alg.basis, alg.positions
     n = len(basis)
-    report = LieReport(algebra=alg.name, pairs_checked=n * (n + 1) // 2)
-    for a, x in enumerate(basis):
-        for y in basis[a:]:
-            residual = add_terms(alg.bracket_basis(x, y), alg.bracket_basis(y, x).items())
-            if residual:
-                report.antisymmetry_failures.append((x, y, residual))
+    antisymmetry_failures = [
+        (x, y, residual)
+        for a, x in enumerate(basis)
+        for y in basis[a:]
+        if (residual := add_terms(alg.bracket_basis(x, y), alg.bracket_basis(y, x).items()))
+    ]
 
     scale = math.lcm(*(c.denominator for _, c in alg.table.values()))
     tab: list[list[tuple[int, int] | None]] = [[None] * n for _ in basis]
@@ -487,6 +466,7 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
             cut[pos[x]][pos[y]] = True
 
     checked = excluded = 0
+    jacobi_failures: list[tuple[Label, Label, Label, LinComb]] = []
     for a in range(n):
         tab_a = tab[a]
         for b in range(a, n):
@@ -518,11 +498,10 @@ def check_lie(alg: FiniteLieAlgebra) -> LieReport:
                 terms = [(outer[0], inner[1] * outer[1])
                          for inner, outer in ((bc, u), (ca, v), (ab, w)) if outer]
                 if add_terms({}, terms):
-                    report.jacobi_failures.append((basis[a], basis[b], basis[c], add_terms(
+                    jacobi_failures.append((basis[a], basis[b], basis[c], add_terms(
                         {}, ((basis[t], Fraction(r, scale * scale)) for t, r in terms))))
-    report.triples_checked = checked
-    report.triples_excluded = excluded
-    return report
+    return LieReport(alg.name, n * (n + 1) // 2, checked, excluded,
+                     antisymmetry_failures, jacobi_failures)
 
 
 # -- resonance analysis ---------------------------------------------------------------
@@ -542,28 +521,14 @@ IDEAL_TOP_MODE_SLICE = "top_mode_slice"
 IDEAL_CORNER_HOOK = "corner_hook"
 
 
-class ResonanceReport:
-    __slots__ = ("resonances", "top_resonance", "case", "ideal_name", "ideal",
-                 "corner_coefficient", "corner_internal_brackets")
-
-    def __init__(
-        self,
-        resonances: list[tuple[int, int]],
-        top_resonance: tuple[int, int] | None,
-        case: ResonanceCase,
-        ideal_name: str,
-        ideal: tuple[Label, ...],
-        corner_coefficient: Fraction | None = None,
-        corner_internal_brackets: list[tuple[Label, Label, LinComb]] | None = None,
-    ) -> None:
-        self.resonances = resonances
-        self.top_resonance = top_resonance
-        self.case = case
-        self.ideal_name = ideal_name
-        self.ideal = ideal
-        self.corner_coefficient = corner_coefficient
-        self.corner_internal_brackets = (
-            [] if corner_internal_brackets is None else corner_internal_brackets)
+class ResonanceReport(NamedTuple):
+    resonances: list[tuple[int, int]]
+    top_resonance: tuple[int, int] | None
+    case: ResonanceCase
+    ideal_name: str
+    ideal: tuple[Label, ...]
+    corner_coefficient: Fraction | None
+    corner_internal_brackets: list[tuple[Label, Label, LinComb]]
 
     def to_payload(self) -> dict[str, Any]:
         corner = self.corner_coefficient
@@ -647,27 +612,14 @@ def resonance_analysis(G: FiniteLieAlgebra) -> ResonanceReport:
 # -- ideals, nilpotency, characters ------------------------------------------------------
 
 
-class IdealReport:
-    __slots__ = ("span", "is_ideal", "ideal_witness", "abelian", "nilpotent",
-                 "nilpotency_class", "series_dims")
-
-    def __init__(
-        self,
-        span: tuple[Label, ...],
-        is_ideal: bool,
-        ideal_witness: tuple[Label, Label, LinComb] | None,
-        abelian: bool,
-        nilpotent: bool,
-        nilpotency_class: int | None,
-        series_dims: list[int],
-    ) -> None:
-        self.span = span
-        self.is_ideal = is_ideal
-        self.ideal_witness = ideal_witness
-        self.abelian = abelian
-        self.nilpotent = nilpotent
-        self.nilpotency_class = nilpotency_class
-        self.series_dims = series_dims
+class IdealReport(NamedTuple):
+    span: tuple[Label, ...]
+    is_ideal: bool
+    ideal_witness: tuple[Label, Label, LinComb] | None
+    abelian: bool
+    nilpotent: bool
+    nilpotency_class: int | None
+    series_dims: list[int]
 
     def to_payload(self, ideal_name: str) -> dict[str, Any]:
         """The structure of the span, which the caller names ``ideal_name``."""
@@ -725,15 +677,10 @@ def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealR
     )
 
 
-class TraceVerdict:
-    __slots__ = ("consistent", "commutator_trace", "hypothesis_trace")
-
-    def __init__(
-        self, consistent: bool, commutator_trace: Fraction, hypothesis_trace: Fraction
-    ) -> None:
-        self.consistent = consistent
-        self.commutator_trace = commutator_trace
-        self.hypothesis_trace = hypothesis_trace
+class TraceVerdict(NamedTuple):
+    consistent: bool
+    commutator_trace: Fraction
+    hypothesis_trace: Fraction
 
     @property
     def forced_zero(self) -> bool:
@@ -773,20 +720,11 @@ def trace_certificate(A: Sequence[Sequence[Fraction | int]],
     )
 
 
-class CharacterReport:
-    __slots__ = ("dimension", "derived_rank", "characters", "verified")
-
-    def __init__(
-        self,
-        dimension: int,
-        derived_rank: int,
-        characters: list[dict[Label, Fraction]],
-        verified: bool,
-    ) -> None:
-        self.dimension = dimension
-        self.derived_rank = derived_rank
-        self.characters = characters
-        self.verified = verified
+class CharacterReport(NamedTuple):
+    dimension: int
+    derived_rank: int
+    characters: list[dict[Label, Fraction]]
+    verified: bool
 
     @property
     def character_dim(self) -> int:

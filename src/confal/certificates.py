@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from itertools import islice
-from typing import TYPE_CHECKING, Any, ClassVar, Iterable
+from typing import TYPE_CHECKING, Any, ClassVar, Iterable, NamedTuple
 
 from . import __version__
 
@@ -32,13 +32,10 @@ FAIL = "FAIL"
 UNDECIDED = "UNDECIDED"
 
 
-class CheckResult:
-    __slots__ = ("name", "status", "payload")
-
-    def __init__(self, name: str, status: str, payload: dict[str, Any] | None = None) -> None:
-        self.name = name
-        self.status = status
-        self.payload = {} if payload is None else payload
+class CheckResult(NamedTuple):
+    name: str
+    status: str
+    payload: dict[str, Any]
 
 
 class Certificate:
@@ -48,19 +45,13 @@ class Certificate:
 
     tool_version: ClassVar[str] = __version__
 
-    def __init__(
-        self,
-        command: str,
-        inputs: dict[str, Any],
-        results: list[CheckResult] | None = None,
-        caveats: list[str] | None = None,
-    ) -> None:
+    def __init__(self, command: str, inputs: dict[str, Any]) -> None:
         self.command = command
         self.inputs = inputs
-        self.results = [] if results is None else results
-        self.caveats = [] if caveats is None else caveats
+        self.results: list[CheckResult] = []
+        self.caveats: list[str] = []
 
-    def add(self, name: str, status: str, payload: dict[str, Any] | None = None) -> None:
+    def add(self, name: str, status: str, payload: dict[str, Any]) -> None:
         self.results.append(CheckResult(name, status, payload))
 
     def check(self, name: str, ok: bool, payload: dict[str, Any]) -> None:

@@ -43,10 +43,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import linalg
-from .conformal import ConformalAlgebra, TruncationPolicy, family_parameter, make_block, make_bn
+from .conformal import (
+    ConformalAlgebra,
+    TruncationPolicy,
+    _block_entry,
+    family_parameter,
+    make_block,
+    make_bn,
+)
 from .modules import (
     FAMILY_BETA,
     FAMILY_PLAIN,
@@ -82,39 +89,27 @@ BATTERY_SAMPLES = 50
 BATTERY_DEGREE = 3
 
 
-class DerivationStep:
-    __slots__ = ("rule", "top_index", "polys", "conclusion")
-
-    def __init__(self, rule: str, top_index: int, polys: dict[str, Poly], conclusion: str) -> None:
-        self.rule = rule
-        self.top_index = top_index
-        self.polys = polys
-        self.conclusion = conclusion
+class DerivationStep(NamedTuple):
+    rule: str
+    top_index: int
+    polys: dict[str, Poly]
+    conclusion: str
 
 
-class FamilyPattern:
-    __slots__ = ("tag", "description", "irreducible_iff")
-
-    def __init__(self, tag: str, description: str, irreducible_iff: str) -> None:
-        self.tag = tag
-        self.description = description
-        self.irreducible_iff = irreducible_iff
+class FamilyPattern(NamedTuple):
+    tag: str
+    description: str
+    irreducible_iff: str
 
 
-class ViolationCertificate:
-    __slots__ = ("candidate", "residual", "witness_point")
-
-    def __init__(self, candidate: Poly, residual: Poly, witness_point: str) -> None:
-        self.candidate = candidate
-        self.residual = residual
-        self.witness_point = witness_point
+class ViolationCertificate(NamedTuple):
+    candidate: Poly
+    residual: Poly
+    witness_point: str
 
 
-class BatteryResult:
-    __slots__ = ("certificates",)
-
-    def __init__(self, certificates: list[ViolationCertificate] | None = None) -> None:
-        self.certificates = [] if certificates is None else certificates
+class BatteryResult(NamedTuple):
+    certificates: list[ViolationCertificate]
 
     @property
     def all_violated(self) -> bool:
@@ -136,31 +131,17 @@ class BatteryResult:
         }
 
 
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """The replay over ``alg``, ``B(p)`` or ``b(n)``, which :func:`verify_report` re-checks."""
 
-    __slots__ = ("alg", "top_index_bound", "degree_bound", "families", "steps", "battery",
-                 "caveats", "undecided")
-
-    def __init__(
-        self,
-        alg: ConformalAlgebra,
-        top_index_bound: int,
-        degree_bound: int,
-        families: list[FamilyPattern],
-        steps: list[DerivationStep],
-        battery: BatteryResult,
-        caveats: list[str],
-        undecided: list[int],
-    ) -> None:
-        self.alg = alg
-        self.top_index_bound = top_index_bound
-        self.degree_bound = degree_bound
-        self.families = families
-        self.steps = steps
-        self.battery = battery
-        self.caveats = caveats
-        self.undecided = undecided
+    alg: ConformalAlgebra
+    top_index_bound: int
+    degree_bound: int
+    families: list[FamilyPattern]
+    steps: list[DerivationStep]
+    battery: BatteryResult
+    caveats: list[str]
+    undecided: list[int]
 
     @property
     def p(self) -> Fraction:
@@ -228,19 +209,13 @@ def falsification_battery() -> BatteryResult:
     where the residual is nonzero.
     """
     rng = random.Random(BATTERY_SEED)
-    result = BatteryResult()
+    certificates = []
     for _ in range(BATTERY_SAMPLES):
         candidate = _random_del_dependent(rng)
         residual = symmetry_residual(candidate)
-        if residual.is_zero():
-            continue
-        witness = _nonzero_point(residual)
-        result.certificates.append(
-            ViolationCertificate(
-                candidate=candidate, residual=residual, witness_point=witness
-            )
-        )
-    return result
+        if not residual.is_zero():
+            certificates.append(ViolationCertificate(candidate, residual, _nonzero_point(residual)))
+    return BatteryResult(certificates)
 
 
 def _nonzero_point(poly: Poly) -> str:
@@ -420,10 +395,7 @@ def _replay(
                 break
             steps.append(kill)
         else:
-            source = make_block(
-                p, max(k, 2), TruncationPolicy.TRUNCATE_TO_ZERO
-            )
-            relation = source.structure_of(1, k - 1).get(k, Poly.zero())
+            relation = _block_entry(p, 1, k - 1)
             cross = relation.substitute(Var.PARTIAL, -(LAM + MU))
             normalized = (
                 -cross

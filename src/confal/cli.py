@@ -22,7 +22,7 @@ the arguments and the input files alone.
 
 This module imports only the standard library; each subcommand imports the
 stages it runs when it runs them, so a launch loads only its subcommand's
-modules.  Records are plain classes, so no launch imports the standard
+modules.  Records are named tuples, so no launch imports the standard
 library's record generator or the ``inspect`` it pulls in, and only the
 subcommands that hash a table (``verify-algebra``, ``annihilation``) import
 ``hashlib``.

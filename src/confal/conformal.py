@@ -64,14 +64,7 @@ class UnsupportedAlgebraError(ValueError):
 # -- the algebra type ---------------------------------------------------------
 
 
-def same_slots(self: Any, other: Any) -> bool:
-    """``__eq__`` of a record compared by value: same class, equal slots."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-
-class ConformalAlgebra:
+class ConformalAlgebra(NamedTuple):
     """A finitely windowed Lie conformal algebra presentation.
 
     ``structure`` holds the bracket table on generator pairs; a missing pair
@@ -79,19 +72,10 @@ class ConformalAlgebra:
     generators ``L_0, ..., L_W``, so it fixes the window ``W``.
     """
 
-    __slots__ = ("name", "policy", "structure", "gen_names")
-
-    def __init__(
-        self,
-        name: str,
-        policy: TruncationPolicy,
-        structure: dict[tuple[GenId, GenId], LambdaValue],
-        gen_names: tuple[str, ...],
-    ) -> None:
-        self.name = name
-        self.policy = policy
-        self.structure = structure
-        self.gen_names = gen_names
+    name: str
+    policy: TruncationPolicy
+    structure: dict[tuple[GenId, GenId], LambdaValue]
+    gen_names: tuple[str, ...]
 
     @property
     def window(self) -> int:
@@ -172,9 +156,7 @@ def make_bn(n: int) -> ConformalAlgebra:
     if n < 1:
         raise ValueError("n must be a positive integer")
     alg = make_block(Fraction(-n), n, TruncationPolicy.TRUNCATE_TO_ZERO)
-    alg.name = f"b({n})"
-    alg.gen_names = tuple(f"Lbar_{i}" for i in range(n + 1))
-    return alg
+    return alg._replace(name=f"b({n})", gen_names=tuple(f"Lbar_{i}" for i in range(n + 1)))
 
 
 def make_virasoro() -> ConformalAlgebra:
@@ -215,9 +197,7 @@ def make_heisenberg_virasoro_misprint() -> ConformalAlgebra:
     report residual ``x L - x M`` there and nothing else.
     """
     alg = make_heisenberg_virasoro()
-    alg.name = "HV-misprint"
-    alg.structure[(1, 0)] = {0: LAM}
-    return alg
+    return alg._replace(name="HV-misprint", structure={**alg.structure, (1, 0): {0: LAM}})
 
 
 def make_schrodinger_virasoro() -> ConformalAlgebra:
@@ -254,39 +234,24 @@ def family_parameter(alg: ConformalAlgebra) -> Fraction:
 # -- axiom checkers ------------------------------------------------------------
 
 
-class PairResidual:
-    __slots__ = ("i", "j", "residual")
-
-    def __init__(self, i: GenId, j: GenId, residual: LambdaValue) -> None:
-        self.i = i
-        self.j = j
-        self.residual = residual
+class PairResidual(NamedTuple):
+    i: GenId
+    j: GenId
+    residual: LambdaValue
 
 
-class TripleResidual:
-    __slots__ = ("i", "j", "k", "residual")
-
-    def __init__(self, i: GenId, j: GenId, k: GenId, residual: LambdaValue) -> None:
-        self.i = i
-        self.j = j
-        self.k = k
-        self.residual = residual
+class TripleResidual(NamedTuple):
+    i: GenId
+    j: GenId
+    k: GenId
+    residual: LambdaValue
 
 
-class SkewReport:
-    __slots__ = ("algebra", "gen_names", "pairs_checked", "failures")
-
-    def __init__(
-        self,
-        algebra: str,
-        gen_names: tuple[str, ...],
-        pairs_checked: int,
-        failures: list[PairResidual] | None = None,
-    ) -> None:
-        self.algebra = algebra
-        self.gen_names = gen_names
-        self.pairs_checked = pairs_checked
-        self.failures = [] if failures is None else failures
+class SkewReport(NamedTuple):
+    algebra: str
+    gen_names: tuple[str, ...]
+    pairs_checked: int
+    failures: list[PairResidual]
 
     @property
     def ok(self) -> bool:
@@ -304,20 +269,11 @@ class SkewReport:
         }
 
 
-class JacobiReport:
-    __slots__ = ("algebra", "gen_names", "triples_checked", "failures")
-
-    def __init__(
-        self,
-        algebra: str,
-        gen_names: tuple[str, ...],
-        triples_checked: int,
-        failures: list[TripleResidual] | None = None,
-    ) -> None:
-        self.algebra = algebra
-        self.gen_names = gen_names
-        self.triples_checked = triples_checked
-        self.failures = [] if failures is None else failures
+class JacobiReport(NamedTuple):
+    algebra: str
+    gen_names: tuple[str, ...]
+    triples_checked: int
+    failures: list[TripleResidual]
 
     @property
     def ok(self) -> bool:
@@ -353,16 +309,10 @@ def check_skew(alg: ConformalAlgebra) -> SkewReport:
     vanishes iff the lower-triangle residual does, and each genuine failure is
     reported once.
     """
-    report = SkewReport(alg.name, alg.gen_names, pairs_checked=0)
-    for i in alg.generators():
-        for j in range(i + 1):
-            if not (alg.pair_defined(i, j) and alg.pair_defined(j, i)):
-                continue
-            report.pairs_checked += 1
-            residual = skew_residual(alg, i, j)
-            if residual:
-                report.failures.append(PairResidual(i, j, residual))
-    return report
+    pairs = [(i, j) for i in alg.generators() for j in range(i + 1)
+             if alg.pair_defined(i, j) and alg.pair_defined(j, i)]
+    failures = [PairResidual(i, j, r) for i, j in pairs if (r := skew_residual(alg, i, j))]
+    return SkewReport(alg.name, alg.gen_names, len(pairs), failures)
 
 
 #: A polynomial as ``(packed exponent, integer coefficient)`` terms; see

@@ -22,8 +22,10 @@ Module files::
     {"format": "confal-module", "kind": "scalar_del", "alpha": "1/2"}
 
 Missing structure or action entries mean zero; a pair or a target named
-twice, in one spelling or two (``"0,1"`` and ``"00,1"``), is refused.  An
-algebra is its table: a key the reader does not know, ``kind`` included, is
+twice, in one spelling or two (``"0,1"`` and ``"00,1"``), is refused.  So
+is a generator name given twice, since a residual is rendered keyed by
+name, and a ``name`` that is not a string; a missing name is ``"custom"``.
+An algebra is its table: a key the reader does not know, ``kind`` included, is
 ignored.  An algebra file may state ``"p"``, which must then equal the
 parameter the table gives (:func:`~confal.conformal.family_parameter`).
 Any name other than ``D`` and ``x``, ``y`` included, is refused when the
@@ -322,6 +324,12 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
     generators = data.get("generators", [])
     if not (isinstance(generators, list) and all(isinstance(g, str) for g in generators)):
         raise ParseError(f"algebra generators {quote(generators)} are not a list of strings")
+    named: set[str] = set()
+    for g in generators:
+        _refuse_repeat(named, g, f"algebra generators name {quote(g)} twice")
+    name = data.get("name", "custom")
+    if not isinstance(name, str):
+        raise ParseError(f"algebra name={quote(name)} is not a string")
     raw_structure = _object(data.get("structure", {}), "algebra structure")
     if window < 0:
         raise ParseError("window must be nonnegative")
@@ -346,7 +354,7 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
         if parsed:
             structure[(i, j)] = parsed
     alg = ConformalAlgebra(
-        name=str(data.get("name", "custom")),
+        name=name,
         policy=policy,
         structure=structure,
         gen_names=tuple(generators),

@@ -188,7 +188,7 @@ def with_families(report, families):
     """A copy of ``report`` that claims ``families``, built through the constructor."""
     return ClassificationReport(*(
         families if name == "families" else getattr(report, name)
-        for name in ClassificationReport.__slots__))
+        for name in ClassificationReport._fields))
 
 
 def test_verify_report_rejects_wrong_family_tag():
@@ -217,6 +217,5 @@ def test_verify_report_rejects_empty_families():
 def test_verify_report_rejects_mismatched_quotient_size():
     # claim the n = 2 result holds over b(1): there p = -1, where the plain
     # family alone is not the classification.
-    report = classify_bn(2)
-    report.alg = make_bn(1)
+    report = classify_bn(2)._replace(alg=make_bn(1))
     assert not verify_report(report)

@@ -609,9 +609,15 @@ def test_file_entry_in_other_variables_exits_two_before_expanding(capsys, tmp_pa
         (["verify-algebra", "--alg"],
          {"format": "confal-algebra", "window": 1.9},
          "algebra window=1.9 is not an integer"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "name": None},
+         "algebra name=None is not a string"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "name": {"a": [1, 2]}},
+         "algebra name={'a': [1, 2]} is not a string"),
     ],
     ids=["algebra-file-list", "algebra-p-number", "module-action-list",
-         "algebra-window-float"],
+         "algebra-window-float", "algebra-name-null", "algebra-name-object"],
 )
 def test_file_of_the_wrong_json_shape_exits_two(capsys, tmp_path, argv, data, message):
     path = tmp_path / "shape.json"
@@ -645,8 +651,14 @@ MODULE_HEAD = '{"format": "confal-module", "kind": "free", "rank": 2, "action": 
         (["verify-algebra", "--alg"],
          ALGEBRA_HEAD + '{"0,1": {"1": "D"}, "0,1": {"1": "x"}}}',
          "an object names the key '0,1' twice"),
+        # A residual is keyed by generator name: under ["L", "L"] the skew
+        # failure on (1, 0) would show one merged term for two generators.
+        (["verify-algebra", "--alg"],
+         ALGEBRA_HEAD + '{"0,1": {"0": "x", "1": "2*x"}}, "generators": ["L", "L"]}',
+         "algebra generators name 'L' twice"),
     ],
-    ids=["structure-key", "structure-target", "action-key", "action-target", "same-spelling"],
+    ids=["structure-key", "structure-target", "action-key", "action-target", "same-spelling",
+         "generator-name"],
 )
 def test_file_that_names_a_key_twice_exits_two(capsys, tmp_path, argv, text, message):
     path = tmp_path / "twice.json"
@@ -1213,12 +1225,21 @@ def test_module_entry_point_is_byte_deterministic():
 # -- what a launch loads ------------------------------------------------------------------
 
 
-def loaded_modules(code):
+def held_modules(code):
     """The modules a fresh interpreter holds after running ``code``."""
     probe = f"{code}\nimport sys\nprint(*sys.modules)"
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True)
     return set(run.stdout.split())
+
+
+def loaded_modules(code):
+    """The modules ``code`` loads: those held after it, less a bare ``-c pass``'s.
+
+    What ``site`` and its ``.pth`` files load is the interpreter's, not the
+    code's; some installations import ``inspect`` there.
+    """
+    return held_modules(code) - held_modules("pass")
 
 
 def loaded_confal_modules(code):
@@ -1257,7 +1278,7 @@ def test_a_subcommand_loads_only_the_stages_it_runs():
 ])
 def test_a_launch_loads_no_code_generator_and_hashlib_only_to_hash_a_table(
         tmp_path, argv, hashes_a_table):
-    # Records are plain classes, so no launch pays for ``dataclasses`` and the
+    # Records are named tuples, so no launch pays for ``dataclasses`` and the
     # ``inspect`` it imports; only a table hash needs ``hashlib``.
     path = tmp_path / "alg.json"
     save_json(str(path), algebra_to_dict(make_bn(2)))

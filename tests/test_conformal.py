@@ -79,7 +79,7 @@ def test_bn_is_block_at_minus_n():
 
 
 def test_an_algebra_is_its_table_and_its_generator_names():
-    assert ConformalAlgebra.__slots__ == ("name", "policy", "structure", "gen_names")
+    assert ConformalAlgebra._fields == ("name", "policy", "structure", "gen_names")
     alg = make_bn(3)
     assert alg.window == len(alg.gen_names) - 1 == 3
     with pytest.raises(AttributeError):

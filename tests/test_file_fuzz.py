@@ -5,8 +5,8 @@ stderr and exit 2, never in a traceback.  The strategy writes files near
 every bound the readers enforce: entries near ``MAX_POLY_DEGREE`` and
 ``MAX_LITERAL_DIGITS``, ranks near ``MAX_MODULE_RANK``, windows near
 ``MAX_INPUT_SIZE``, deep nesting of both JSON and polynomials, odd spellings
-of keys and targets, values of the wrong JSON type, and action rows for
-generators the algebra lacks.
+of keys and targets, values of the wrong JSON type, generator names given
+twice, and action rows for generators the algebra lacks.
 """
 
 import contextlib
@@ -80,7 +80,8 @@ def fuzz_strategies(st):
             data["policy"] = draw(rare(st.sampled_from(["error", "truncate"]), wrong))
         if draw(st.integers(0, 4)) == 4:
             size = w + 1 if isinstance(w, int) and 0 <= w <= 3 else 2
-            data["generators"] = draw(rare(st.just([f"g{i}" for i in range(size)]), wrong))
+            names = [f"g{i}" for i in range(size)]
+            data["generators"] = draw(rare(st.sampled_from([names, ["g0"] * size]), wrong))
         if draw(st.integers(0, 3)) == 3:
             data["name"] = draw(st.sampled_from(["n" * 500, "", "B(1)", "é", None, [1]]))
         if draw(st.integers(0, 3)) == 3:

@@ -272,7 +272,7 @@ def test_infer_family_round_trip():
 
 def test_a_family_tag_is_read_only():
     tag = FamilyTag(Fraction(1), Fraction(0), Fraction(2))
-    for name in FamilyTag.__slots__:
+    for name in FamilyTag._fields:
         with pytest.raises(AttributeError):
             setattr(tag, name, Fraction(3))
         with pytest.raises(AttributeError):

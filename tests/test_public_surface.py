@@ -7,6 +7,7 @@ first access, so the list is compared with ``confal.__all__`` and
 """
 
 import importlib
+import pkgutil
 
 import confal
 
@@ -92,7 +93,9 @@ def test_records_store_only_what_they_cannot_derive():
             "caveats", "undecided"],
     }
     for cls, names in fields.items():
-        assert list(cls.__slots__) == names, cls
+        # A certificate is a builder with slots; every record is a named tuple.
+        stored = cls.__slots__ if cls is certificates.Certificate else cls._fields
+        assert list(stored) == names, cls
     assert sum(map(len, fields.values())) == 32
 
     assert modules.trivial_module(1).kind == modules.KIND_SCALAR_DEL
@@ -100,9 +103,48 @@ def test_records_store_only_what_they_cannot_derive():
     assert tag.family == modules.FAMILY_PLAIN
     assert modules.FamilyTag(tag.p, tag.delta, tag.alpha, beta=Fraction(0)).family == (
         modules.FAMILY_BETA)
-    assert modules.IrreducibilityVerdict(True, None).search_irreducible
+    assert modules.IrreducibilityVerdict(True, None, []).search_irreducible
     assert not modules.SubmoduleResult(None, 0, None).invariant
     assert annihilation.trace_certificate([[0]], [[0]], 1, 1).forced_zero
     assert certificates.Certificate("c", {}).tool_version == confal.__version__
     report = classify.classify_bn(2)
     assert report.p == -2 and report.to_payload()["algebra"] == report.alg.name == "b(2)"
+
+
+#: The value records of each module, every one a ``typing.NamedTuple``.
+RECORDS = {
+    "conformal": ["ConformalAlgebra", "PairResidual", "TripleResidual", "SkewReport",
+                  "JacobiReport"],
+    "modules": ["FamilyTag", "ConformalModule", "ModuleFailure", "ModuleReport",
+                "SubmoduleResult", "IrreducibilityVerdict"],
+    "annihilation": ["CentralityReport", "LieReport", "ResonanceReport", "IdealReport",
+                     "TraceVerdict", "CharacterReport"],
+    "classify": ["DerivationStep", "FamilyPattern", "ViolationCertificate", "BatteryResult",
+                 "ClassificationReport"],
+    "certificates": ["CheckResult"],
+}
+
+
+def test_records_are_named_tuples_with_no_mutable_default():
+    # A named tuple shares its defaults between instances, so a list, dict or
+    # set default would be one object that every record appends to.
+    for module_name, names in RECORDS.items():
+        module = importlib.import_module(f"confal.{module_name}")
+        for name in names:
+            cls = getattr(module, name)
+            assert cls.__bases__ == (tuple,), name
+            assert tuple(cls.__annotations__) == cls._fields, name
+            defaults = cls._field_defaults.values()
+            assert not any(isinstance(v, (list, dict, set)) for v in defaults), name
+    assert sum(map(len, RECORDS.values())) == 23
+    # Apart from the records' empty ones, only these classes declare slots.
+    stages = [importlib.import_module(f"confal.{info.name}")
+              for info in pkgutil.iter_modules(confal.__path__) if info.name != "__main__"]
+    slotted = {
+        cls.__name__
+        for module in stages
+        for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        and cls.__dict__.get("__slots__")
+    }
+    assert slotted == {"Poly", "Certificate"}

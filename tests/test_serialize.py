@@ -367,13 +367,24 @@ def test_algebra_rejections():
                  corrupt(p=1)):
         with pytest.raises(ParseError):
             algebra_from_dict(data)
-    # Numbers and strings are not coerced: a window is a JSON integer and the
-    # generator names are a list of strings.
+    # Numbers and strings are not coerced: a window is a JSON integer, the
+    # generator names are a list of strings and the name is a string.
     for data in (corrupt(window=2.0), corrupt(window=1.9), corrupt(window="2"),
                  corrupt(window=True), corrupt(generators="LMN"),
-                 corrupt(generators=["L", "M", 3]), corrupt(generators=None)):
+                 corrupt(generators=["L", "M", 3]), corrupt(generators=None),
+                 corrupt(name=None), corrupt(name={"a": [1, 2]}), corrupt(name=1)):
         with pytest.raises(ParseError):
             algebra_from_dict(data)
+
+
+def test_algebra_generator_names_are_distinct():
+    data = {"format": "confal-algebra", "window": 1, "generators": ["L", "M"],
+            "structure": {"0,1": {"0": "x", "1": "2*x"}}}
+    # With distinct names the skew failure on (1, 0) shows both of its terms.
+    failure, = check_skew(algebra_from_dict(data)).to_payload()["failures"]
+    assert failure == {"pair": [1, 0], "residual": {"L": "-D - x", "M": "-2*D - 2*x"}}
+    with pytest.raises(ParseError, match="algebra generators name 'L' twice"):
+        algebra_from_dict({**data, "generators": ["L", "L"]})
 
 
 def test_algebra_window_is_bounded():
