@@ -42,8 +42,7 @@ from functools import cached_property
 from typing import AbstractSet, Any, Iterator, NamedTuple, Sequence
 
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError, family_parameter
-from .linalg import add_terms, render_combo
-from .poly import Poly, Var, elide
+from .poly import Poly, Var, add_terms, elide, render_combo
 
 Label = str
 
@@ -75,7 +74,8 @@ T_LABEL: Label = "T"
 #: The largest basis a mode window or subquotient may have.  ``check_lie``
 #: walks ``n**3 / 6`` triples, and the table and its truncated pairs hold up
 #: to ``n**2`` pairs, one copy of each; ``G(1/2; 15, 31)``, with ``n = 512``,
-#: takes about 8 s and 39 MB peak RSS on a 2-core machine with Python 3.11.
+#: took 6.2-8.9 s over five launches, at 38 MB peak RSS, on a shared 2-vCPU
+#: Intel Xeon VM with Python 3.11.7.
 MAX_BASIS_SIZE = 512
 
 

@@ -459,7 +459,8 @@ _GRID = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2)]
 _BETA_GRID = [Fraction(0), Fraction(1), Fraction(-2)]
 
 #: The parameter grid of :func:`verify_report`, as certificates state it.
-SELF_CHECK_GRID = "delta, alpha in {0, 1, -2, 1/2}; beta in {0, 1, -2}"
+SELF_CHECK_GRID = "delta, alpha in {%s}; beta in {%s}" % tuple(
+    ", ".join(map(str, grid)) for grid in (_GRID, _BETA_GRID))
 
 
 #: Each irreducibility condition a family may claim, as a test on ``(delta, beta)``.

@@ -86,14 +86,19 @@ class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors are one short line on stderr and exit 2.
 
     argparse quotes a bad value whole, so the message is elided past twice
-    :data:`confal.poly.MAX_QUOTE` characters.  A negative fraction such as
-    ``-2/3`` is read as a value, as argparse already reads ``-1`` and
-    ``-0.5``, so ``--p -2/3`` needs no ``=``.
+    :data:`confal.poly.MAX_QUOTE` characters.  Every negative rational that
+    :func:`confal.poly.parse_rat` reads, such as ``-2/3`` or ``-1e0``, is
+    read as a value, as argparse already reads ``-1`` and ``-0.5``, so
+    ``--p -2/3`` needs no ``=``.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        # "-" and then what ``Fraction`` reads: an integer over an optional
+        # denominator, or a decimal with an optional exponent.
+        n = r"\d+(_\d+)*"
+        self._negative_number_matcher = re.compile(
+            rf"-({n}(\s*/\s*{n})?|({n}(\.({n})?)?|\.{n})(e[-+]?{n})?)\s*$", re.IGNORECASE)
 
     def error(self, message: str) -> NoReturn:
         from .poly import MAX_QUOTE, elide

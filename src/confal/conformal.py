@@ -39,8 +39,7 @@ import math
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, NamedTuple
 
-from .linalg import add_terms, render_combo
-from .poly import DEL, LAM, MU, NVARS, Poly, Var, quote
+from .poly import DEL, LAM, MU, NVARS, Poly, Var, add_terms, quote, render_combo
 
 GenId = int
 
@@ -462,17 +461,6 @@ def _packed_residual(table: _PackedTable, a: GenId, b: GenId, c: GenId) -> dict[
                 key += e
                 total[key] = get(key, 0) + v * w
     return total
-
-
-def jacobi_residual(alg: ConformalAlgebra, a: GenId, b: GenId, c: GenId) -> LambdaValue:
-    """``[a_x [b_y c]] - [[a_x b]_{x+y} c] - [b_y [a_x c]]`` on generators.
-
-    Every factor is a table entry under one substitution (see
-    :class:`_PairForms`); in the middle term the ``D`` of ``[a b]`` becomes
-    ``-x - y`` and the bracket variable of ``[m c]`` becomes ``x + y``.
-    """
-    table = _PackedTable(alg)
-    return table.unpack(_packed_residual(table, a, b, c))
 
 
 def jacobi_failures(

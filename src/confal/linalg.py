@@ -1,10 +1,9 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals; only :mod:`confal.classify` loads it.
 
-:func:`add_terms` is the one sparse-combination primitive, and
-:func:`render_combo` writes a combination out.  :class:`Echelon` keeps
-sparse rows (column index -> ``Fraction``) in reduced row echelon form and
-takes rows one at a time: each new row is reduced against the pivots found
-so far in one pass, and only a row that survives becomes a pivot.  It
+:class:`Echelon` keeps sparse rows (column index -> ``Fraction``) in reduced
+row echelon form and takes rows one at a time: each new row is reduced
+against the pivots found so far in one pass, and only a row that survives
+becomes a pivot.  Rows add through :func:`confal.poly.add_terms`.  It
 serves only the small dense systems of :mod:`confal.classify`; no
 mode-algebra row passes through it, since every bracket of a mode algebra
 is a multiple of one label and :mod:`confal.annihilation` works on label
@@ -19,40 +18,12 @@ package; they stay because the benchmark's layer trace wraps them by name.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
+
+from .poly import add_terms
 
 Vector = list[Fraction]
 SparseRow = dict[int, Fraction]
-
-K = TypeVar("K")
-V = TypeVar("V")
-
-
-def add_terms(out: dict[K, V], terms: Iterable[tuple[K, V]]) -> dict[K, V]:
-    """Add each ``(key, value)`` of ``terms`` into ``out``; return ``out``.
-
-    A key whose sum cancels is removed, not stored as a zero.  This is the
-    one sparse-combination primitive: rows of :class:`Echelon`, the
-    centrality and Jacobi residuals of mode algebras and the bracket and
-    module residuals of conformal tables all add through it.
-    Values are ``Fraction`` or ``Poly``, both falsy exactly at zero.
-    """
-    for key, value in terms:
-        total = out[key] + value if key in out else value
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-    return out
-
-
-def render_combo(combo: Mapping[K, V], name: Callable[[K], str] = str) -> dict[str, str]:
-    """A sparse combination as strings, keys in sorted order, zeros left out.
-
-    ``name`` renders a key: a generator name for an index, ``str`` for an
-    index or a basis label written as itself.
-    """
-    return {name(k): str(v) for k, v in sorted(combo.items()) if v}
 
 
 class Echelon:

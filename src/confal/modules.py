@@ -36,8 +36,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .conformal import ConformalAlgebra, TruncationPolicy, family_parameter, jacobi_failures
-from .linalg import render_combo
-from .poly import DEL, LAM, Poly, Var, divmod_in_var, quote
+from .poly import DEL, LAM, Poly, Var, divmod_in_var, quote, render_combo
 
 KIND_FREE = "free"
 KIND_SCALAR_DEL = "scalar_del"
@@ -173,14 +172,6 @@ def _module_failures(
     )
     for f in jacobi_failures(product, ((i, j, v + b) for i, j, b in triples)):
         yield ModuleFailure(f.i, f.j, f.k - v, {c - v: -s for c, s in f.residual.items()})
-
-
-def module_residual(
-    alg: ConformalAlgebra, mod: ConformalModule, i: int, j: int, b: int
-) -> dict[int, Poly]:
-    """Exact residual of the module identity on one generator pair and basis vector."""
-    alg.structure_of(i, j)  # a pair the policy leaves out raises here
-    return next((f.residual for f in _module_failures(alg, mod, [(i, j, b)])), {})
 
 
 def check_module(alg: ConformalAlgebra, mod: ConformalModule) -> ModuleReport:

@@ -24,6 +24,9 @@ the error of every text format (the polynomial grammar is in
 :mod:`confal.serialize`); :data:`MAX_INPUT_SIZE` bounds every size the
 program reads, and :data:`MAX_LITERAL_DIGITS` every number; :func:`quote`
 bounds what a message quotes of its input.
+
+:func:`add_terms` is the one sparse-combination primitive, which ``Poly``
+sums through too, and :func:`render_combo` writes a combination out.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import enum
 import math
 from fractions import Fraction
 from operator import add
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -127,13 +130,6 @@ def _as_rat(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational scalar, got {type(value).__name__}")
-
-
-#: Canonical copy of every exponent vector built by a product or a
-#: substitution.  Polynomials share the few monomials in use instead of each
-#: holding its own tuples.
-_EXPONENTS: dict[tuple[int, ...], tuple[int, ...]] = {}
-_intern = _EXPONENTS.setdefault
 
 
 def _order_key(exp: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -260,14 +256,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return _wrap(out)
+        return _wrap(add_terms(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -377,15 +366,45 @@ class Poly:
         return f"Poly({self})"
 
 
+def add_terms(out: dict, terms: Iterable[tuple]) -> dict:
+    """Add each ``(key, value)`` of ``terms`` into ``out``; return ``out``.
+
+    A key whose sum cancels is removed, not stored as a zero.  This is the
+    one sparse-combination primitive: polynomial sums, rows of
+    :class:`confal.linalg.Echelon`, the centrality and Jacobi residuals of
+    mode algebras and the bracket residuals of conformal tables all add
+    through it.  Values are ``Fraction`` or ``Poly``, both falsy exactly at
+    zero.
+    """
+    for key, value in terms:
+        total = out[key] + value if key in out else value
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
+
+
+def render_combo(combo: Mapping, name: Callable[[Any], str] = str) -> dict[str, str]:
+    """A sparse combination as strings, keys in sorted order, zeros left out.
+
+    ``name`` renders a key: a generator name for an index, ``str`` for an
+    index or a basis label written as itself.
+    """
+    return {name(k): str(v) for k, v in sorted(combo.items()) if v}
+
+
 def _accumulate(
     out: dict[tuple[int, ...], Fraction],
     ea: Sequence[int],
     eb: Sequence[int],
     c: Fraction,
 ) -> None:
-    """Add ``c`` (nonzero) times the monomial ``ea + eb`` into ``out``."""
+    """Add ``c`` (nonzero) times the monomial ``ea + eb`` into ``out``.
+
+    Products add here, not in :func:`add_terms`: a tuple per term costs 5-10%.
+    """
     exp = tuple(map(add, ea, eb))
-    exp = _intern(exp, exp)
     old = out.get(exp)
     if old is None:
         out[exp] = c

@@ -51,7 +51,6 @@ from .conformal import (
     family_parameter,
 )
 from .modules import KIND_FREE, KIND_SCALAR_DEL, ConformalModule, trivial_module
-from .linalg import render_combo
 from .poly import (
     MAX_INPUT_SIZE,
     MAX_LITERAL_DIGITS,
@@ -62,6 +61,7 @@ from .poly import (
     elide,
     parse_rat,
     quote,
+    render_combo,
 )
 
 

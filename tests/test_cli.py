@@ -1010,6 +1010,11 @@ def test_negative_fraction_after_a_space_is_a_value(capsys):
     code, out, _ = run_cli(capsys, ["verify-algebra", "--alg", "block", "--p", "-1/2",
                                     "--window", "2"])
     assert code == 0 and json.loads(out)["inputs"]["p"] == "-1/2"
+    # An exponent form is a value too; the certificate states p as a Fraction.
+    assert run_cli(capsys, ["classify", "--p", "-1e0", *tail]) == run_cli(
+        capsys, ["classify", "--p", "-1", *tail])
+    exponent = ["annihilation", "--p", "-1.5e0", "--G", "--k", "1", "--N", "1"]
+    assert run_cli(capsys, exponent) == run_cli(capsys, [*exponent[:2], "-3/2", *exponent[3:]])
 
 
 def test_option_where_a_value_belongs_stays_a_usage_error(capsys):
@@ -1265,8 +1270,13 @@ def test_importing_the_cli_loads_only_the_cli():
 def test_a_subcommand_loads_only_the_stages_it_runs():
     loaded = loaded_confal_modules(launch(["verify-algebra", "--alg", "vir"]))
     assert "confal.conformal" in loaded
-    for stage in ("annihilation", "classify", "modules", "serialize"):
+    for stage in ("annihilation", "classify", "modules", "serialize", "linalg"):
         assert f"confal.{stage}" not in loaded
+    # Only classify's kernel dimensions need the elimination in linalg.
+    for argv in (["verify-module", "--alg", "vir", "--mod", "M:1:1/2"],
+                 ["annihilation", "--p", "1/2", "--G", "--k", "2", "--N", "3"]):
+        assert "confal.linalg" not in loaded_confal_modules(launch(argv)), argv
+    assert "confal.linalg" in loaded_confal_modules(launch(["classify", "--bn", "1"]))
 
 
 @pytest.mark.parametrize("argv, hashes_a_table", [
