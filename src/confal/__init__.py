@@ -29,7 +29,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ("ClosedFormMismatchError", "FiniteLieAlgebra",
          "annihilation_subquotient", "build_annihilation", "characters",
-         "check_central", "check_lie", "ideal_and_nilpotency", "k_products",
+         "check_central", "check_lie", "ideal_and_nilpotency",
          "resonance_analysis", "trace_certificate"),
         "annihilation"),
     **dict.fromkeys(

@@ -7,6 +7,10 @@ the k-th products:
     [a_(s), b_(t)] = sum_k  C(s, k) (a_(k) b)_(s + t - k),
     (D a)_(t) = -t a_(t-1).
 
+The bracket is ``[a_x b] = sum_k x^k / k! a_(k) b``, so a term ``c D^d x^k``
+of an entry is ``k! c D^d`` in its k-th product; only the mode expansion of
+:func:`build_annihilation` reads the products, and applies that ``k!``.
+
 For the one-parameter bracket family the shifted labels ``L(i, m)`` with
 ``m = s - 1 >= -1`` close into the table
 
@@ -42,7 +46,7 @@ from functools import cached_property
 from typing import AbstractSet, Any, Iterator, NamedTuple, Sequence
 
 from .conformal import ConformalAlgebra, UnsupportedAlgebraError, family_parameter
-from .poly import Poly, Var, add_terms, elide, render_combo
+from .poly import add_terms, elide, render_combo
 
 Label = str
 
@@ -138,26 +142,6 @@ class FiniteLieAlgebra:
         return {entry[0]: entry[1]} if entry else {}
 
 
-# -- k-th products of a conformal algebra --------------------------------------
-
-
-def k_products(alg: ConformalAlgebra, i: int, j: int) -> list[tuple[int, dict[int, Poly]]]:
-    """Nonzero k-th products of a generator pair.
-
-    Returns pairs ``(k, element)`` where the element maps generator index to
-    a coefficient polynomial in ``D``; the bracket is recovered as
-    ``sum_k x^k / k! (L_i_(k) L_j)``.
-    """
-    entry = alg.structure_of(i, j)
-    by_k: dict[int, dict[int, Poly]] = {}
-    for gen, poly in entry.items():
-        for k in range(poly.degree_in(Var.LAMBDA) + 1):
-            coeff = poly.coeff_in(Var.LAMBDA, k)
-            if not coeff.is_zero():
-                by_k.setdefault(k, {})[gen] = coeff
-    return sorted(by_k.items())
-
-
 # -- the closed form ------------------------------------------------------------
 
 Coord = tuple[int, int]
@@ -241,17 +225,17 @@ def build_annihilation(
     # Route one, the independent cross-check: the general mode-bracket formula
     # over every term (k, generator, D power, signed coefficient) of each
     # pair's k-th products, in integers: every coefficient of either route is
-    # multiplied by ``scale``, the lcm of their denominators.  A pair of which
-    # any term lands above the mode window joins ``truncated``, even where its
-    # terms sum to zero.  Each pair's value is compared with the table as
-    # soon as it is summed.
+    # multiplied by ``scale``, the lcm of their denominators.  A term
+    # ``c D^d x^k`` of an entry is ``k! c D^d`` in its k-th product.  A pair
+    # of which any term lands above the mode window joins ``truncated``, even
+    # where its terms sum to zero.  Each pair's value is compared with the
+    # table as soon as it is summed.
     indices = range(idx_window + 1)
     terms = {
         (i, j): [
-            (k, gen, exp[Var.PARTIAL], coeff * (-1) ** exp[Var.PARTIAL])
-            for k, elem in k_products(alg, i, j)
-            for gen, poly in elem.items()
-            for exp, coeff in poly.terms()
+            (k, gen, d, coeff * math.factorial(k) * (-1) ** d)
+            for gen, poly in alg.structure_of(i, j).items()
+            for (d, k, _), coeff in poly.terms()
         ]
         for i in indices
         for j in indices
@@ -578,9 +562,7 @@ def resonance_analysis(G: FiniteLieAlgebra) -> ResonanceReport:
         for m in range(mode_cap + 1)
         if (i, m) != (0, 0) and Fraction(i) == p * m
     ]
-    resonances.sort()
-
-    top = max(resonances) if p > 0 and resonances else None
+    top = max(resonances, default=None)
     index_slice = tuple(label_J(idx_cap, m) for m in range(mode_cap + 1))
     mode_slice = tuple(label_J(i, mode_cap) for i in range(idx_cap + 1))
     coeff: Fraction | None = None

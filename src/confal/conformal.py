@@ -97,17 +97,12 @@ class ConformalAlgebra(NamedTuple):
     def structure_of(self, i: GenId, j: GenId) -> LambdaValue:
         if i > self.window or j > self.window:
             raise KeyError(f"generator pair ({i}, {j}) outside window {self.window}")
-        entry = self.structure.get((i, j))
-        if entry is not None:
-            return entry
-        if i + j <= self.window:
-            return {}
-        if self.policy is TruncationPolicy.TRUNCATE_TO_ZERO:
-            return {}
-        raise WindowOverflowError(
-            f"bracket of pair ({i}, {j}) escapes window {self.window} "
-            f"of {quote(self.name)} under ERROR_ON_OVERFLOW"
-        )
+        if not self.pair_defined(i, j):
+            raise WindowOverflowError(
+                f"bracket of pair ({i}, {j}) escapes window {self.window} "
+                f"of {quote(self.name)} under ERROR_ON_OVERFLOW"
+            )
+        return self.structure.get((i, j), {})
 
 
 # -- constructors -------------------------------------------------------------

@@ -32,7 +32,6 @@ sums through too, and :func:`render_combo` writes a combination out.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 from operator import add
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -320,21 +319,20 @@ class Poly:
         return _wrap(out)
 
     def coeff_in(self, var: Var, k: int) -> Poly:
-        """``k!`` times the coefficient of ``var**k``.
+        """The coefficient of ``var**k``, a polynomial free of ``var``.
 
-        With the divided-powers convention ``var^(k) = var**k / k!`` this is
-        exactly the k-th product extractor, which is why the factorial is
-        baked in.
+        No ``k!`` is applied: a term ``c D^d x^k`` of a bracket entry is
+        ``k! c D^d`` in its k-th product, and the mode expansion of
+        :func:`confal.annihilation.build_annihilation` applies that factor.
         """
         if k < 0:
             raise ValueError("k must be nonnegative")
-        scale = Fraction(math.factorial(k))
         out: dict[tuple[int, ...], Fraction] = {}
         for exp, c in self._terms.items():
             if exp[var] == k:
                 rest = list(exp)
                 rest[var] = 0
-                out[tuple(rest)] = c * scale
+                out[tuple(rest)] = c
         return _wrap(out)
 
     # -- rendering -------------------------------------------------------
@@ -451,14 +449,13 @@ def divmod_in_var(f: Poly, g: Poly, var: Var) -> tuple[Poly, Poly]:
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     dg = g.degree_in(var)
-    lead_g = g.coeff_in(var, dg) * Fraction(1, math.factorial(dg))
-    lead_const = lead_g.as_constant()
+    lead_const = g.coeff_in(var, dg).as_constant()
     q = Poly.zero()
     r = f
     v = Poly.variable(var)
     while not r.is_zero() and r.degree_in(var) >= dg:
         dr = r.degree_in(var)
-        lead_r = r.coeff_in(var, dr) * Fraction(1, math.factorial(dr))
+        lead_r = r.coeff_in(var, dr)
         step = lead_r * (Fraction(1) / lead_const) * v ** (dr - dg)
         q = q + step
         r = r - step * g

@@ -30,16 +30,21 @@ from confal.annihilation import (
     check_central,
     check_lie,
     ideal_and_nilpotency,
-    k_products,
     label_J,
     label_L,
     resonance_analysis,
     trace_certificate,
 )
 from confal.certificates import lie_table_hash
-from confal.conformal import TruncationPolicy, UnsupportedAlgebraError, make_block, make_bn
+from confal.conformal import (
+    ConformalAlgebra,
+    TruncationPolicy,
+    UnsupportedAlgebraError,
+    make_block,
+    make_bn,
+)
 from confal.linalg import Echelon
-from confal.poly import DEL, LAM, Poly
+from confal.poly import DEL, LAM
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
 
@@ -51,11 +56,40 @@ def window(p, idx=4, mode=4, extended=False):
 # -- k-th products ----------------------------------------------------------------
 
 
-def test_k_products_oracle():
-    # [L_1 L_1] = (2D + 4x) L_2 at p = 1: 0th product 2D L_2, 1st product 4 L_2.
-    alg = make_block(1, 3, TRUNC)
-    assert k_products(alg, 1, 1) == [(0, {2: 2 * DEL}), (1, {2: Poly.const(4)})]
-    assert k_products(alg, 3, 3) == []  # truncated to zero
+def test_route_one_applies_the_divided_power_factorial():
+    # [L_0 L_0] = D + 2x + 2x^2 + xD reads p = 1, but its x^2 and xD terms
+    # leave the closed form, so the builder must name exactly the pairs where
+    # the mode expansion differs from it.  Here the k-th product is the k-th
+    # x-derivative at x = 0, which carries the k! of the bracket's x^k / k!.
+    sympy = pytest.importorskip("sympy")
+    D, x = sympy.symbols("D x")
+    alg = ConformalAlgebra(
+        "quadratic", TRUNC, {(0, 0): {0: DEL + 2 * LAM + 2 * LAM**2 + LAM * DEL}}, ("L",))
+    entry = D + 2 * x + 2 * x**2 + x * D
+    products = {k: sympy.Poly(sympy.diff(entry, x, k).subs(x, 0), D).as_dict()
+                for k in range(3)}
+    mode_window = 6
+    differing = []
+    for s in range(mode_window + 2):
+        for t in range(mode_window + 2):
+            # [a_(s), b_(t)] = sum_k C(s, k) (a_(k) b)_(s+t-k) and
+            # (D^d a)_(q) = (-1)^d q(q-1)...(q-d+1) a_(q-d), on L(0, q-d-1).
+            value = {}
+            for k, product in products.items():
+                q = s + t - k
+                for (d,), c in product.items():
+                    m = q - d - 1
+                    if m <= mode_window:
+                        term = sympy.binomial(s, k) * (-1) ** d * sympy.ff(q, d) * c
+                        value[m] = value.get(m, 0) + term
+            # [L(0,m), L(0,n)] = (m - n) L(0, m+n) at p = 1.
+            closed = {s + t - 2: s - t} if s != t and s + t - 2 <= mode_window else {}
+            if {m: v for m, v in value.items() if v} != closed:
+                differing.append((label_L(0, s - 1), label_L(0, t - 1)))
+    with pytest.raises(ClosedFormMismatchError) as info:
+        build_annihilation(alg, 0, mode_window)
+    assert info.value.pairs == sorted(differing)
+    assert len(differing) == 36
 
 
 # -- mode expansion oracles ---------------------------------------------------------
@@ -106,11 +140,7 @@ def test_window_validation():
     alg = make_block(1, 2, TRUNC)
     with pytest.raises(ValueError):
         build_annihilation(alg, 3, 3)  # index window exceeds the algebra window
-    from confal.conformal import (
-        ConformalAlgebra,
-        make_heisenberg_virasoro,
-        make_virasoro,
-    )
+    from confal.conformal import make_heisenberg_virasoro, make_virasoro
 
     # Vir is B(1) on window 0, so it expands; HV reads as p = 1 too, but its
     # [L M] = (D + x) M is not the closed form's (D + 3x) L_1.

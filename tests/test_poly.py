@@ -102,10 +102,10 @@ def test_substitute_negation_oracle():
     assert p.substitute(Var.LAMBDA, -LAM - DEL) == -DEL - 2 * LAM
 
 
-def test_coeff_in_is_factorial_scaled():
-    # coefficient extraction bakes in k! (divided powers convention).
+def test_coeff_in_is_the_plain_coefficient():
+    # no k!: the divided-power factor belongs to the mode expansion.
     p = 5 * LAM**3 * DEL + LAM * MU
-    assert p.coeff_in(Var.LAMBDA, 3) == 30 * DEL
+    assert p.coeff_in(Var.LAMBDA, 3) == 5 * DEL
     assert p.coeff_in(Var.LAMBDA, 1) == MU
     assert p.coeff_in(Var.LAMBDA, 0) == Poly.zero()
 

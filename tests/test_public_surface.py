@@ -42,7 +42,6 @@ EXPORTS = [
     "ideal_and_nilpotency",
     "infer_family",
     "is_irreducible_rank_one",
-    "k_products",
     "make_block",
     "make_bn",
     "make_heisenberg_virasoro",
@@ -61,7 +60,7 @@ EXPORTS = [
 
 def test_package_root_exports_exactly_the_pinned_names():
     assert confal.__all__ == EXPORTS
-    assert len(EXPORTS) == 44
+    assert len(EXPORTS) == 43
     assert set(EXPORTS) <= set(dir(confal))
     for name in EXPORTS:
         # The package hands out the object its defining module binds.
