@@ -203,7 +203,9 @@ def build_annihilation(
     """
     p = family_parameter(alg)
     if idx_window < 0 or mode_window < -1:
-        raise ValueError("windows out of range")
+        raise ValueError(f"index window {elide(str(idx_window))} and mode window "
+                         f"{elide(str(mode_window))} are out of range: "
+                         "need index >= 0 and mode >= -1")
     if idx_window > alg.window:
         raise ValueError(
             f"index window {idx_window} exceeds the algebra window {alg.window}"
@@ -362,7 +364,8 @@ def annihilation_subquotient(p: Fraction | int, idx_cap: int, mode_cap: int) -> 
     if p == 0:
         raise ValueError("the family parameter p must be nonzero")
     if idx_cap < 0 or mode_cap < 0:
-        raise ValueError("caps must be nonnegative")
+        raise ValueError(f"caps must be nonnegative, got index cap {elide(str(idx_cap))} "
+                         f"and mode cap {elide(str(mode_cap))}")
     title = f"G(p={p};{idx_cap},{mode_cap})"
     _check_basis_size(title, (idx_cap + 1) * (mode_cap + 1))
     coords = {label_J(i, m): (i, m) for i in range(idx_cap + 1) for m in range(mode_cap + 1)}

@@ -294,19 +294,14 @@ def classify_rank_one(
     degree_bound: int = 6,
 ) -> ClassificationReport:
     """Classify free rank-one modules over the bracket family at parameter ``p``."""
-    p = Fraction(p)
-    if p == 0:
-        raise ValueError("the family parameter p must be nonzero")
+    alg = make_block(p, max(3, min(top_index_bound, 4)), TruncationPolicy.TRUNCATE_TO_ZERO)
     if top_index_bound < 1:
         raise ValueError(f"top index bound K must be >= 1, got {elide(str(top_index_bound))}")
-    alg = make_block(p, max(3, min(top_index_bound, 4)), TruncationPolicy.TRUNCATE_TO_ZERO)
     return _replay(alg, top_index_bound, degree_bound)
 
 
 def classify_bn(n: int, degree_bound: int = 6) -> ClassificationReport:
     """Classification over the windowed quotient ``b(n)``: parameter ``-n``, top index ``n``."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     return _replay(make_bn(n), n, degree_bound)
 
 

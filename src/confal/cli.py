@@ -4,11 +4,15 @@ Subcommands: ``verify-algebra``, ``verify-module``, ``classify``,
 ``annihilation``.  Each one parses its arguments, builds its inputs, runs
 the checkers in order and adds each report's own payload (``to_payload``) to
 the certificate.  Exit codes: 0 when every check passed, 1 when any check
-failed, 2 with one line on stderr on malformed input (usage errors
-included), on a table whose checked identities leave its
-ERROR_ON_OVERFLOW window, or when the certificate cannot be written (to
-stdout, or to an ``--out`` path that is not a regular file or cannot be
-replaced; a symbolic link is written through to its target).  A size flag
+failed, 2 with one line on stderr for an argparse usage error, for any
+``ValueError`` a stage raises, or when the certificate cannot be written
+(to stdout, or to an ``--out`` path that is not a regular file or cannot
+be replaced; a symbolic link is written through to its target).  Every
+refusal of an input is a ``ValueError`` (``ParseError``,
+``UnsupportedAlgebraError``, ``UnsupportedModuleError`` and
+``WindowOverflowError`` included), and :func:`main` is the one place that
+turns it into exit 2; a cross-check disagreement is a ``RuntimeError``,
+recorded as a FAIL.  A size flag
 (``--window``, ``--n``, ``--bn``, ``--K``, ``--D``, ``--degree-bound``,
 ``--idx``, ``--mode``, ``--k``, ``--N``) above
 :data:`confal.poly.MAX_INPUT_SIZE` is a usage error, and so is an
@@ -43,10 +47,6 @@ if TYPE_CHECKING:
     from .certificates import Certificate
     from .conformal import ConformalAlgebra
     from .modules import ConformalModule
-
-class InputError(ValueError):
-    """Invalid command-line input that argparse could not catch."""
-
 
 def _rat_arg(text: str) -> Fraction:
     from .poly import ParseError, parse_rat
@@ -205,7 +205,7 @@ def _refuse_stray(subject: str, given: dict[str, bool]) -> None:
     """Refuse each flag in ``given`` that is present, rather than ignore it."""
     stray = [flag for flag, present in given.items() if present]
     if stray:
-        raise InputError(f"{subject} does not take {', '.join(stray)}")
+        raise ValueError(f"{subject} does not take {', '.join(stray)}")
 
 
 def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict]:
@@ -225,40 +225,34 @@ def _algebra_from_args(args: argparse.Namespace) -> tuple[ConformalAlgebra, dict
     inputs: dict = {"alg": selector}
     if selector == "block":
         if args.p is None or args.window is None:
-            raise InputError("--alg block needs --p and --window")
+            raise ValueError("--alg block needs --p and --window")
         policy = TruncationPolicy(args.policy or "truncate")
-        try:
-            alg = make_block(args.p, args.window, policy)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        alg = make_block(args.p, args.window, policy)
         inputs.update(p=str(args.p), window=args.window, policy=policy.value)
     elif selector == "bn":
         if args.n is None:
-            raise InputError("--alg bn needs --n")
-        try:
-            alg = make_bn(args.n)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+            raise ValueError("--alg bn needs --n")
+        alg = make_bn(args.n)
         inputs.update(n=args.n)
     elif selector in _FIXED_ALGEBRAS:
         alg = getattr(conformal, _FIXED_ALGEBRAS[selector])()
     elif selector == "file":
         if not path:
-            raise InputError("--alg file needs --file <path>")
+            raise ValueError("--alg file needs --file <path>")
         from .serialize import algebra_from_dict, load_json
 
         alg = algebra_from_dict(load_json(path))
         inputs.update(file=path)
     else:
-        raise InputError(f"unknown algebra selector {quote(selector)}")
+        raise ValueError(f"unknown algebra selector {quote(selector)}")
     return alg, inputs
 
 
 def _module_from_args(
     args: argparse.Namespace, alg: ConformalAlgebra
 ) -> tuple[ConformalModule, dict]:
-    from .modules import UnsupportedModuleError, rank_one_module, trivial_module
-    from .poly import ParseError, parse_rat, quote
+    from .modules import rank_one_module, trivial_module
+    from .poly import parse_rat, quote
 
     selector = args.mod
     parts = selector.split(":")
@@ -273,9 +267,9 @@ def _module_from_args(
 
             path = selector.split(":", 1)[1]
             return module_from_dict(load_json(path)), {"mod": "file", "file": path}
-    except (ParseError, UnsupportedModuleError, ValueError) as exc:
-        raise InputError(f"bad module selector {quote(selector)}: {exc}") from None
-    raise InputError(f"bad module selector {quote(selector)}")
+    except ValueError as exc:
+        raise ValueError(f"bad module selector {quote(selector)}: {exc}") from None
+    raise ValueError(f"bad module selector {quote(selector)}")
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -307,10 +301,7 @@ def cmd_verify_module(args: argparse.Namespace) -> Certificate:
     alg, inputs = _algebra_from_args(args)
     mod, mod_inputs = _module_from_args(args, alg)
     inputs = {**inputs, **mod_inputs, "degree_bound": args.degree_bound}
-    try:
-        report = check_module(alg, mod)
-    except UnsupportedModuleError as exc:
-        raise InputError(str(exc)) from None
+    report = check_module(alg, mod)
     certificate = cert.Certificate(command="verify-module", inputs=inputs)
     _algebra_results(alg, certificate)
     certificate.check("module_identity", report.ok, report.to_payload())
@@ -335,16 +326,13 @@ def cmd_classify(args: argparse.Namespace) -> Certificate:
 
     if args.bn is not None:
         _refuse_stray("--bn", {"--K": args.K is not None})
-    try:
-        if args.bn is not None:
-            report = classify_bn(args.bn, degree_bound=args.D)
-            inputs = {"bn": args.bn, "D": args.D, "seed": BATTERY_SEED}
-        else:
-            top = 6 if args.K is None else args.K
-            report = classify_rank_one(args.p, top_index_bound=top, degree_bound=args.D)
-            inputs = {"p": str(args.p), "K": top, "D": args.D, "seed": BATTERY_SEED}
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if args.bn is not None:
+        report = classify_bn(args.bn, degree_bound=args.D)
+        inputs = {"bn": args.bn, "D": args.D, "seed": BATTERY_SEED}
+    else:
+        top = 6 if args.K is None else args.K
+        report = classify_rank_one(args.p, top_index_bound=top, degree_bound=args.D)
+        inputs = {"p": str(args.p), "K": top, "D": args.D, "seed": BATTERY_SEED}
     certificate = cert.Certificate(command="classify", inputs=inputs)
     certificate.caveats = list(report.caveats)
     status = cert.UNDECIDED if report.undecided else cert.PASS
@@ -381,7 +369,7 @@ def cmd_annihilation(args: argparse.Namespace) -> Certificate:
         missing = args.idx is None or args.mode is None
     _refuse_stray(mode, given)
     if missing:
-        raise InputError(f"{mode} needs {needs}")
+        raise ValueError(f"{mode} needs {needs}")
     inputs = ({"G": True, "p": str(args.p), "k": args.k, "N": args.N} if args.G else
               {"p": str(args.p), "idx": args.idx, "mode": args.mode, "extended": args.extended})
     certificate = cert.Certificate(command="annihilation", inputs=inputs)
@@ -396,8 +384,6 @@ def cmd_annihilation(args: argparse.Namespace) -> Certificate:
             "algebra": exc.algebra, "closed_form_cross_check": "disagreed",
             "pairs": [list(pair) for pair in exc.pairs[:5]]})
         return certificate
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
     certificate.add("bracket_table", cert.PASS, cert.bracket_table(alg, expanded=not args.G))
     lie = check_lie(alg)
     certificate.check("lie_axioms", lie.ok, lie.to_payload())
@@ -460,9 +446,6 @@ def _unlimited_int_digits() -> Iterator[None]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .conformal import WindowOverflowError
-    from .poly import ParseError
-
     handlers = {
         "verify-algebra": cmd_verify_algebra,
         "verify-module": cmd_verify_module,
@@ -473,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         with _unlimited_int_digits():
             certificate = handlers[args.command](args)
             text = certificate.to_json()
-    except (InputError, ParseError, WindowOverflowError) as exc:
+    except ValueError as exc:
         print(f"confal: error: {exc}", file=sys.stderr)
         return 2
     out = getattr(args, "out", None)

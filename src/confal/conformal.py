@@ -52,7 +52,7 @@ class TruncationPolicy(enum.Enum):
     TRUNCATE_TO_ZERO = "truncate"
 
 
-class WindowOverflowError(RuntimeError):
+class WindowOverflowError(ValueError):
     """A product escaped the generator window under ERROR_ON_OVERFLOW."""
 
 

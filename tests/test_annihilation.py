@@ -493,6 +493,33 @@ def test_centrality_of_adjusted_translation():
         assert rep.failures == []
 
 
+def test_centrality_excludes_no_label_on_a_built_window():
+    """No label of a window ``build_annihilation`` makes loses a product against
+    ``T`` or ``L(0,-1)``.
+
+    ``T`` and ``L(0,-1)`` have ``s = m + 1 = 0``.  With ``x = L(0,-1)``
+    route one keeps only the ``k = 0`` terms, and each lands at mode
+    ``n - d <= n``, the mode of ``y = L(j,n)``; with ``y = L(0,-1)``,
+    ``t = 0``, and each term lands at or below the mode ``m`` of ``x``.
+    ``[T, L(i,m)]`` lands at mode ``m - 1``.  So no pair through either
+    constituent is truncated, and the centrality check excludes nothing.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    nonzero = st.integers(-5, 5).filter(bool)
+    p = st.builds(Fraction, nonzero, st.integers(1, 5))
+    base = label_L(0, -1)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(p, st.integers(0, 5), st.integers(-1, 5))
+    def check(p, idx, mode):
+        ext = window(p, idx=idx, mode=mode, extended=True)
+        assert not any(T_LABEL in pair or base in pair for pair in ext.truncated_pairs)
+        assert check_central(ext).excluded == []
+
+    check()
+
+
 def test_centrality_failure_is_the_exact_residual():
     # At p = 2, [T, L(1,1)] = -2 L(1,0) and [L(0,-1), L(1,1)] = -4 L(1,0).
     ext = window(Fraction(2), extended=True)

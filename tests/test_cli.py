@@ -399,17 +399,27 @@ def test_unknown_selector_is_an_input_error(capsys):
                      "--alg block needs --p and --window", id="block-without-parameters"),
         pytest.param(["verify-algebra", "--alg", "block", "--p", "0", "--window", "3"],
                      "the family parameter p must be nonzero", id="block-p-zero"),
+        pytest.param(["verify-algebra", "--alg", "block", "--p", "1", "--window", "-1"],
+                     "window must be nonnegative", id="block-negative-window"),
         pytest.param(["verify-algebra", "--alg", "bn"], "--alg bn needs --n", id="bn-without-n"),
         pytest.param(["verify-algebra", "--alg", "bn", "--n", "0"],
                      "n must be a positive integer", id="bn-n-zero"),
         pytest.param(["verify-algebra", "--alg", "file"],
                      "--alg file needs --file <path>", id="file-without-path"),
         pytest.param(["annihilation", "--p", "1", "--idx", "2", "--mode", "-3"],
-                     "windows out of range", id="mode-window-below-minus-one"),
+                     "index window 2 and mode window -3 are out of range: "
+                     "need index >= 0 and mode >= -1", id="mode-window-below-minus-one"),
         pytest.param(["annihilation", "--p", "0", "--G", "--k", "2", "--N", "2"],
                      "the family parameter p must be nonzero", id="G-p-zero"),
         pytest.param(["annihilation", "--p", "1", "--G", "--k", "-1", "--N", "2"],
-                     "caps must be nonnegative", id="G-negative-cap"),
+                     "caps must be nonnegative, got index cap -1 and mode cap 2",
+                     id="G-negative-cap"),
+        pytest.param(["classify", "--p", "0"],
+                     "the family parameter p must be nonzero", id="classify-p-zero"),
+        pytest.param(["classify", "--p", "0", "--K", "0"],
+                     "the family parameter p must be nonzero", id="classify-p-zero-K-zero"),
+        pytest.param(["classify", "--bn", "0"],
+                     "n must be a positive integer", id="classify-bn-zero"),
     ],
 )
 def test_input_the_stages_refuse_exits_two_with_one_line(capsys, argv, message):
@@ -417,6 +427,21 @@ def test_input_the_stages_refuse_exits_two_with_one_line(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"confal: error: {message}\n"
+
+
+def test_a_value_error_from_any_stage_exits_two_with_one_line(capsys, monkeypatch):
+    # Only a bug can make a checker raise; it still ends in one line and
+    # exit 2, never in a traceback or an exit 1 that reads as a verdict.
+    import confal.conformal
+
+    def boom(alg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(confal.conformal, "check_jacobi", boom)
+    code, out, err = run_cli(capsys, ["verify-algebra", "--alg", "vir"])
+    assert code == 2
+    assert out == ""
+    assert err == "confal: error: boom\n"
 
 
 def test_missing_algebra_file_is_an_input_error(capsys, tmp_path):

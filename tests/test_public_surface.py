@@ -68,6 +68,16 @@ def test_package_root_exports_exactly_the_pinned_names():
         assert getattr(confal, name) is module.__dict__[name], name
 
 
+def test_a_refusal_is_a_value_error_and_a_disagreement_a_runtime_error():
+    # The command line turns every ValueError into exit 2; a cross-check
+    # disagreement is a finding, not a refusal of the input.
+    assert issubclass(confal.WindowOverflowError, ValueError)
+    assert issubclass(confal.UnsupportedAlgebraError, ValueError)
+    assert issubclass(confal.UnsupportedModuleError, ValueError)
+    assert issubclass(confal.ClosedFormMismatchError, RuntimeError)
+    assert not issubclass(confal.ClosedFormMismatchError, ValueError)
+
+
 def test_unknown_names_are_attribute_errors():
     assert not hasattr(confal, "no_such_name")
 
