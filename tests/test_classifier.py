@@ -26,7 +26,7 @@ from confal.classify import (
     symmetry_residual,
     verify_report,
 )
-from confal.conformal import make_bn
+from confal.conformal import make_bn, make_heisenberg_virasoro
 from confal.modules import FAMILY_BETA, FAMILY_PLAIN
 from confal.poly import DEL, LAM, MU, Poly, Var
 
@@ -207,6 +207,23 @@ def test_verify_report_rejects_an_unknown_irreducibility_condition():
     tampered = with_families(report, [
         FamilyPattern(f.tag, f.description, "delta == 0") for f in report.families])
     assert verify_report(tampered) is False
+
+
+def test_verify_report_rejects_a_known_but_wrong_irreducibility_condition():
+    # At p = -1 the beta family is irreducible iff delta != 0 or beta != 0;
+    # claiming delta != 0 alone is wrong at delta = 0, beta = 1.
+    report = classify_rank_one(-1)
+    tampered = with_families(report, [
+        FamilyPattern(f.tag, f.description, "delta != 0") for f in report.families])
+    assert verify_report(tampered) is False
+
+
+def test_verify_report_rejects_an_algebra_where_the_constant_extension_holds():
+    # Heisenberg-Virasoro has p = 1, yet the constant extension Mb:1:0:5
+    # passes its module identity there, so the bolt-on probe disagrees.
+    report = classify_rank_one(1)._replace(alg=make_heisenberg_virasoro())
+    assert report.p == 1
+    assert verify_report(report) is False
 
 
 def test_verify_report_rejects_empty_families():

@@ -17,6 +17,7 @@ import stat
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -112,6 +113,17 @@ def test_verify_algebra_from_file(capsys, tmp_path):
     assert code == 0
     assert doc["inputs"] == {"alg": "file", "file": str(path)}
     assert all(r["status"] == "PASS" for r in doc["results"])
+
+    # Under ERROR_ON_OVERFLOW, skew-symmetry walks only pairs defined in both
+    # orders: (2, 1) is given but (1, 2) escapes the window, so the pair is
+    # skipped rather than refused.
+    save_json(str(path), {"format": "confal-algebra", "window": 2, "policy": "error",
+                          "structure": {"0,0": {"0": "D + 2*x"}, "2,1": {"2": "D + x"}}})
+    code, doc = run_json(capsys, ["verify-algebra", "--alg", f"file:{path}"])
+    assert code == 0
+    skew = result_named(doc, "skew_symmetry")
+    assert skew["status"] == "PASS"
+    assert skew["payload"]["pairs_checked"] == 4
 
 
 def test_verify_algebra_separate_file_flag(capsys, tmp_path):
@@ -442,6 +454,34 @@ def test_a_value_error_from_any_stage_exits_two_with_one_line(capsys, monkeypatc
     assert code == 2
     assert out == ""
     assert err == "confal: error: boom\n"
+
+
+def test_a_failing_centrality_report_is_a_fail_block_and_exit_one(capsys, monkeypatch):
+    import confal.annihilation
+
+    real = confal.annihilation.check_central
+
+    def one_failure(ext):
+        return real(ext)._replace(failures=[(ext.basis[0], {ext.basis[0]: Fraction(1, 2)})])
+
+    monkeypatch.setattr(confal.annihilation, "check_central", one_failure)
+    code, doc = run_json(
+        capsys, ["annihilation", "--p", "1", "--idx", "2", "--mode", "2", "--extended"])
+    assert code == 1
+    central = result_named(doc, "centrality")
+    assert central["status"] == "FAIL"
+    assert central["payload"]["failures"] == [
+        {"against": "L(0,-1)", "residual": {"L(0,-1)": "1/2"}}]
+
+
+def test_a_failing_self_check_is_a_fail_block_and_exit_one(capsys, monkeypatch):
+    import confal.classify
+
+    monkeypatch.setattr(confal.classify, "verify_report", lambda report: False)
+    code, doc = run_json(capsys, ["classify", "--bn", "1"])
+    assert code == 1
+    assert result_named(doc, "self_check")["status"] == "FAIL"
+    assert [r["status"] for r in doc["results"]] == ["PASS", "PASS", "FAIL"]
 
 
 def test_missing_algebra_file_is_an_input_error(capsys, tmp_path):

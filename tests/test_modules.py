@@ -278,6 +278,7 @@ def test_infer_family_rejects_foreign_tables():
         {(0, 0): {0: DEL**2 + LAM}},    # nonlinear in D
         {(0, 0): {0: LAM + 1}},         # no D part
         {(0, 0): {0: DEL}, (2, 0): {0: Poly.one()}},  # unexpected row
+        {(0, 0): {0: DEL}, (1, 0): {0: LAM}},         # L_1 row not a constant
     ]
     for action in bad_shapes:
         mod = ConformalModule(rank=1, alpha=None, action=action)

@@ -94,7 +94,7 @@ def test_records_store_only_what_they_cannot_derive():
         modules.FamilyTag: ["p", "delta", "alpha", "beta"],
         modules.IrreducibilityVerdict: ["criterion_irreducible", "witness", "candidates_checked"],
         modules.SubmoduleResult: ["module", "offending_generator", "remainder"],
-        annihilation.CharacterReport: ["dimension", "derived_rank", "characters", "verified"],
+        annihilation.CharacterReport: ["dimension", "derived_rank", "characters"],
         annihilation.TraceVerdict: ["consistent", "commutator_trace", "hypothesis_trace"],
         certificates.Certificate: ["command", "inputs", "results", "caveats"],
         classify.ClassificationReport: [
@@ -105,7 +105,7 @@ def test_records_store_only_what_they_cannot_derive():
         # A certificate is a builder with slots; every record is a named tuple.
         stored = cls.__slots__ if cls is certificates.Certificate else cls._fields
         assert list(stored) == names, cls
-    assert sum(map(len, fields.values())) == 32
+    assert sum(map(len, fields.values())) == 31
 
     assert modules.trivial_module(1).kind == modules.KIND_SCALAR_DEL
     tag = modules.FamilyTag(p=Fraction(1), delta=Fraction(0), alpha=Fraction(0))
