@@ -30,8 +30,7 @@ _EXPORTS = {
         ("ClosedFormMismatchError", "FiniteLieAlgebra",
          "annihilation_subquotient", "build_annihilation", "characters",
          "check_central", "check_lie", "ideal_and_nilpotency",
-         "resonance_analysis", "trace_certificate"),
-        "annihilation"),
+         "resonance_analysis"), "annihilation"),
     **dict.fromkeys(
         ("ConformalModule", "FamilyTag", "UnsupportedModuleError",
          "check_module", "infer_family", "is_irreducible_rank_one",

@@ -326,7 +326,9 @@ def check_central(ext: FiniteLieAlgebra) -> CentralityReport:
     if T_LABEL not in ext.positions:
         raise UnsupportedAlgebraError("centrality check needs the extended algebra")
     p = ext.param_p
-    assert p is not None
+    if p is None:
+        raise UnsupportedAlgebraError("centrality check needs the family parameter p, "
+                                      f"and {ext.name} has none")
     base = label_L(0, -1)
     checked = 0
     failures: list[tuple[Label, LinComb]] = []
@@ -555,7 +557,9 @@ def resonance_analysis(G: FiniteLieAlgebra) -> ResonanceReport:
     if label_J(0, 0) not in G.coords:
         raise UnsupportedAlgebraError("resonance analysis expects a subquotient")
     p = G.param_p
-    assert p is not None
+    if p is None:
+        raise UnsupportedAlgebraError("resonance analysis needs the family parameter p, "
+                                      f"and {G.name} has none")
     # The coordinates fill the rectangle from (0, 0), so their largest is the
     # corner (idx_cap, mode_cap).
     idx_cap, mode_cap = max(G.coords.values())
@@ -659,49 +663,6 @@ def ideal_and_nilpotency(alg: FiniteLieAlgebra, span: Sequence[Label]) -> IdealR
         nilpotent=nil_class is not None,
         nilpotency_class=nil_class,
         series_dims=dims,
-    )
-
-
-class TraceVerdict(NamedTuple):
-    consistent: bool
-    commutator_trace: Fraction
-    hypothesis_trace: Fraction
-
-    @property
-    def forced_zero(self) -> bool:
-        return not self.consistent
-
-
-def trace_certificate(A: Sequence[Sequence[Fraction | int]],
-                      B: Sequence[Sequence[Fraction | int]],
-                      b: Fraction | int, c: Fraction | int) -> TraceVerdict:
-    """Compare ``trace(AB - BA)`` with ``trace(b c I)``.
-
-    ``A`` and ``B`` are square matrices of one size, given as rows.  If they
-    represented two elements whose bracket is ``b`` times a third element
-    represented by ``c I``, the traces would have to agree; since a
-    commutator is traceless, consistency forces ``c = 0`` whenever
-    ``b != 0``.  ``b = 0`` is rejected because the certificate then says
-    nothing.
-    """
-    b = Fraction(b)
-    c = Fraction(c)
-    if b == 0:
-        raise ValueError("the bracket coefficient b must be nonzero")
-    n = len(A)
-    if len(B) != n or any(len(row) != n for row in (*A, *B)):
-        raise ValueError("A and B must be square of the same size")
-    a = [[Fraction(v) for v in row] for row in A]
-    m = [[Fraction(v) for v in row] for row in B]
-    commutator_trace = sum(
-        (a[i][j] * m[j][i] - m[i][j] * a[j][i] for i in range(n) for j in range(n)),
-        Fraction(0),
-    )
-    hypothesis_trace = b * c * n
-    return TraceVerdict(
-        consistent=commutator_trace == hypothesis_trace,
-        commutator_trace=commutator_trace,
-        hypothesis_trace=hypothesis_trace,
     )
 
 

@@ -391,15 +391,9 @@ def _replay(
             steps.append(kill)
         else:
             relation = _block_entry(p, 1, k - 1)
-            cross = relation.substitute(Var.PARTIAL, -(LAM + MU))
-            normalized = (
-                -cross
-                if cross.coeff_in(Var.LAMBDA, 1).constant() < 0
-                else cross
-            )
-            if normalized.is_zero():
-                undecided.append(k)
-                continue
+            # At k = -p the cross relation is -x - (1+p) y; its x coefficient
+            # is -1, so the normalized coefficient x + (1+p) y never vanishes.
+            normalized = -relation.substitute(Var.PARTIAL, -(LAM + MU))
             steps.append(
                 DerivationStep(
                     rule=RULE_CROSS_RELATION_KILL,

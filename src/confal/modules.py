@@ -57,10 +57,6 @@ class FamilyTag(NamedTuple):
     alpha: Fraction
     beta: Fraction | None = None
 
-    @property
-    def family(self) -> str:
-        return FAMILY_PLAIN if self.beta is None else FAMILY_BETA
-
 
 class ConformalModule(NamedTuple):
     rank: int

@@ -143,7 +143,7 @@ class Poly:
     mutates its receiver.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] | None = None):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -155,17 +155,12 @@ class Poly:
                         raise ValueError(f"bad exponent vector {exp!r}")
                     clean[tuple(exp)] = c
         self._terms = clean
-        self._hash: int | None = None
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def zero(cls) -> Poly:
         return _ZERO
-
-    @classmethod
-    def one(cls) -> Poly:
-        return _ONE
 
     @classmethod
     def const(cls, value: Scalar) -> Poly:
@@ -244,9 +239,7 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> Poly:
         return Poly({exp: -c for exp, c in self._terms.items()})
@@ -417,7 +410,6 @@ def _accumulate(
 def _wrap(terms: dict[tuple[int, ...], Fraction]) -> Poly:
     p = Poly.__new__(Poly)
     p._terms = terms
-    p._hash = None
     return p
 
 

@@ -1,4 +1,6 @@
-"""Text and JSON formats for polynomials, algebras, and modules.
+"""Readers of the text and JSON formats for polynomials, algebras, and modules.
+
+It only reads, and treats every file as untrusted input.
 
 Polynomial strings use the variables ``D`` (translation) and ``x``
 (bracket variable) with ``+ - * ^`` and integer or rational literals, e.g.
@@ -61,7 +63,6 @@ from .poly import (
     elide,
     parse_rat,
     quote,
-    render_combo,
 )
 
 
@@ -271,24 +272,7 @@ def _parse_entry(entry: Any, what: str, size: int, bound: str) -> dict[int, Poly
     return parsed
 
 
-def _render_table(table: dict[tuple[int, int], LambdaValue]) -> dict[str, dict[str, str]]:
-    """A pair-keyed table as ``"i,j"`` -> rendered entry, zero entries left out."""
-    rendered = ((f"{i},{j}", render_combo(entry)) for (i, j), entry in sorted(table.items()))
-    return {key: entry for key, entry in rendered if entry}
-
-
 # -- algebra files ------------------------------------------------------------
-
-
-def algebra_to_dict(alg: ConformalAlgebra) -> dict[str, Any]:
-    return {
-        "format": "confal-algebra",
-        "name": alg.name,
-        "window": alg.window,
-        "policy": alg.policy.value,
-        "generators": list(alg.gen_names),
-        "structure": _render_table(alg.structure),
-    }
 
 
 def _refuse_repeat(seen: set[Any], key: Any, message: str) -> None:
@@ -373,22 +357,6 @@ def algebra_from_dict(data: Any) -> ConformalAlgebra:
 # -- module files -------------------------------------------------------------
 
 
-def module_to_dict(mod: ConformalModule) -> dict[str, Any]:
-    if mod.alpha is not None:
-        return {
-            "format": "confal-module",
-            "kind": KIND_SCALAR_DEL,
-            "rank": mod.rank,
-            "alpha": str(mod.alpha),
-        }
-    return {
-        "format": "confal-module",
-        "kind": KIND_FREE,
-        "rank": mod.rank,
-        "action": _render_table(mod.action),
-    }
-
-
 def module_from_dict(data: Any) -> ConformalModule:
     if _object(data, "module file").get("format") != "confal-module":
         raise ParseError("not a module file: missing format marker")
@@ -423,7 +391,7 @@ def module_from_dict(data: Any) -> ConformalModule:
 
 
 #: Largest input file :func:`load_json` accepts, in bytes.  A block table of
-#: window 24 written by :func:`save_json` takes about 15 KB.
+#: window 24, written with ``indent=2``, takes about 15 KB.
 MAX_FILE_BYTES = 1 << 20
 
 #: Largest ``rank`` a module file may declare.  The module walk grows about
@@ -476,9 +444,3 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
         for key, _ in pairs:
             _refuse_repeat(seen, key, f"an object names the key {quote(key)} twice")
     return obj
-
-
-def save_json(path: str, data: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

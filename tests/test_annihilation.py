@@ -33,7 +33,6 @@ from confal.annihilation import (
     label_J,
     label_L,
     resonance_analysis,
-    trace_certificate,
 )
 from confal.certificates import lie_table_hash
 from confal.conformal import (
@@ -340,6 +339,14 @@ def test_sign_flip_is_caught_and_reported():
     )
     assert rep.jacobi_failures  # the triple-level check also names witnesses
 
+    # The certificate renders each failure with its labels and exact residual.
+    payload = rep.to_payload()
+    assert payload["antisymmetry_failures"] == [
+        {"pair": ["J(0,0)", "J(0,1)"], "residual": {"J(0,1)": "2"}}]
+    # [J(0,0), [J(0,0), J(0,1)]] + [J(0,0), [J(0,1), J(0,0)]] = J(0,1) + J(0,1).
+    assert payload["jacobi_failures"][0] == {
+        "triple": ["J(0,0)", "J(0,0)", "J(0,1)"], "residual": {"J(0,1)": "2"}}
+
 
 def comb_add(a, b):
     """Frozen copy of the label-combination sum ``check_lie`` was first written with."""
@@ -548,9 +555,20 @@ def test_centrality_excludes_labels_with_a_truncated_pair():
     assert rep.to_payload()["excluded"] == [x, y]
 
 
+def without_p(alg):
+    """``alg`` with no family parameter, as a hand-made algebra may come."""
+    return FiniteLieAlgebra(name=alg.name, basis=alg.basis, table=alg.table, param_p=None,
+                            coords=alg.coords, truncated_pairs=alg.truncated_pairs)
+
+
 def test_centrality_requires_extended():
     with pytest.raises(UnsupportedAlgebraError):
         check_central(window(1))
+    # A refusal, not an assert, so it holds under python -O too.
+    with pytest.raises(UnsupportedAlgebraError) as exc:
+        check_central(without_p(window(1, idx=2, mode=2, extended=True)))
+    assert str(exc.value) == (
+        "centrality check needs the family parameter p, and A(B(1);2,2)+T has none")
 
 
 def test_extended_window_lie_axioms():
@@ -626,6 +644,10 @@ def test_corner_case_details():
 def test_resonance_needs_subquotient():
     with pytest.raises(UnsupportedAlgebraError):
         resonance_analysis(window(1))
+    with pytest.raises(UnsupportedAlgebraError) as exc:
+        resonance_analysis(without_p(annihilation_subquotient(1, 2, 3)))
+    assert str(exc.value) == (
+        "resonance analysis needs the family parameter p, and G(p=1;2,3) has none")
 
 
 # -- ideal structure ---------------------------------------------------------------
@@ -683,38 +705,6 @@ def test_empty_span_and_unknown_labels():
     assert rep.is_ideal and rep.abelian and rep.nilpotency_class == 0
     with pytest.raises(ValueError):
         ideal_and_nilpotency(G, ["J(9,9)"])
-
-
-# -- trace certificates ------------------------------------------------------------
-
-
-def test_trace_certificate_forces_zero():
-    rng = random.Random(808)
-
-    def rand_mat(n):
-        return [
-            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-            for _ in range(n)
-        ]
-
-    for n in (2, 3):
-        for _ in range(10):
-            A, B = rand_mat(n), rand_mat(n)
-            verdict = trace_certificate(A, B, Fraction(-3), Fraction(2))
-            assert verdict.commutator_trace == 0
-            assert verdict.forced_zero
-            ok = trace_certificate(A, B, Fraction(-3), Fraction(0))
-            assert ok.consistent and not ok.forced_zero
-
-
-def test_trace_certificate_validation():
-    A = [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        trace_certificate(A, A, 0, 1)
-    with pytest.raises(ValueError):
-        trace_certificate(A, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1, 1)
-    with pytest.raises(ValueError):
-        trace_certificate(A, [[1, 0], [0]], 1, 1)
 
 
 # -- characters ---------------------------------------------------------------------

@@ -25,12 +25,9 @@ from confal.cli import main
 from confal.conformal import TruncationPolicy, make_block, make_bn
 from confal.modules import rank_one_module
 from confal.poly import MAX_INPUT_SIZE, MAX_LITERAL_DIGITS, quote
-from confal.serialize import (
-    MAX_FILE_BYTES,
-    algebra_to_dict,
-    module_to_dict,
-    save_json,
-)
+from confal.serialize import MAX_FILE_BYTES
+
+from file_writers import algebra_to_dict, module_to_dict, save_json
 
 
 def run_cli(capsys, argv):
@@ -680,9 +677,40 @@ def test_file_entry_in_other_variables_exits_two_before_expanding(capsys, tmp_pa
         (["verify-algebra", "--alg"],
          {"format": "confal-algebra", "window": 0, "name": {"a": [1, 2]}},
          "algebra name={'a': [1, 2]} is not a string"),
+        # Read as zero, an entry of other syntax would let the table pass.
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "structure": {"0,0": {"0": "D // 2"}}},
+         "column 0: unsupported syntax in 'D // 2'"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "structure": {"0,0": {"0": "~x"}}},
+         "column 0: unsupported syntax in '~x'"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "structure": {"0,0": {"0": 5}}},
+         "structure target '0' is not a polynomial string"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "structure": {"a,0": {"0": "D"}}},
+         "bad structure key 'a,0': expected integers"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 0, "generators": "L"},
+         "algebra generators 'L' are not a list of strings"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": -1},
+         "window must be nonnegative"),
+        (["verify-algebra", "--alg"],
+         {"format": "confal-algebra", "window": 1, "generators": ["L"]},
+         "1 generator names for window 1"),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"kind": "free", "rank": 1},
+         "not a module file: missing format marker"),
+        (["verify-module", "--alg", "vir", "--mod"],
+         {"format": "confal-module", "kind": "free", "rank": 0},
+         "module rank must be positive"),
     ],
     ids=["algebra-file-list", "algebra-p-number", "module-action-list",
-         "algebra-window-float", "algebra-name-null", "algebra-name-object"],
+         "algebra-window-float", "algebra-name-null", "algebra-name-object",
+         "entry-floor-division", "entry-bitwise-not", "entry-number", "structure-key-letter",
+         "generators-string", "window-negative", "generator-count", "module-format-missing",
+         "module-rank-zero"],
 )
 def test_file_of_the_wrong_json_shape_exits_two(capsys, tmp_path, argv, data, message):
     path = tmp_path / "shape.json"
@@ -690,8 +718,9 @@ def test_file_of_the_wrong_json_shape_exits_two(capsys, tmp_path, argv, data, me
     code, out, err = run_cli(capsys, argv + [f"file:{path}"])
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1
-    assert err.endswith(f"{message}\n")
+    # The module reader's refusals name the selector they came through.
+    selector = f"bad module selector {quote(f'file:{path}')}: " if "--mod" in argv else ""
+    assert err == f"confal: error: {selector}{message}\n"
 
 
 ALGEBRA_HEAD = '{"format": "confal-algebra", "window": 1, "structure": '

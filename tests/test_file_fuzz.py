@@ -18,7 +18,9 @@ import pytest
 from confal.cli import main
 from confal.conformal import TruncationPolicy, make_block
 from confal.poly import MAX_INPUT_SIZE, MAX_LITERAL_DIGITS
-from confal.serialize import MAX_MODULE_RANK, MAX_POLY_DEGREE, algebra_to_dict
+from confal.serialize import MAX_MODULE_RANK, MAX_POLY_DEGREE
+
+from file_writers import algebra_to_dict
 
 #: The longest stderr line an exit 2 may print.
 MAX_MESSAGE = 300

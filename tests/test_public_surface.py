@@ -6,8 +6,10 @@ first access, so the list is compared with ``confal.__all__`` and
 ``dir(confal)``, and each name is looked up on the package.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import confal
 
@@ -52,7 +54,6 @@ EXPORTS = [
     "resonance_analysis",
     "submodule_action",
     "symmetry_residual",
-    "trace_certificate",
     "trivial_module",
     "verify_report",
 ]
@@ -60,7 +61,7 @@ EXPORTS = [
 
 def test_package_root_exports_exactly_the_pinned_names():
     assert confal.__all__ == EXPORTS
-    assert len(EXPORTS) == 43
+    assert len(EXPORTS) == 42
     assert set(EXPORTS) <= set(dir(confal))
     for name in EXPORTS:
         # The package hands out the object its defining module binds.
@@ -85,8 +86,6 @@ def test_unknown_names_are_attribute_errors():
 def test_records_store_only_what_they_cannot_derive():
     # Each derived value is a read-only property, so no record can be built
     # in a state that contradicts itself.
-    from fractions import Fraction
-
     from confal import annihilation, certificates, classify, modules
 
     fields = {
@@ -95,7 +94,6 @@ def test_records_store_only_what_they_cannot_derive():
         modules.IrreducibilityVerdict: ["criterion_irreducible", "witness", "candidates_checked"],
         modules.SubmoduleResult: ["module", "offending_generator", "remainder"],
         annihilation.CharacterReport: ["dimension", "derived_rank", "characters"],
-        annihilation.TraceVerdict: ["consistent", "commutator_trace", "hypothesis_trace"],
         certificates.Certificate: ["command", "inputs", "results", "caveats"],
         classify.ClassificationReport: [
             "alg", "top_index_bound", "degree_bound", "families", "steps", "battery",
@@ -105,16 +103,11 @@ def test_records_store_only_what_they_cannot_derive():
         # A certificate is a builder with slots; every record is a named tuple.
         stored = cls.__slots__ if cls is certificates.Certificate else cls._fields
         assert list(stored) == names, cls
-    assert sum(map(len, fields.values())) == 31
+    assert sum(map(len, fields.values())) == 28
 
     assert modules.trivial_module(1).kind == modules.KIND_SCALAR_DEL
-    tag = modules.FamilyTag(p=Fraction(1), delta=Fraction(0), alpha=Fraction(0))
-    assert tag.family == modules.FAMILY_PLAIN
-    assert modules.FamilyTag(tag.p, tag.delta, tag.alpha, beta=Fraction(0)).family == (
-        modules.FAMILY_BETA)
     assert modules.IrreducibilityVerdict(True, None, []).search_irreducible
     assert not modules.SubmoduleResult(None, 0, None).invariant
-    assert annihilation.trace_certificate([[0]], [[0]], 1, 1).forced_zero
     assert certificates.Certificate("c", {}).tool_version == confal.__version__
     report = classify.classify_bn(2)
     assert report.p == -2 and report.to_payload()["algebra"] == report.alg.name == "b(2)"
@@ -127,7 +120,7 @@ RECORDS = {
     "modules": ["FamilyTag", "ConformalModule", "ModuleFailure", "ModuleReport",
                 "SubmoduleResult", "IrreducibilityVerdict"],
     "annihilation": ["CentralityReport", "LieReport", "ResonanceReport", "IdealReport",
-                     "TraceVerdict", "CharacterReport"],
+                     "CharacterReport"],
     "classify": ["DerivationStep", "FamilyPattern", "ViolationCertificate", "BatteryResult",
                  "ClassificationReport"],
     "certificates": ["CheckResult"],
@@ -145,7 +138,7 @@ def test_records_are_named_tuples_with_no_mutable_default():
             assert tuple(cls.__annotations__) == cls._fields, name
             defaults = cls._field_defaults.values()
             assert not any(isinstance(v, (list, dict, set)) for v in defaults), name
-    assert sum(map(len, RECORDS.values())) == 23
+    assert sum(map(len, RECORDS.values())) == 22
     # Apart from the records' empty ones, only these classes declare slots.
     stages = [importlib.import_module(f"confal.{info.name}")
               for info in pkgutil.iter_modules(confal.__path__) if info.name != "__main__"]
@@ -157,3 +150,13 @@ def test_records_are_named_tuples_with_no_mutable_default():
         and cls.__dict__.get("__slots__")
     }
     assert slotted == {"Poly", "Certificate"}
+
+
+def test_no_module_asserts():
+    # python -O strips an assert, so a refusal must be a raise.
+    paths = sorted(Path(confal.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts at lines {lines}"

@@ -36,14 +36,13 @@ from confal.serialize import (
     MAX_POLY_DEGREE,
     ParseError,
     algebra_from_dict,
-    algebra_to_dict,
     load_json,
     module_from_dict,
-    module_to_dict,
     parse_poly,
     parse_rat,
-    save_json,
 )
+
+from file_writers import algebra_to_dict, module_to_dict, save_json
 
 TRUNC = TruncationPolicy.TRUNCATE_TO_ZERO
 
